@@ -431,14 +431,20 @@ def _convert_config_value(action, raw):
 
 
 def _apply_config_file(parser, argv):
-    # Pre-scan for --config, load the file, and use its values as defaults so
-    # explicit flags keep precedence.
-    if "--config" not in argv:
+    # Pre-scan for --config (either "--config path" or "--config=path"; the
+    # last one wins, as in argparse), load the file, and use its values as
+    # defaults so explicit flags keep precedence.
+    path = None
+    for idx, tok in enumerate(argv):
+        if tok == "--config":
+            if idx + 1 >= len(argv):
+                raise ConfigError("--config needs a path")
+            path = argv[idx + 1]
+        elif tok.startswith("--config="):
+            path = tok[len("--config="):]
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
-    values = read_config_file(argv[idx + 1])
+    values = read_config_file(path)
     known = {a.dest for a in parser._actions}
     for sub_action in (a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction)):

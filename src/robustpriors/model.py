@@ -23,6 +23,7 @@ with no such factor.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -254,7 +255,9 @@ class PosteriorTarget:
     ``None`` for the improper flat prior (the benchmark choice).  The error
     family defaults to standard normal, in which case the likelihood is
     evaluated through the Gram-matrix sufficient statistics; any other
-    family goes through per-observation residuals.
+    family goes through per-observation residuals.  Coefficient and error
+    families are called with ``check=False`` (see `robustpriors.priors`),
+    and only on rows already found finite.
 
     Instances are immutable after construction and evaluation is pure, so a
     single target can serve many chains concurrently.
@@ -278,8 +281,16 @@ class PosteriorTarget:
         self._yty = float(data.y @ data.y)
         self._n = data.n
         self._p = data.p
-        self._active = [(j, pr) for j, pr in enumerate(self.priors)
-                        if pr is not None]
+
+        # Located priors as arrays, so every prior argument of a batch is
+        # built at once as one (m, k) matrix.
+        active = [(j, pr) for j, pr in enumerate(self.priors) if pr is not None]
+        self._located = bool(active)
+        self._cols = np.array([j for j, _ in active], dtype=int)
+        self._mu = np.array([pr.mu for _, pr in active], dtype=float)
+        self._lam = np.array([pr.lam for _, pr in active], dtype=float)
+        self._log_lam = np.array([np.log(pr.lam) for _, pr in active])
+        self._families = [pr.family for _, pr in active]
 
         self._check_properness()
 
@@ -345,37 +356,95 @@ class PosteriorTarget:
         """
         B, v = self._split(beta, nu)
         scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._logpdf_rows(B, v)
+        out = self._evaluate(B, v, want_grad=False)
         return float(out[0]) if scalar and B.shape[0] == 1 else out
 
-    def _logpdf_rows(self, B, v):
+    def grad_log_posterior(self, beta, nu):
+        """Analytic gradient of `log_posterior` with respect to (beta, nu).
+
+        At prior kinks the interior branch value is used (the kink set has
+        null measure).  Non-finite rows yield a zero gradient.
+        """
+        B, v = self._split(beta, nu)
+        scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
+        out = self._evaluate(B, v, want_grad=True)
+        return out[0] if scalar and B.shape[0] == 1 else out
+
+    def _prior_args(self, B, inv_sigma):
+        # Z[:, i] = lam_i / sigma * (beta_{cols[i]} - mu_i), one column per
+        # located prior; a free zero-width view when all priors are flat.
+        if not self._located:
+            return B[:, :0]
+        return np.multiply.outer(inv_sigma, self._lam) * (B[:, self._cols] - self._mu)
+
+    def _per_prior(self, Z, grad):
+        # Column i holds located prior i's family log density (or, with
+        # grad, its score) at column i of Z.  Z has only finite rows here,
+        # so the family methods skip their input check.
+        out = np.empty_like(Z)
+        for i, fam in enumerate(self._families):
+            method = fam.grad_log_density if grad else fam.log_density
+            out[:, i] = method(Z[:, i], check=False)
+        return out
+
+    def _evaluate(self, B, v, want_grad):
+        """Log density (m,) or its gradient (m, p+1) at rows (B, v).
+
+        A row with a non-finite coordinate or prior argument gives -inf and
+        a zero gradient.  One reduction decides whether any row can be bad;
+        the exact row mask is only built when it says so, and bad rows are
+        evaluated at zero so the family methods only ever see finite
+        arguments.  Afterwards a NaN value becomes -inf and non-finite
+        gradient entries become zero.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ok, inv_sigma, z_list = self._prepare(B, v)
-            clean = ok is None
-            if not clean:
-                B = np.where(ok[:, None], B, 0.0)
-                v = np.where(ok, v, 0.0)
-                inv_sigma = np.exp(-v)
-                z_list = [pr.lam * inv_sigma * (B[:, j] - pr.mu)
-                          for j, pr in self._active]
+            inv_sigma = np.exp(-v)
+            Z = self._prior_args(B, inv_sigma)
+            ok = None
+            total = B.sum() + v.sum()
+            if self._located:
+                total += Z.sum()
+            if not math.isfinite(total):
+                ok = (np.isfinite(B).all(axis=1) & np.isfinite(v)
+                      & np.isfinite(Z).all(axis=1))
+                if ok.all():
+                    ok = None
+                else:
+                    B = np.where(ok[:, None], B, 0.0)
+                    v = np.where(ok, v, 0.0)
+                    inv_sigma = np.exp(-v)
+                    Z = self._prior_args(B, inv_sigma)
+
+            if want_grad:
+                gB, gv = self._grad_likelihood(B, v, inv_sigma)
+                if self._located:
+                    G = self._per_prior(Z, grad=True)
+                    gB[:, self._cols] += G * self._lam * inv_sigma[:, None]
+                    # Column by column, in prior order, as a per-prior sum
+                    # would.
+                    for t in (-1.0 - Z * G).T:
+                        gv += t
+                out = np.empty((B.shape[0], self._p + 1))
+                out[:, :self._p] = gB
+                out[:, self._p] = gv
+                if ok is not None:
+                    out = np.where(ok[:, None], out, 0.0)
+                if not math.isfinite(out.sum()):
+                    out = np.where(np.isfinite(out), out, 0.0)
+                return out
 
             out = v + self.sigma_prior.log_density_nu(v)
             out = out + self._log_likelihood(B, v, inv_sigma)
-            for (j, pr), z in zip(self._active, z_list):
-                out = out + (np.log(pr.lam) - v + pr.family.log_density(z))
-        if not clean:
-            out = np.where(ok, out, -np.inf)
-        return np.where(np.isnan(out), -np.inf, out)
-
-    def _prepare(self, B, v):
-        """Scale terms plus a row mask (or None if every row is evaluable)."""
-        inv_sigma = np.exp(-v)
-        z_list = [pr.lam * inv_sigma * (B[:, j] - pr.mu)
-                  for j, pr in self._active]
-        ok = np.isfinite(B).all(axis=1) & np.isfinite(v)
-        for z in z_list:
-            ok &= np.isfinite(z)
-        return (None if ok.all() else ok), inv_sigma, z_list
+            if self._located:
+                terms = ((self._log_lam - v[:, None])
+                         + self._per_prior(Z, grad=False))
+                for t in terms.T:
+                    out = out + t
+            if ok is not None:
+                out = np.where(ok, out, -np.inf)
+            if not math.isfinite(out.sum()):
+                out = np.where(np.isnan(out), -np.inf, out)
+            return out
 
     def _log_likelihood(self, B, v, inv_sigma):
         if self._use_gram:
@@ -387,57 +456,23 @@ class PosteriorTarget:
         rbad = ~np.all(np.isfinite(R), axis=1)
         if np.any(rbad):
             R = np.where(rbad[:, None], 0.0, R)
-        ll = -self._n * v + self.error_family.log_density(R).sum(axis=1)
+        ll = -self._n * v + self.error_family.log_density(R, check=False).sum(axis=1)
         return np.where(rbad, -np.inf, ll) if np.any(rbad) else ll
 
-    def grad_log_posterior(self, beta, nu):
-        """Analytic gradient of `log_posterior` with respect to (beta, nu).
-
-        At prior kinks the interior branch value is used (the kink set has
-        null measure).  Non-finite rows yield a zero gradient.
-        """
-        B, v = self._split(beta, nu)
-        scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._grad_rows(B, v)
-        return out[0] if scalar and B.shape[0] == 1 else out
-
-    def _grad_rows(self, B, v):
-        m = B.shape[0]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ok, inv_sigma, z_list = self._prepare(B, v)
-            clean = ok is None
-            if not clean:
-                B = np.where(ok[:, None], B, 0.0)
-                v = np.where(ok, v, 0.0)
-                inv_sigma = np.exp(-v)
-                z_list = [pr.lam * inv_sigma * (B[:, j] - pr.mu)
-                          for j, pr in self._active]
-
-            gv = 1.0 + self.sigma_prior.dlog_dnu(v)
-            if self._use_gram:
-                inv2 = inv_sigma * inv_sigma
-                BX = B @ self._XtX
-                S = self._yty - 2.0 * B @ self._Xty + (BX * B).sum(axis=1)
-                gB = (self._Xty[None, :] - BX) * inv2[:, None]
-                gv = gv - self._n + S * inv2
-            else:
-                R = (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
-                R = np.where(np.isfinite(R), R, 0.0)
-                fg = self.error_family.grad_log_density(R)
-                gB = -(fg @ self.data.X) * inv_sigma[:, None]
-                gv = gv - self._n - (R * fg).sum(axis=1)
-
-            for (j, pr), z in zip(self._active, z_list):
-                fam_grad = pr.family.grad_log_density(z)
-                gB[:, j] += fam_grad * pr.lam * inv_sigma
-                gv += -1.0 - z * fam_grad
-
-        out = np.empty((m, self._p + 1))
-        out[:, :self._p] = gB
-        out[:, self._p] = gv
-        if not clean:
-            out = np.where(ok[:, None], out, 0.0)
-        return np.where(np.isfinite(out), out, 0.0)
+    def _grad_likelihood(self, B, v, inv_sigma):
+        # Gradient of log pi(sigma) + Jacobian + log-likelihood: (gB, gv).
+        gv = 1.0 + self.sigma_prior.dlog_dnu(v)
+        if self._use_gram:
+            inv2 = inv_sigma * inv_sigma
+            BX = B @ self._XtX
+            S = self._yty - 2.0 * B @ self._Xty + (BX * B).sum(axis=1)
+            gB = (self._Xty[None, :] - BX) * inv2[:, None]
+            return gB, gv - self._n + S * inv2
+        R = (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
+        R = np.where(np.isfinite(R), R, 0.0)
+        fg = self.error_family.grad_log_density(R, check=False)
+        gB = -(fg @ self.data.X) * inv_sigma[:, None]
+        return gB, gv - self._n - (R * fg).sum(axis=1)
 
     def log_posterior_sigma(self, beta, sigma):
         """Joint log density in the original (beta, sigma) coordinates.
@@ -459,13 +494,14 @@ class PosteriorTarget:
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             q = q[None, :]
-        return self._logpdf_rows(q[:, :self._p], q[:, self._p])
+        return self._evaluate(q[:, :self._p], q[:, self._p], want_grad=False)
 
     def grad_logpdf(self, q):
+        """Gradient of `logpdf`, one row of ``(d/d beta, d/d nu)`` per row of q."""
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             q = q[None, :]
-        return self._grad_rows(q[:, :self._p], q[:, self._p])
+        return self._evaluate(q[:, :self._p], q[:, self._p], want_grad=True)
 
     def __repr__(self):
         fams = [pr.family.name if pr is not None else "flat" for pr in self.priors]

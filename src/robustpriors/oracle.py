@@ -197,6 +197,7 @@ _G7_WEIGHTS = np.array([
 
 _LOG_DROP = np.log(1e12)
 _MAX_WIDTH = 1e6
+_EPS = 2.0 ** -52       # bounds the relative rounding error of one float op
 
 
 @dataclass
@@ -367,9 +368,17 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
     store = {}      # id -> (estimate (5,), err)
     heap = []       # (-err, id)
     next_id = 0
+    # Running total of the panel errors, and a bound on its rounding drift.
+    # The exact in-order sum, which alone decides stopping and is the one
+    # reported, is only taken when the running total cannot rule out that
+    # sum meeting tol (the slack adds a bound on the in-order sum's own
+    # rounding), or is not finite.  This avoids re-summing every panel on
+    # every round.
+    running = 0.0
+    drift = 0.0
 
     def add_panels(boxes):
-        nonlocal next_id
+        nonlocal next_id, running, drift
         arr = np.asarray(boxes)
         k_est, err = _panel_values(target, arr[:, 0], arr[:, 1],
                                    arr[:, 2], arr[:, 3], f0)
@@ -377,17 +386,22 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
             store[next_id] = (row, est, float(e))
             heapq.heappush(heap, (-float(e), next_id))
             next_id += 1
+            running += float(e)
+            drift += _EPS * abs(running)
 
     add_panels(panels)
 
     while True:
-        total_err = sum(e for _, _, e in store.values())
-        if total_err <= tol:
-            break
-        if len(store) > max_panels:
-            raise NumericalError(
-                f"quadrature needs more than {max_panels} panels to reach "
-                f"tol={tol:g} (error {total_err:g})")
+        slack = drift + len(store) * _EPS * running
+        if not running - slack > tol or len(store) > max_panels:
+            total_err = sum(e for _, _, e in store.values())
+            if total_err <= tol:
+                break
+            if len(store) > max_panels:
+                raise NumericalError(
+                    f"quadrature needs more than {max_panels} panels to reach "
+                    f"tol={tol:g} (error {total_err:g})")
+            running, drift = total_err, len(store) * _EPS * total_err
         # Split the worst panels; ties broken by id so runs are reproducible.
         batch = []
         while heap and len(batch) < chunk:
@@ -398,7 +412,9 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
             break
         children = []
         for pid in batch:
-            (blo, bhi, vlo, vhi), _, _ = store.pop(pid)
+            (blo, bhi, vlo, vhi), _, e = store.pop(pid)
+            running -= e
+            drift += _EPS * abs(running)
             if (bhi - blo) / max(b_hi - b_lo, 1e-300) >= (vhi - vlo) / max(v_hi - v_lo, 1e-300):
                 mid = 0.5 * (blo + bhi)
                 children += [(blo, mid, vlo, vhi), (mid, bhi, vlo, vhi)]

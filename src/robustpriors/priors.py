@@ -20,7 +20,13 @@ symmetric about zero:
     scaling conflicts.
 
 Every family exposes ``log_density``, ``grad_log_density`` and ``density``,
-vectorized over numpy arrays.  The LPTN and CTN central branches evaluate
+vectorized over numpy arrays.  By default ``log_density`` and
+``grad_log_density`` validate their input (non-finite ``z`` raises
+``ValueError``) and return a float for scalar input.  With ``check=False``
+they take a float array that the caller has already found finite, check
+nothing and return an array; the posterior target calls them that way on
+its hot path.  The formulas themselves live in private ``_log``/``_grad``
+kernels shared by both modes.  The LPTN and CTN central branches evaluate
 the *same* standard-normal expression as ``Normal``, so matching on the
 central interval is exact by construction.  At the tail kinks the gradient
 returns the interior branch value; the kink set has null measure, which is
@@ -59,19 +65,31 @@ def _maybe_scalar(out, z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
+def _public(kernel, z, check):
+    # What log_density and grad_log_density share: validate z and unwrap a
+    # scalar result, or hand a finite float array straight to the kernel.
+    if not check:
+        return kernel(z)
+    return _maybe_scalar(kernel(_check_z(z)), z)
+
+
 class Normal:
     """Standard normal density with score -z."""
 
     is_proper = True
     name = "normal"
 
-    def log_density(self, z):
-        arr = _check_z(z)
-        return _maybe_scalar(_std_normal_log_pdf(arr), z)
+    def _log(self, z):
+        return _std_normal_log_pdf(z)
 
-    def grad_log_density(self, z):
-        arr = _check_z(z)
-        return _maybe_scalar(-arr, z)
+    def _grad(self, z):
+        return -z
+
+    def log_density(self, z, check=True):
+        return _public(self._log, z, check)
+
+    def grad_log_density(self, z, check=True):
+        return _public(self._grad, z, check)
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -101,16 +119,19 @@ class Student:
         self._log_norm = (math.lgamma((g + 1) / 2) - math.lgamma(g / 2)
                           - 0.5 * math.log(g * math.pi))
 
-    def log_density(self, z):
-        arr = _check_z(z)
+    def _log(self, z):
         g = self.gamma
-        out = self._log_norm - 0.5 * (g + 1) * np.log1p(arr * arr / g)
-        return _maybe_scalar(out, z)
+        return self._log_norm - 0.5 * (g + 1) * np.log1p(z * z / g)
 
-    def grad_log_density(self, z):
-        arr = _check_z(z)
+    def _grad(self, z):
         g = self.gamma
-        return _maybe_scalar(-(g + 1) * arr / (g + arr * arr), z)
+        return -(g + 1) * z / (g + z * z)
+
+    def log_density(self, z, check=True):
+        return _public(self._log, z, check)
+
+    def grad_log_density(self, z, check=True):
+        return _public(self._grad, z, check)
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -149,26 +170,26 @@ class LPTN:
                                 + math.log(self.tau)
                                 + self.theta * math.log(math.log(self.tau)))
 
-    def log_density(self, z):
-        arr = _check_z(z)
-        az = np.abs(arr)
+    def _log(self, z):
+        az = np.abs(z)
         interior = az <= self.tau
         # Mask the tail argument so log(log|z|) never sees |z| <= 1.
         az_safe = np.where(interior, self.tau + 1.0, az)
         tail = (self._log_tail_const - np.log(az_safe)
                 - self.theta * np.log(np.log(az_safe)))
-        out = np.where(interior, _std_normal_log_pdf(arr), tail)
-        return _maybe_scalar(out, z)
+        return np.where(interior, _std_normal_log_pdf(z), tail)
 
-    def grad_log_density(self, z):
-        arr = _check_z(z)
-        az = np.abs(arr)
-        interior = az <= self.tau
-        arr_safe = np.where(interior, self.tau + 1.0, arr)
-        az_safe = np.abs(arr_safe)
-        tail = -1.0 / arr_safe - self.theta / (arr_safe * np.log(az_safe))
-        out = np.where(interior, -arr, tail)
-        return _maybe_scalar(out, z)
+    def _grad(self, z):
+        interior = np.abs(z) <= self.tau
+        z_safe = np.where(interior, self.tau + 1.0, z)
+        tail = -1.0 / z_safe - self.theta / (z_safe * np.log(np.abs(z_safe)))
+        return np.where(interior, -z, tail)
+
+    def log_density(self, z, check=True):
+        return _public(self._log, z, check)
+
+    def grad_log_density(self, z, check=True):
+        return _public(self._grad, z, check)
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -199,16 +220,18 @@ class CTN:
         self.kappa = normal_inv_cdf((1.0 + self.varrho) / 2.0)
         self._log_tail = _std_normal_log_pdf(self.kappa)
 
-    def log_density(self, z):
-        arr = _check_z(z)
-        out = np.where(np.abs(arr) <= self.kappa,
-                       _std_normal_log_pdf(arr), self._log_tail)
-        return _maybe_scalar(out, z)
+    def _log(self, z):
+        return np.where(np.abs(z) <= self.kappa,
+                        _std_normal_log_pdf(z), self._log_tail)
 
-    def grad_log_density(self, z):
-        arr = _check_z(z)
-        out = np.where(np.abs(arr) <= self.kappa, -arr, 0.0)
-        return _maybe_scalar(out, z)
+    def _grad(self, z):
+        return np.where(np.abs(z) <= self.kappa, -z, 0.0)
+
+    def log_density(self, z, check=True):
+        return _public(self._log, z, check)
+
+    def grad_log_density(self, z, check=True):
+        return _public(self._grad, z, check)
 
     def density(self, z):
         return np.exp(self.log_density(z))
@@ -252,15 +275,3 @@ class CoefficientPrior:
         scale = self.lam * np.exp(-np.asarray(nu, dtype=float))
         z = scale * (np.asarray(beta, dtype=float) - self.mu)
         return np.log(self.lam) - nu + self.family.log_density(z)
-
-    def grad_beta_nu(self, beta, nu):
-        """d/d(beta) of ``log_density_nu``."""
-        scale = self.lam * np.exp(-np.asarray(nu, dtype=float))
-        z = scale * (np.asarray(beta, dtype=float) - self.mu)
-        return self.family.grad_log_density(z) * scale
-
-    def grad_nu_nu(self, beta, nu):
-        """d/d(nu) of ``log_density_nu``: the scale term plus chain rule."""
-        scale = self.lam * np.exp(-np.asarray(nu, dtype=float))
-        z = scale * (np.asarray(beta, dtype=float) - self.mu)
-        return -1.0 - z * self.family.grad_log_density(z)

@@ -13,6 +13,12 @@ come from one extra derived stream shared by all chains (a common
 deterministic schedule, so the batch stays in lockstep).  Everything is
 reproducible bit for bit from the seed.
 
+Each trajectory costs its ``n_steps`` gradient evaluations and one density
+evaluation at the proposal.  The gradient at the current state is carried
+from one iteration to the next (the proposal's on accept, the old one on
+reject), so a run of ``N`` trajectories makes ``sum(n_steps) + 1`` gradient
+calls in all.
+
 Kinked gradients from the piecewise prior tails need no special treatment
 (the kink sets have null measure); non-finite trajectories are flagged as
 divergences and auto-rejected, and a run whose divergence rate exceeds 10%
@@ -82,14 +88,26 @@ def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
     q = np.array(np.atleast_2d(position), dtype=float)
     p = np.array(np.atleast_2d(momentum), dtype=float)
     inv_mass = 1.0 / (np.ones(q.shape[1]) if mass is None else np.asarray(mass, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = target.grad_logpdf(q)
+    q, p, _, divergent = _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass)
+    return q, p, divergent
 
+
+def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass):
+    """`leapfrog` given the gradient at `q`; also returns the one at the end.
+
+    Returns ``(q, p, grad, divergent)``.  The end gradient is the one the
+    last step computed, so a caller that keeps it needs no fresh evaluation
+    at the start of the next trajectory.
+    """
     # Non-finite states propagate freely (the target maps them to -inf /
     # zero gradient) and are flagged once at the end; the caller rejects
     # divergent rows, so there is no need to freeze them mid-trajectory.
     # Magnitudes beyond 1e50 count as divergent too: a gradient that
     # overflowed mid-trajectory can leave a huge but still-finite state.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = p + 0.5 * step_size * target.grad_logpdf(q)
+        p = p + 0.5 * step_size * grad
         last = n_steps - 1
         for i in range(n_steps):
             q = q + step_size * p * inv_mass[None, :]
@@ -98,7 +116,7 @@ def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
         state_max = np.maximum(np.max(np.abs(q), axis=1),
                                np.max(np.abs(p), axis=1))
         divergent = ~np.isfinite(state_max) | (state_max > 1e50)
-    return q, p, divergent
+    return q, p, grad, divergent
 
 
 def _kinetic(p, inv_mass):
@@ -134,6 +152,8 @@ def sample(target, config):
         q[i] += 0.1 * chain_rngs[i].standard_normal(dim)
 
     logp = target.logpdf(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = target.grad_logpdf(q)
     lo = int(np.ceil(0.8 * config.leapfrog_steps))
     hi = int(np.ceil(1.2 * config.leapfrog_steps))
     total = config.n_warmup + config.n_samples
@@ -147,7 +167,9 @@ def sample(target, config):
         n_steps = int(traj_rng.integers(lo, hi + 1)) if config.jitter else config.leapfrog_steps
         p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
         p0 *= np.sqrt(mass)[None, :]
-        q_new, p_new, div = leapfrog(target, q, p0, config.step_size, n_steps, mass)
+        q_new, p_new, grad_new, div = _leapfrog(target, q, p0, grad,
+                                                config.step_size, n_steps,
+                                                inv_mass)
         logp_new = target.logpdf(q_new)
 
         h_old = -logp + _kinetic(p0, inv_mass)
@@ -160,6 +182,7 @@ def sample(target, config):
         accept = (np.log(u) < log_accept) & ~div
 
         q = np.where(accept[:, None], q_new, q)
+        grad = np.where(accept[:, None], grad_new, grad)
         logp = np.where(accept, logp_new, logp)
         if np.any(div):
             divergences += div

@@ -252,6 +252,17 @@ class TestConfigFile:
         _, _, rows = read_csv(out)
         assert [r[2] for r in rows] == ["0.0", "2.0"]  # flag wins over file
 
+    def test_equals_form_is_applied(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("families = normal\ngrid = 0.0,1.0\naxis = mu2\n")
+        rows = []
+        for i, flag in enumerate(([f"--config={cfg}"], ["--config", str(cfg)])):
+            out = tmp_path / f"o{i}.csv"
+            assert main(["sweep", *flag, "--out", str(out)]) == EXIT_OK
+            rows.append(read_csv(out)[2])
+        assert rows[0] == rows[1]
+        assert [r[2] for r in rows[0]] == ["0.0", "1.0"]
+
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_option = 1\n")

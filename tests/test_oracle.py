@@ -158,6 +158,15 @@ class TestQuadrature:
         with pytest.raises(NumericalError, match="integrable"):
             quadrature_moments(t)
 
+    def test_panel_budget(self):
+        # The budget check runs every round, whatever the running error
+        # total says, and reports the summed error of the live panels.
+        t = reduced_target(N, 0.5, 3.0, LPTN(0.95))
+        with pytest.raises(NumericalError, match="more than 40 panels") as exc:
+            quadrature_moments(t, max_panels=40)
+        err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
+        assert err > 1e-10
+
 
 class TestLimitingTargets:
     def test_reduced_limit_is_flat_prior(self):

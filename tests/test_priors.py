@@ -113,10 +113,20 @@ class TestLogDensity:
         assert np.all(np.diff(dens) <= 1e-300)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            LPTN(0.95).log_density(np.inf)
-        with pytest.raises(ValueError):
-            CTN(0.98).grad_log_density(np.nan)
+        # The methods validate by default; only check=False skips it.
+        for family in (Normal(), Student(4), LPTN(0.95), CTN(0.98)):
+            for method in (family.log_density, family.grad_log_density):
+                for bad in (np.inf, -np.inf, np.nan):
+                    with pytest.raises(ValueError, match="finite"):
+                        method(bad)
+                    with pytest.raises(ValueError, match="finite"):
+                        method(np.array([0.5, bad, 3.0]))
+
+    def test_unchecked_matches_checked(self):
+        z = np.array([-40.0, -2.5, -0.3, 0.0, 0.7, 1.9, 3.0, 1e6])
+        for family in (Normal(), Student(4), LPTN(0.95), CTN(0.98)):
+            for method in (family.log_density, family.grad_log_density):
+                assert np.array_equal(method(z, check=False), method(z))
 
 
 class TestNormalization:

@@ -24,6 +24,50 @@ class GaussianTarget:
         return -np.atleast_2d(q)
 
 
+class CountingTarget(GaussianTarget):
+    """`GaussianTarget` that counts its gradient calls."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.grad_calls = 0
+
+    def grad_logpdf(self, q):
+        self.grad_calls += 1
+        return super().grad_logpdf(q)
+
+
+def reference_sample(target, config):
+    """Plain HMC loop with unit mass: fresh `leapfrog` and `logpdf` calls
+    every iteration, drawing from the same streams as `sample`.
+
+    Returns the post-warmup draws (chains, n_samples, dim) and the total
+    number of leapfrog steps taken.
+    """
+    dim, m = target.dim, config.n_chains
+    streams = np.random.SeedSequence(config.rng_seed).spawn(m + 1)
+    chain_rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams[:m]]
+    traj_rng = np.random.Generator(np.random.PCG64(streams[m]))
+    q = np.zeros((m, dim))
+    for i in range(m):
+        q[i] += 0.1 * chain_rngs[i].standard_normal(dim)
+    lo = int(np.ceil(0.8 * config.leapfrog_steps))
+    hi = int(np.ceil(1.2 * config.leapfrog_steps))
+    draws, total_steps = [], 0
+    for it in range(config.n_warmup + config.n_samples):
+        n_steps = int(traj_rng.integers(lo, hi + 1))
+        total_steps += n_steps
+        p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
+        q_new, p_new, div = leapfrog(target, q, p0, config.step_size, n_steps)
+        h_old = -target.logpdf(q) + 0.5 * np.sum(p0 * p0, axis=1)
+        h_new = -target.logpdf(q_new) + 0.5 * np.sum(p_new * p_new, axis=1)
+        u = np.array([rng.random() for rng in chain_rngs])
+        accept = (np.log(u) < h_old - h_new) & ~div
+        q = np.where(accept[:, None], q_new, q)
+        if it >= config.n_warmup:
+            draws.append(q)
+    return np.stack(draws, axis=1), total_steps
+
+
 class CliffTarget:
     """Steep sextic well; large steps overflow and must be flagged."""
 
@@ -131,6 +175,27 @@ class TestSample:
         assert np.max(np.abs(draws.mean(axis=0))) < 0.03
         assert draws[:, 0].std() == pytest.approx(1.0, rel=0.05)
         assert draws[:, 1].std() == pytest.approx(0.25, rel=0.05)
+
+    def test_gradient_carry_matches_reference_loop(self):
+        # `sample` reuses the end-of-trajectory gradient instead of
+        # recomputing it; the chains must not change by a single bit.  The
+        # large step rejects about a third of the proposals, so the carry
+        # is exercised on both branches.
+        cfg = HmcConfig(step_size=1.5, leapfrog_steps=4, n_samples=300,
+                        n_warmup=50, n_chains=3, rng_seed=4)
+        chains = sample(GaussianTarget(3), cfg)
+        expected, _ = reference_sample(GaussianTarget(3), cfg)
+        for c in chains:
+            assert 0.5 < c.accept_rate < 0.9
+            assert np.array_equal(c.draws, expected[c.index])
+
+    def test_one_gradient_call_per_leapfrog_step(self):
+        cfg = HmcConfig(step_size=1.5, leapfrog_steps=4, n_samples=200,
+                        n_warmup=20, n_chains=2, rng_seed=6)
+        t = CountingTarget(2)
+        sample(t, cfg)
+        _, total_steps = reference_sample(GaussianTarget(2), cfg)
+        assert t.grad_calls == total_steps + 1
 
     def test_seed_determinism(self):
         t = reduced_target(100, family=None)
