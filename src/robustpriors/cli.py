@@ -356,7 +356,18 @@ def cmd_check(args):
     return EXIT_NUMERICAL if any_fail else EXIT_OK
 
 
+# Options every run of a command needs.  `_parse_args` checks them after the
+# config file is applied, not argparse, because the file may supply them.
+_REQUIRED = {"fit": ("out", "data"), "sweep": ("out", "axis"),
+             "check": ("out",)}
+
+
 def build_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    # The top-level parser and each command's subparser by name.
     parser = argparse.ArgumentParser(
         prog="robustpriors",
         description="Heavy-tailed coefficient priors for Bayesian linear "
@@ -368,7 +379,7 @@ def build_parser():
         p.add_argument("--config", help="flat key = value config file; "
                        "explicit flags take precedence")
         p.add_argument("--seed", type=int, default=0, help="rng seed")
-        p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", help="output CSV path (required)")
         p.add_argument("--quad-tol", type=float, default=1e-10,
                        help="absolute quadrature tolerance")
         p.add_argument("--hmc-step-size", type=float, default=0.05)
@@ -379,7 +390,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC")
     add_common(p_fit)
-    p_fit.add_argument("--data", required=True, help="CSV with a 'y' column")
+    p_fit.add_argument("--data", help="CSV with a 'y' column (required)")
     p_fit.add_argument("--prior", action="append",
                        help="prior spec per covariate, e.g. "
                             "'student:gamma=4,mu=1,lambda=2' or 'jeffreys'")
@@ -391,7 +402,8 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps")
     add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("mu2", "lambda2"), required=True)
+    p_sweep.add_argument("--axis", choices=("mu2", "lambda2"),
+                         help="swept parameter (required)")
     p_sweep.add_argument("--families", default="jeffreys,normal,student,lptn,ctn",
                          help=f"comma list from {', '.join(SWEEP_FAMILIES)}")
     p_sweep.add_argument("--n", type=int, default=100)
@@ -415,59 +427,53 @@ def build_parser():
                          help="pointwise ratio checks only (skip quadrature "
                               "marginal ratios)")
     p_check.set_defaults(func=cmd_check)
-    return parser
+    return parser, {"fit": p_fit, "sweep": p_sweep, "check": p_check}
 
 
-def _convert_config_value(action, raw):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if action.type is not None:
-        try:
-            return action.type(raw)
-        except ValueError:
-            raise ConfigError(
-                f"bad value {raw!r} for config key {action.dest}") from None
-    return raw
+def _parse_args(argv):
+    # Pass 1 finds the command and --config as argparse reads them, so the
+    # --config=path form and abbreviations such as --conf count.  The file's
+    # values become the command's defaults, and pass 2 parses argv over
+    # them, so explicit flags keep precedence.
+    parser, commands = _build_parsers()
+    first, _ = parser.parse_known_args(argv)
+    sub = commands[first.command]
+    if first.config is not None:
+        sub.set_defaults(**_config_defaults(sub, first, first.config))
+    args = parser.parse_args(argv)
+    missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
+    if missing:
+        sub.error("the following arguments are required: "
+                  + ", ".join("--" + k for k in missing))
+    return args
 
 
-def _apply_config_file(parser, argv):
-    # Pre-scan for --config (either "--config path" or "--config=path"; the
-    # last one wins, as in argparse), load the file, and use its values as
-    # defaults so explicit flags keep precedence.
-    path = None
-    for idx, tok in enumerate(argv):
-        if tok == "--config":
-            if idx + 1 >= len(argv):
-                raise ConfigError("--config needs a path")
-            path = argv[idx + 1]
-        elif tok.startswith("--config="):
-            path = tok[len("--config="):]
-    if path is None:
-        return argv
+def _config_defaults(sub, first, path):
+    # The file's values parsed by the command's own options, so types and
+    # choices are checked as on the command line.
     values = read_config_file(path)
-    known = {a.dest for a in parser._actions}
-    for sub_action in (a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction)):
-        for sp in sub_action.choices.values():
-            actions = {a.dest: a for a in sp._actions}
-            known |= set(actions)
-            overrides = {k: _convert_config_value(actions[k], v)
-                         for k, v in values.items() if k in actions}
-            sp.set_defaults(**overrides)
-            for k in overrides:
-                actions[k].required = False
-    unknown = set(values) - known
+    unknown = set(values) - (set(vars(first)) - {"command", "func"})
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return argv
+        raise ConfigError(f"unknown config keys for {first.command}: "
+                          f"{sorted(unknown)}")
+    tokens = []
+    for key, raw in values.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(sub.get_default(key), bool):      # a store_true switch
+            if raw.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={raw}")
+    parsed = sub.parse_args(tokens)
+    # A repeatable flag given on the command line replaces the file's list.
+    return {k: getattr(parsed, k) for k in values
+            if not isinstance(getattr(first, k), list)}
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

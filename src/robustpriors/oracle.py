@@ -14,9 +14,14 @@ Three oracle routes live here:
 Integration happens in nu = log(sigma) so there is no boundary at zero: for
 proper targets the integrand decays super-exponentially in both directions.
 The bounding box is grown from the posterior mode until the edge density
-falls below ``peak * 1e-12``; panel refinement is driven by the embedded
-Gauss-7 error estimate and results are accumulated in panel-creation order,
-so the result is independent of evaluation scheduling.
+falls below ``peak * 1e-12``.  Refinement bisects the panels with the largest
+embedded Gauss-7 error estimate, each along the axis its error comes from:
+the Gauss rule applied in beta alone and in nu alone gives one error estimate
+per axis (as in Genz & Malik 1980 and DCUHRE), and the panel is halved along
+the axis with the larger one.  This matters at the LPTN and CTN prior kinks,
+which lie on the curves beta = mu +/- tau e^nu / lambda and so cross panels
+obliquely.  Results are accumulated in panel-creation order, so the result is
+independent of evaluation scheduling.
 """
 
 import heapq
@@ -202,7 +207,13 @@ _EPS = 2.0 ** -52       # bounds the relative rounding error of one float op
 
 @dataclass
 class QuadratureResult:
-    """Posterior moments of the reduced target from deterministic quadrature."""
+    """Posterior moments of the reduced target from deterministic quadrature.
+
+    ``error`` is the summed Kronrod-Gauss error estimate of the final panels
+    that the stop rule accepted; ``panels_evaluated`` counts every panel whose
+    nodes were evaluated, including those later split (``n_panels`` counts
+    only the final ones).
+    """
 
     mean: float
     sd: float
@@ -212,6 +223,8 @@ class QuadratureResult:
     n_panels: int
     box: tuple
     mode: tuple
+    error: float
+    panels_evaluated: int
 
     @property
     def variance(self):
@@ -275,8 +288,11 @@ def _expand_axis(logf, point, f0, axis, sign):
 def _panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
     """Tensor K15/G7 estimates of the five moment integrands on panels.
 
-    All panel arrays are (k,); returns (k, 5) Kronrod estimates and (k,)
-    error estimates aggregated over components.
+    All panel arrays are (k,).  Returns the (k, 5) K15 x K15 estimates, the
+    (k,) error estimate |K15 x K15 - G7 x G7| summed over components, and a
+    (k,) bool that is True where the panel's error comes more from beta than
+    from nu: there the G7 rule in beta alone (K15 in nu) moves the estimate
+    at least as much as the G7 rule in nu alone.
     """
     k = len(b_lo)
     hb = 0.5 * (b_hi - b_lo)
@@ -294,25 +310,33 @@ def _panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
         e2v = np.exp(2.0 * V)
         comps = np.stack([f, B * f, B * B * f, e2v * f, e2v * e2v * f], axis=-1)
 
+    # Contract nu first with both rules, then beta: four tensor rules from
+    # one pass over the nodes.
     area = (hb * hv)[:, None]
     wk = _K15_WEIGHTS
     wg = _G7_WEIGHTS
-    k_est = np.einsum("i,j,kijc->kc", wk, wk, comps) * area
-    sub = comps[:, _G7_IDX][:, :, _G7_IDX]
-    g_est = np.einsum("i,j,kijc->kc", wg, wg, sub) * area
-    err = np.abs(k_est - g_est).sum(axis=1)
-    return k_est, err
+    k_nu = np.einsum("j,kijc->kic", wk, comps)                # (k, 15b, 5)
+    g_nu = np.einsum("j,kijc->kic", wg, comps[:, :, _G7_IDX])
+    kk = np.einsum("i,kic->kc", wk, k_nu) * area
+    gg = np.einsum("i,kic->kc", wg, g_nu[:, _G7_IDX]) * area
+    gk = np.einsum("i,kic->kc", wg, k_nu[:, _G7_IDX]) * area  # G7 in beta only
+    kg = np.einsum("i,kic->kc", wk, g_nu) * area              # G7 in nu only
+    err = np.abs(kk - gg).sum(axis=1)
+    split_beta = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
+    return kk, err, split_beta
 
 
-def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
-                       interest_points=None):
+def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     """Posterior mean/sd of the coefficient and of sigma^2 by 2-D quadrature.
 
     Only two-parameter targets are supported (higher-dimensional posteriors
-    are the sampler's job).  ``tol`` is the absolute tolerance on the
-    mode-normalized mass integral; ``interest_points`` adds initial panel
-    boundaries at given coefficient values (prior kink loci are added
-    automatically).  Raises `NumericalError` if the budget of ``max_panels``
+    are the sampler's job).  ``tol`` is the absolute tolerance on the summed
+    error estimate of the mode-normalized integrals; prior kink loci at the
+    mode's sigma become initial panel edges.  Each round bisects the
+    ``chunk`` panels with the largest error, each along the axis its error
+    comes from.  The result reports the error reached (``error``) and the
+    panels evaluated on the way (``panels_evaluated``) beside the final
+    ``n_panels``.  Raises `NumericalError` if the budget of ``max_panels``
     cannot meet ``tol`` or if box expansion fails to terminate.
     """
     if target.dim != 2:
@@ -343,20 +367,18 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
     v_lo = min(c[1] - _expand_axis(logf, c, f0, 1, -1.0) for c in keep)
     v_hi = max(c[1] + _expand_axis(logf, c, f0, 1, +1.0) for c in keep)
 
-    # Initial edges: uniform splits plus kink loci and caller interest points.
+    # Initial edges: uniform splits plus the mode and the prior's kink loci.
     b_edges = set(np.linspace(b_lo, b_hi, 7))
     v_edges = set(np.linspace(v_lo, v_hi, 5))
     b_edges.add(min(max(mode[0], b_lo), b_hi))
     v_edges.add(min(max(mode[1], v_lo), v_hi))
-    pts = list(interest_points or [])
     if prior is not None:
         thr = getattr(prior.family, "tau", None) or getattr(prior.family, "kappa", None)
         if thr is not None:
             w = thr * np.exp(mode[1]) / prior.lam
-            pts += [prior.mu - w, prior.mu, prior.mu + w]
-    for x in pts:
-        if b_lo < x < b_hi:
-            b_edges.add(float(x))
+            for x in (prior.mu - w, prior.mu, prior.mu + w):
+                if b_lo < x < b_hi:
+                    b_edges.add(float(x))
     b_edges = sorted(b_edges)
     v_edges = sorted(v_edges)
 
@@ -365,8 +387,8 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
         for j in range(len(v_edges) - 1):
             panels.append((b_edges[i], b_edges[i + 1], v_edges[j], v_edges[j + 1]))
 
-    store = {}      # id -> (estimate (5,), err)
-    heap = []       # (-err, id)
+    store = {}      # id -> (box, estimate (5,), err, split along beta)
+    heap = []       # (-err, id), one entry per stored panel
     next_id = 0
     # Running total of the panel errors, and a bound on its rounding drift.
     # The exact in-order sum, which alone decides stopping and is the one
@@ -380,10 +402,10 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
     def add_panels(boxes):
         nonlocal next_id, running, drift
         arr = np.asarray(boxes)
-        k_est, err = _panel_values(target, arr[:, 0], arr[:, 1],
-                                   arr[:, 2], arr[:, 3], f0)
-        for row, est, e in zip(boxes, k_est, err):
-            store[next_id] = (row, est, float(e))
+        k_est, err, split_beta = _panel_values(target, arr[:, 0], arr[:, 1],
+                                               arr[:, 2], arr[:, 3], f0)
+        for row, est, e, sb in zip(boxes, k_est, err, split_beta):
+            store[next_id] = (row, est, float(e), bool(sb))
             heapq.heappush(heap, (-float(e), next_id))
             next_id += 1
             running += float(e)
@@ -394,7 +416,7 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
     while True:
         slack = drift + len(store) * _EPS * running
         if not running - slack > tol or len(store) > max_panels:
-            total_err = sum(e for _, _, e in store.values())
+            total_err = sum(e for _, _, e, _ in store.values())
             if total_err <= tol:
                 break
             if len(store) > max_panels:
@@ -403,19 +425,13 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
                     f"tol={tol:g} (error {total_err:g})")
             running, drift = total_err, len(store) * _EPS * total_err
         # Split the worst panels; ties broken by id so runs are reproducible.
-        batch = []
-        while heap and len(batch) < chunk:
-            negerr, pid = heapq.heappop(heap)
-            if pid in store and -negerr == store[pid][2]:
-                batch.append(pid)
-        if not batch:
-            break
         children = []
-        for pid in batch:
-            (blo, bhi, vlo, vhi), _, e = store.pop(pid)
+        for _ in range(min(chunk, len(heap))):
+            (blo, bhi, vlo, vhi), _, e, split_beta = store.pop(
+                heapq.heappop(heap)[1])
             running -= e
             drift += _EPS * abs(running)
-            if (bhi - blo) / max(b_hi - b_lo, 1e-300) >= (vhi - vlo) / max(v_hi - v_lo, 1e-300):
+            if split_beta:
                 mid = 0.5 * (blo + bhi)
                 children += [(blo, mid, vlo, vhi), (mid, bhi, vlo, vhi)]
             else:
@@ -440,4 +456,5 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24,
         sigma_sq_mean=float(s2_mean),
         sigma_sq_sd=float(np.sqrt(max(s2_var, 0.0))),
         n_panels=len(store), box=(b_lo, b_hi, v_lo, v_hi),
-        mode=(float(mode[0]), float(mode[1])))
+        mode=(float(mode[0]), float(mode[1])),
+        error=float(total_err), panels_evaluated=next_id)

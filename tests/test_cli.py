@@ -256,16 +256,36 @@ class TestConfigFile:
         cfg = tmp_path / "s.cfg"
         cfg.write_text("families = normal\ngrid = 0.0,1.0\naxis = mu2\n")
         rows = []
-        for i, flag in enumerate(([f"--config={cfg}"], ["--config", str(cfg)])):
+        for i, flag in enumerate(([f"--config={cfg}"], ["--config", str(cfg)],
+                                  ["--conf", str(cfg)])):
             out = tmp_path / f"o{i}.csv"
             assert main(["sweep", *flag, "--out", str(out)]) == EXIT_OK
             rows.append(read_csv(out)[2])
-        assert rows[0] == rows[1]
+        assert rows[0] == rows[1] == rows[2]
         assert [r[2] for r in rows[0]] == ["0.0", "1.0"]
+
+    def test_repeatable_flag_replaces_file_value(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("families = student\ngrid = 0.0\naxis = mu2\ngamma = 3\n")
+        hypers = []
+        for i, flags in enumerate(([], ["--gamma", "5"])):
+            out = tmp_path / f"o{i}.csv"
+            assert main(["sweep", "--config", str(cfg), *flags,
+                         "--out", str(out)]) == EXIT_OK
+            hypers.append([r[1] for r in read_csv(out)[2]])
+        assert hypers == [["3.0"], ["5.0"]]
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_option = 1\n")
+        code = main(["sweep", "--config", str(cfg), "--axis", "mu2",
+                     "--families", "normal", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+
+    def test_key_of_another_command(self, tmp_path):
+        # "fast" belongs to check; sweep must not drop it silently.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fast = yes\n")
         code = main(["sweep", "--config", str(cfg), "--axis", "mu2",
                      "--families", "normal", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG

@@ -167,6 +167,42 @@ class TestQuadrature:
         err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
         assert err > 1e-10
 
+    @pytest.mark.parametrize("family, mu2, lam2", [
+        (Student(4), 1.0, 1.0), (LPTN(0.95), 0.5, 1.5)])
+    def test_reports_error_and_evaluations(self, family, mu2, lam2):
+        tol = 1e-10
+        res = quadrature_moments(reduced_target(N, mu2, lam2, family), tol=tol)
+        assert 0 < res.error <= tol
+        assert res.panels_evaluated >= res.n_panels
+
+
+class TestPriorKinks:
+    # The LPTN and CTN densities kink at |z| = tau (kappa), which in
+    # (beta, nu) is the curve beta = mu +/- tau e^nu / lambda: no panel edge
+    # follows it, so panels must be split along the axis their error is in.
+
+    def test_lptn_concentrated_scaling_point(self):
+        # Splitting along the relatively wider side ran out of its 60,000
+        # panels here at the default tol.
+        t = reduced_target(N, 0.5, 10.0, LPTN(0.95))
+        res = quadrature_moments(t)
+        ref = quadrature_moments(t, tol=1e-8)
+        assert abs(res.mean - ref.mean) < 1e-6
+
+    def test_lptn_panel_count(self):
+        # 12,597 panels when splitting along the relatively wider side.
+        res = quadrature_moments(reduced_target(N, 0.5, 1.5, LPTN(0.95)))
+        assert res.n_panels < 3000
+
+    @pytest.mark.parametrize("family, lam2", [(LPTN(0.95), 1.5),
+                                              (CTN(0.98), 1.0)])
+    def test_tolerance_convergence(self, family, lam2):
+        t = reduced_target(N, 0.5, lam2, family)
+        a = quadrature_moments(t, tol=1e-10)
+        b = quadrature_moments(t, tol=1e-12)
+        assert abs(a.mean - b.mean) < 1e-9
+        assert abs(a.sd - b.sd) < 1e-9
+
 
 class TestLimitingTargets:
     def test_reduced_limit_is_flat_prior(self):
