@@ -142,7 +142,10 @@ def parse_sigma_prior_spec(spec):
 
 
 def read_config_file(path):
-    """Read a flat ``key = value`` config file; later flags override it."""
+    """Read a flat ``key = value`` config file; later flags override it.
+
+    Returns ``{key: (lineno, value)}``; a key given twice keeps its last line.
+    """
     values = {}
     try:
         with open(path) as fh:
@@ -153,7 +156,7 @@ def read_config_file(path):
                 key, eq, val = line.partition("=")
                 if not eq:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                values[key.strip().replace("-", "_")] = val.strip()
+                values[key.strip().replace("-", "_")] = (lineno, val.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     return values
@@ -362,12 +365,19 @@ _REQUIRED = {"fit": ("out", "data"), "sweep": ("out", "axis"),
              "check": ("out",)}
 
 
+# Values a boolean config key may take.
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
+             "on": True, "off": False, "1": True, "0": False}
+
+
 def build_parser():
     return _build_parsers()[0]
 
 
-def _build_parsers():
-    # The top-level parser and each command's subparser by name.
+def _build_parsers(exit_on_error=True):
+    # The top-level parser and each command's subparser by name.  With
+    # exit_on_error=False a subparser raises argparse.ArgumentError on a bad
+    # value instead of printing usage and exiting.
     parser = argparse.ArgumentParser(
         prog="robustpriors",
         description="Heavy-tailed coefficient priors for Bayesian linear "
@@ -388,7 +398,8 @@ def _build_parsers():
         p.add_argument("--hmc-warmup", type=int, default=2000)
         p.add_argument("--hmc-chains", type=int, default=4)
 
-    p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC")
+    p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC",
+                            exit_on_error=exit_on_error)
     add_common(p_fit)
     p_fit.add_argument("--data", help="CSV with a 'y' column (required)")
     p_fit.add_argument("--prior", action="append",
@@ -400,7 +411,8 @@ def _build_parsers():
     p_fit.add_argument("--chains-out", help="chain dump CSV path")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps")
+    p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps",
+                            exit_on_error=exit_on_error)
     add_common(p_sweep)
     p_sweep.add_argument("--axis", choices=("mu2", "lambda2"),
                          help="swept parameter (required)")
@@ -421,7 +433,8 @@ def _build_parsers():
                          help="CTN mass fraction (repeatable)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics")
+    p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics",
+                            exit_on_error=exit_on_error)
     add_common(p_check)
     p_check.add_argument("--fast", action="store_true",
                          help="pointwise ratio checks only (skip quadrature "
@@ -439,7 +452,7 @@ def _parse_args(argv):
     first, _ = parser.parse_known_args(argv)
     sub = commands[first.command]
     if first.config is not None:
-        sub.set_defaults(**_config_defaults(sub, first, first.config))
+        sub.set_defaults(**_config_defaults(first, first.config))
     args = parser.parse_args(argv)
     missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
     if missing:
@@ -448,26 +461,33 @@ def _parse_args(argv):
     return args
 
 
-def _config_defaults(sub, first, path):
-    # The file's values parsed by the command's own options, so types and
-    # choices are checked as on the command line.
+def _config_defaults(first, path):
+    # Each of the file's values is parsed by the command's own option, so
+    # types and choices are checked as on the command line, and an error
+    # names the file, the line and the key.
     values = read_config_file(path)
-    unknown = set(values) - (set(vars(first)) - {"command", "func"})
-    if unknown:
-        raise ConfigError(f"unknown config keys for {first.command}: "
-                          f"{sorted(unknown)}")
-    tokens = []
-    for key, raw in values.items():
-        flag = "--" + key.replace("_", "-")
+    sub = _build_parsers(exit_on_error=False)[1][first.command]
+    known = set(vars(first)) - {"command", "func"}
+    defaults = {}
+    for key, (lineno, raw) in values.items():
+        where = f"{path}:{lineno}: {key}"
+        if key not in known:
+            raise ConfigError(f"{where}: unknown config key for {first.command}")
         if isinstance(sub.get_default(key), bool):      # a store_true switch
-            if raw.lower() in ("1", "true", "yes", "on"):
-                tokens.append(flag)
+            if raw.lower() not in _BOOLEANS:
+                raise ConfigError(f"{where}: expected one of "
+                                  f"{'/'.join(_BOOLEANS)}, got {raw!r}")
+            value = _BOOLEANS[raw.lower()]
         else:
-            tokens.append(f"{flag}={raw}")
-    parsed = sub.parse_args(tokens)
-    # A repeatable flag given on the command line replaces the file's list.
-    return {k: getattr(parsed, k) for k in values
-            if not isinstance(getattr(first, k), list)}
+            flag = "--" + key.replace("_", "-")
+            try:
+                value = getattr(sub.parse_args([f"{flag}={raw}"]), key)
+            except argparse.ArgumentError as exc:
+                raise ConfigError(f"{where}: {exc.message}") from None
+        # A repeatable flag given on the command line replaces the file's list.
+        if not isinstance(getattr(first, key), list):
+            defaults[key] = value
+    return defaults
 
 
 def main(argv=None):

@@ -13,15 +13,30 @@ Three oracle routes live here:
 
 Integration happens in nu = log(sigma) so there is no boundary at zero: for
 proper targets the integrand decays super-exponentially in both directions.
-The bounding box is grown from the posterior mode until the edge density
-falls below ``peak * 1e-12``.  Refinement bisects the panels with the largest
-embedded Gauss-7 error estimate, each along the axis its error comes from:
-the Gauss rule applied in beta alone and in nu alone gives one error estimate
-per axis (as in Genz & Malik 1980 and DCUHRE), and the panel is halved along
-the axis with the larger one.  This matters at the LPTN and CTN prior kinks,
-which lie on the curves beta = mu +/- tau e^nu / lambda and so cross panels
-obliquely.  Results are accumulated in panel-creation order, so the result is
-independent of evaluation scheduling.
+The search before the first panel is batched: the mode candidates are
+evaluated in one `logpdf` call together with their starting simplices, each
+Nelder-Mead iteration evaluates all its trial points in one call, and the
+bounding box comes from one call holding the whole doubling search (24 probe
+levels, two probes each, up to 1e6 widths, in four directions from the mode
+and from every candidate that carries non-negligible density).  The box edge
+along each direction is the first level whose probes fall below
+``peak * 1e-12``.  A 2-D target's row value does not depend on how many rows
+are evaluated with it, so this finds the same mode and box as evaluating one
+point at a time.
+
+Each panel's 15 x 15 Kronrod nodes are evaluated in one batch with all other
+panels of a round, and the panel is contracted axis by axis: nu first, as
+matrix products with the Kronrod and Gauss weights times 1, e^{2nu} and
+e^{4nu}; then beta, with both weights times 1, beta and beta^2.  That gives
+the five moment integrals under four tensor rules at once.  Refinement
+bisects the panels with the largest embedded Gauss-7 error estimate, each
+along the axis its error comes from: the Gauss rule applied in beta alone and
+in nu alone gives one error estimate per axis (as in Genz & Malik 1980 and
+DCUHRE), and the panel is halved along the axis with the larger one.  This
+matters at the LPTN and CTN prior kinks, which lie on the curves
+beta = mu +/- tau e^nu / lambda and so cross panels obliquely.  Results are
+accumulated in panel-creation order, so the result is independent of
+evaluation scheduling.
 """
 
 import heapq
@@ -231,15 +246,14 @@ class QuadratureResult:
         return self.sd ** 2
 
 
-def _nelder_mead(f, x0, steps, maxiter=300):
-    # Small deterministic simplex minimizer; enough to localize the mode.
-    pts = [np.asarray(x0, dtype=float)]
-    for i, s in enumerate(steps):
-        q = pts[0].copy()
-        q[i] += s
-        pts.append(q)
-    simplex = np.asarray(pts)
-    vals = np.array([f(q) for q in simplex])
+def _nelder_mead(f, simplex, vals, maxiter=300):
+    """Deterministic simplex minimizer; enough to localize the mode.
+
+    ``f`` maps an (m, d) array of points to their (m,) values, and
+    ``simplex``/``vals`` are the evaluated starting simplex.  Each iteration
+    evaluates its reflection, expansion and contraction points and the
+    shrunk simplex in one call, then picks among them by the usual rules.
+    """
     for _ in range(maxiter):
         order = np.argsort(vals)
         simplex, vals = simplex[order], vals[order]
@@ -247,42 +261,79 @@ def _nelder_mead(f, x0, steps, maxiter=300):
             break
         centroid = simplex[:-1].mean(axis=0)
         xr = centroid + (centroid - simplex[-1])
-        fr = f(xr)
+        xe = centroid + 2.0 * (centroid - simplex[-1])
+        xc = centroid + 0.5 * (simplex[-1] - centroid)
+        shrunk = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+        fr, fe, fc, *f_shrunk = f(np.vstack([xr, xe, xc, shrunk]))
         if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(xe)
             simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < vals[-2]:
             simplex[-1], vals[-1] = xr, fr
+        elif fc < vals[-1]:
+            simplex[-1], vals[-1] = xc, fc
         else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = f(xc)
-            if fc < vals[-1]:
-                simplex[-1], vals[-1] = xc, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                vals[1:] = [f(q) for q in simplex[1:]]
+            simplex[1:], vals[1:] = shrunk, f_shrunk
     best = int(np.argmin(vals))
     return simplex[best], vals[best]
 
 
-def _expand_axis(logf, point, f0, axis, sign):
-    """Distance from `point` along +/- axis until the density drops 1e12-fold."""
-    step = 0.1
-    total = 0.0
-    while True:
-        probe1 = point.copy()
-        probe1[axis] += sign * (total + step)
-        probe2 = point.copy()
-        probe2[axis] += sign * (total + 2 * step)
-        if max(logf(probe1), logf(probe2)) < f0 - _LOG_DROP:
-            return total + step
+def _probe_offsets():
+    # The doubling search's probe levels: at level (total, step) the probes
+    # sit at total + step and total + 2 step, and the last level is the one
+    # whose total first would pass _MAX_WIDTH.
+    totals, steps = [], []
+    total, step = 0.0, 0.1
+    while total <= _MAX_WIDTH:
+        totals.append(total)
+        steps.append(step)
         total += step
         step *= 2.0
-        if total > _MAX_WIDTH:
-            raise NumericalError(
-                "bounding-box expansion exceeded 1e6 widths; target does not "
-                "appear integrable")
+    totals, steps = np.array(totals), np.array(steps)
+    return totals + steps, totals + 2 * steps
+
+
+_NEAR, _FAR = _probe_offsets()
+
+
+def _box_distances(target, points, f0):
+    """Distance from each point along -beta, +beta, -nu, +nu: (k, 2, 2).
+
+    At the first probe level where both probes lie more than _LOG_DROP below
+    ``f0`` the distance is that level's near offset.  All probes of all
+    points and directions are evaluated in one `logpdf` call.
+    """
+    k = len(points)
+    offsets = np.stack([_NEAR, _FAR])                     # (2 probes, L)
+    signed = np.array([-1.0, 1.0])[:, None, None] * offsets
+    # Indexed by point, axis, sign, probe, level and coordinate.
+    probes = np.empty((k, 2, 2, 2, len(_NEAR), 2))
+    probes[...] = points[:, None, None, None, None, :]
+    for axis in (0, 1):
+        probes[:, axis, ..., axis] += signed
+    logf = target.logpdf(probes.reshape(-1, 2)).reshape(probes.shape[:-1])
+    below = logf.max(axis=3) < f0 - _LOG_DROP             # (k, axis, sign, L)
+    if not below.any(axis=-1).all():
+        raise NumericalError(
+            "bounding-box expansion exceeded 1e6 widths; target does not "
+            "appear integrable")
+    return _NEAR[below.argmax(axis=-1)]
+
+
+# The K15 and G7 weights on the 15 Kronrod nodes, G7 zero off its own.
+_RULE_WEIGHTS = np.zeros((15, 2))
+_RULE_WEIGHTS[:, 0] = _K15_WEIGHTS
+_RULE_WEIGHTS[_G7_IDX, 1] = _G7_WEIGHTS
+# Moment components from the beta (row) and nu (column) weight powers:
+# mass, beta, beta^2, sigma^2, sigma^4.
+_B_POW = np.array([0, 1, 2, 0, 0])
+_V_POW = np.array([0, 0, 0, 1, 2])
+
+
+def _rule_weights(x):
+    """(k, 15, 6) node weights: K15 then G7, each times 1, x and x^2."""
+    powers = np.stack([np.ones_like(x), x, x * x], axis=-1)
+    weights = _RULE_WEIGHTS[:, :, None] * powers[:, :, None, :]   # (k, 15, 2, 3)
+    return weights.reshape(len(x), 15, 6)
 
 
 def _panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
@@ -301,26 +352,24 @@ def _panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
     cv = 0.5 * (v_hi + v_lo)
     bx = cb[:, None] + hb[:, None] * _K15_NODES[None, :]      # (k, 15)
     vx = cv[:, None] + hv[:, None] * _K15_NODES[None, :]      # (k, 15)
-    B = np.repeat(bx[:, :, None], 15, axis=2)                 # (k, 15b, 15v)
-    V = np.repeat(vx[:, None, :], 15, axis=1)
-    q = np.column_stack([B.reshape(-1, 1), V.reshape(-1, 1)])
-    logf = target.logpdf(q).reshape(k, 15, 15)
+    q = np.empty((k, 15, 15, 2))
+    q[..., 0] = bx[:, :, None]
+    q[..., 1] = vx[:, None, :]
+    logf = target.logpdf(q.reshape(-1, 2)).reshape(k, 15, 15)
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp(logf - shift)
-        e2v = np.exp(2.0 * V)
-        comps = np.stack([f, B * f, B * B * f, e2v * f, e2v * e2v * f], axis=-1)
+        e2v = np.exp(2.0 * vx)
 
-    # Contract nu first with both rules, then beta: four tensor rules from
-    # one pass over the nodes.
-    area = (hb * hv)[:, None]
-    wk = _K15_WEIGHTS
-    wg = _G7_WEIGHTS
-    k_nu = np.einsum("j,kijc->kic", wk, comps)                # (k, 15b, 5)
-    g_nu = np.einsum("j,kijc->kic", wg, comps[:, :, _G7_IDX])
-    kk = np.einsum("i,kic->kc", wk, k_nu) * area
-    gg = np.einsum("i,kic->kc", wg, g_nu[:, _G7_IDX]) * area
-    gk = np.einsum("i,kic->kc", wg, k_nu[:, _G7_IDX]) * area  # G7 in beta only
-    kg = np.einsum("i,kic->kc", wk, g_nu) * area              # G7 in nu only
+    # Contract nu first, with the K15 and G7 weights times 1, e^{2nu} and
+    # e^{4nu}; then beta, with both weights times 1, beta and beta^2.  Row
+    # r and column c of the (6, 6) result hold rule r // 3 in beta with
+    # power r % 3, and rule c // 3 in nu with power c % 3, so one pass over
+    # the nodes gives four tensor rules of all five components.
+    rules = _rule_weights(bx).transpose(0, 2, 1) @ (f @ _rule_weights(e2v))
+    rules *= (hb * hv)[:, None, None]
+    # kk: K15 x K15, gk: G7 in beta only, kg: G7 in nu only, gg: G7 x G7.
+    kk, gk, kg, gg = (rules[:, rb + _B_POW, rv + _V_POW]
+                      for rb, rv in ((0, 0), (3, 0), (0, 3), (3, 3)))
     err = np.abs(kk - gg).sum(axis=1)
     split_beta = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
     return kk, err, split_beta
@@ -330,22 +379,26 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     """Posterior mean/sd of the coefficient and of sigma^2 by 2-D quadrature.
 
     Only two-parameter targets are supported (higher-dimensional posteriors
-    are the sampler's job).  ``tol`` is the absolute tolerance on the summed
-    error estimate of the mode-normalized integrals; prior kink loci at the
-    mode's sigma become initial panel edges.  Each round bisects the
-    ``chunk`` panels with the largest error, each along the axis its error
-    comes from.  The result reports the error reached (``error``) and the
-    panels evaluated on the way (``panels_evaluated``) beside the final
+    are the sampler's job).  The mode is found by a Nelder-Mead search from
+    the best of a few candidates (least squares, the prior location and two
+    blends), and the bounding box by a doubling search from the mode and
+    every candidate within 1e12 of its density; both searches batch their
+    `logpdf` calls (see the module docstring).  ``tol`` is the absolute
+    tolerance on the summed error estimate of the mode-normalized integrals;
+    prior kink loci at the mode's sigma become initial panel edges.  Each
+    round evaluates the nodes of all its new panels in one call and bisects
+    the ``chunk`` panels with the largest error, each along the axis its
+    error comes from.  The result reports the error reached (``error``) and
+    the panels evaluated on the way (``panels_evaluated``) beside the final
     ``n_panels``.  Raises `NumericalError` if the budget of ``max_panels``
     cannot meet ``tol`` or if box expansion fails to terminate.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
 
-    def logf(pt):
-        return float(target.logpdf(pt[None, :])[0])
-
     # Mode candidates: least-squares point, prior locations, and a blend.
+    # Each candidate is evaluated with the simplex a search from it would
+    # start with, so the best one's simplex needs no second call.
     ols = float(np.linalg.solve(target._XtX, target._Xty)[0])
     cand_b = [ols]
     prior = target.priors[0]
@@ -353,19 +406,24 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
         cand_b += [prior.mu, 0.5 * (ols + prior.mu)]
         shrink = prior.lam ** 2 / (target.n + prior.lam ** 2)
         cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
-    cands = [np.array([b, 0.0]) for b in cand_b]
-    vals = [logf(c) for c in cands]
-    order = int(np.argmax(vals))
-    mode, neg = _nelder_mead(lambda q: -logf(q), cands[order], steps=[0.05, 0.05])
+    cands = np.array([[b, 0.0] for b in cand_b])
+    simplices = np.repeat(cands[:, None, :], 3, axis=1)       # (k, 3, 2)
+    simplices[:, 1, 0] += 0.05
+    simplices[:, 2, 1] += 0.05
+    vals = target.logpdf(simplices.reshape(-1, 2)).reshape(-1, 3)
+    best = int(np.argmax(vals[:, 0]))
+    mode, neg = _nelder_mead(lambda q: -target.logpdf(q), simplices[best],
+                             -vals[best])
     f0 = -neg
 
     # Box = union of per-candidate expansions over all candidates that carry
     # non-negligible density (catches secondary bumps at prior locations).
-    keep = [mode] + [c for c in cands if logf(c) > f0 - _LOG_DROP]
-    b_lo = min(c[0] - _expand_axis(logf, c, f0, 0, -1.0) for c in keep)
-    b_hi = max(c[0] + _expand_axis(logf, c, f0, 0, +1.0) for c in keep)
-    v_lo = min(c[1] - _expand_axis(logf, c, f0, 1, -1.0) for c in keep)
-    v_hi = max(c[1] + _expand_axis(logf, c, f0, 1, +1.0) for c in keep)
+    keep = np.vstack([mode, cands[vals[:, 0] > f0 - _LOG_DROP]])
+    dist = _box_distances(target, keep, f0)
+    b_lo = np.min(keep[:, 0] - dist[:, 0, 0])
+    b_hi = np.max(keep[:, 0] + dist[:, 0, 1])
+    v_lo = np.min(keep[:, 1] - dist[:, 1, 0])
+    v_hi = np.max(keep[:, 1] + dist[:, 1, 1])
 
     # Initial edges: uniform splits plus the mode and the prior's kink loci.
     b_edges = set(np.linspace(b_lo, b_hi, 7))

@@ -282,6 +282,27 @@ class TestConfigFile:
                      "--families", "normal", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
 
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("families = normal\n# the swept axis\naxis = foo\n")
+        code = main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert f"{cfg}:3: axis: invalid choice: 'foo'" in capsys.readouterr().err
+
+    def test_boolean_values(self, tmp_path, capsys):
+        from robustpriors.cli import _parse_args
+        cfg = tmp_path / "run.cfg"
+        for raw, expected in (("yes", True), ("On", True), ("1", True),
+                              ("false", False), ("off", False), ("0", False)):
+            cfg.write_text(f"fast = {raw}\n")
+            args = _parse_args(["check", "--config", str(cfg), "--out", "o.csv"])
+            assert args.fast is expected
+        # An unknown word is an error, not false.
+        cfg.write_text("out = o.csv\nfast = maybe\n")
+        assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"{cfg}:2: fast: expected one of" in capsys.readouterr().err
+
     def test_key_of_another_command(self, tmp_path):
         # "fast" belongs to check; sweep must not drop it silently.
         cfg = tmp_path / "run.cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robustpriors import oracle
 from robustpriors.model import PowerAdjustedSigma, reduced_target
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
                                  inverse_gamma_mean, inverse_gamma_sd,
@@ -174,6 +175,195 @@ class TestQuadrature:
         res = quadrature_moments(reduced_target(N, mu2, lam2, family), tol=tol)
         assert 0 < res.error <= tol
         assert res.panels_evaluated >= res.n_panels
+
+
+# Sequential reference versions of the mode and box search, one point per
+# `logpdf` call.  The oracle's batched search must find exactly what they find.
+
+def _reference_nelder_mead(f, x0, steps, maxiter=300):
+    # Returns the minimizer, its value and the iterations that evaluated.
+    pts = [np.asarray(x0, dtype=float)]
+    for i, s in enumerate(steps):
+        q = pts[0].copy()
+        q[i] += s
+        pts.append(q)
+    simplex = np.asarray(pts)
+    vals = np.array([f(q) for q in simplex])
+    iterations = 0
+    for _ in range(maxiter):
+        order = np.argsort(vals)
+        simplex, vals = simplex[order], vals[order]
+        if abs(vals[-1] - vals[0]) < 1e-12 and np.max(np.abs(simplex[-1] - simplex[0])) < 1e-9:
+            break
+        iterations += 1
+        centroid = simplex[:-1].mean(axis=0)
+        xr = centroid + (centroid - simplex[-1])
+        fr = f(xr)
+        if fr < vals[0]:
+            xe = centroid + 2.0 * (centroid - simplex[-1])
+            fe = f(xe)
+            simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < vals[-2]:
+            simplex[-1], vals[-1] = xr, fr
+        else:
+            xc = centroid + 0.5 * (simplex[-1] - centroid)
+            fc = f(xc)
+            if fc < vals[-1]:
+                simplex[-1], vals[-1] = xc, fc
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                vals[1:] = [f(q) for q in simplex[1:]]
+    best = int(np.argmin(vals))
+    return simplex[best], vals[best], iterations
+
+
+def _reference_expand_axis(logf, point, f0, axis, sign):
+    step = 0.1
+    total = 0.0
+    while True:
+        probe1 = point.copy()
+        probe1[axis] += sign * (total + step)
+        probe2 = point.copy()
+        probe2[axis] += sign * (total + 2 * step)
+        if max(logf(probe1), logf(probe2)) < f0 - oracle._LOG_DROP:
+            return total + step
+        total += step
+        step *= 2.0
+        if total > oracle._MAX_WIDTH:
+            raise NumericalError("bounding-box expansion exceeded 1e6 widths; "
+                                 "target does not appear integrable")
+
+
+def _reference_search(target):
+    """(mode, box, Nelder-Mead iterations) found one point at a time."""
+    def logf(pt):
+        return float(target.logpdf(pt[None, :])[0])
+
+    ols = float(np.linalg.solve(target._XtX, target._Xty)[0])
+    cand_b = [ols]
+    prior = target.priors[0]
+    if prior is not None:
+        cand_b += [prior.mu, 0.5 * (ols + prior.mu)]
+        shrink = prior.lam ** 2 / (target.n + prior.lam ** 2)
+        cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
+    cands = [np.array([b, 0.0]) for b in cand_b]
+    vals = [logf(c) for c in cands]
+    mode, neg, iterations = _reference_nelder_mead(
+        lambda q: -logf(q), cands[int(np.argmax(vals))], steps=[0.05, 0.05])
+    f0 = -neg
+    keep = [mode] + [c for c in cands if logf(c) > f0 - oracle._LOG_DROP]
+    box = (min(c[0] - _reference_expand_axis(logf, c, f0, 0, -1.0) for c in keep),
+           max(c[0] + _reference_expand_axis(logf, c, f0, 0, +1.0) for c in keep),
+           min(c[1] - _reference_expand_axis(logf, c, f0, 1, -1.0) for c in keep),
+           max(c[1] + _reference_expand_axis(logf, c, f0, 1, +1.0) for c in keep))
+    return (float(mode[0]), float(mode[1])), box, iterations
+
+
+SEARCH_TARGETS = [
+    ("student", dict(mu2=0.0, lambda2=1.0, family=Student(4))),
+    ("student", dict(mu2=2.0, lambda2=1.0, family=Student(4))),
+    ("lptn", dict(mu2=0.5, lambda2=1.5, family=LPTN(0.95))),
+    ("lptn", dict(mu2=2.0, lambda2=1.0, family=LPTN(0.95))),
+    ("ctn", dict(mu2=0.5, lambda2=1.0, family=CTN(0.98))),
+    ("ctn", dict(mu2=0.5, lambda2=101.0, family=CTN(0.98))),
+    ("ctn_corrected", dict(mu2=0.5, lambda2=0.3, family=CTN(0.98),
+                           sigma_power=1)),
+    ("ctn_corrected", dict(mu2=0.5, lambda2=2.0, family=CTN(0.98),
+                           sigma_power=1)),
+    ("normal", dict(mu2=0.5, lambda2=10.0, family=Normal())),
+    ("flat", dict(family=None)),
+]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("family", [Student(4), LPTN(0.95), CTN(0.98), None])
+    def test_row_value_independent_of_batch(self, family):
+        # The batched search relies on this: for a 2-D target a row's value
+        # is the same bits alone as inside any batch.  (The Gram path with
+        # p > 1 does not have this property: there B @ XtX takes another
+        # BLAS kernel for one row than for several.)
+        t = reduced_target(N, 0.5, 1.0, family)
+        rng = np.random.default_rng(1)
+        q = np.column_stack([rng.uniform(-2.0, 3.0, 1000),
+                             rng.uniform(-1.0, 1.0, 1000)])
+        # Box-search probes reach far beyond the posterior's bulk.
+        q[:48:2, 0] += oracle._NEAR
+        q[1:48:2, 1] -= oracle._FAR
+        full = t.logpdf(q)
+        for m in (3, 225):
+            np.testing.assert_array_equal(t.logpdf(q[:m]), full[:m])
+        for i in range(225):
+            assert t.logpdf(q[i])[0] == full[i]
+
+    @pytest.mark.parametrize("tag, kwargs", SEARCH_TARGETS)
+    def test_mode_and_box_match_sequential_search(self, tag, kwargs):
+        t = reduced_target(N, **kwargs)
+        mode, box, _ = _reference_search(t)
+        res = quadrature_moments(t)
+        assert res.mode == mode
+        assert res.box == box
+
+    @pytest.mark.parametrize("tag, kwargs", SEARCH_TARGETS[::2])
+    def test_logpdf_calls_before_first_panel(self, tag, kwargs):
+        t = reduced_target(N, **kwargs)
+        _, _, iterations = _reference_search(t)
+        rows = []
+        logpdf = t.logpdf
+        t.logpdf = lambda q: rows.append(len(q)) or logpdf(q)
+        quadrature_moments(t)
+        assert 1 not in rows
+        first_panels = next(i for i, m in enumerate(rows) if m % 225 == 0)
+        assert first_panels <= iterations + 3
+
+
+def _brute_force_panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
+    # The five integrands f, b f, b^2 f, e^{2nu} f and e^{4nu} f summed node
+    # by node under the K15 x K15, G7 x G7 and mixed rules; also returns the
+    # K15 x K15 rule of their absolute values, the scale for comparisons.
+    wk, wg, g = oracle._K15_WEIGHTS, oracle._G7_WEIGHTS, oracle._G7_IDX
+    out = []
+    for panel in zip(b_lo, b_hi, v_lo, v_hi):
+        bl, bh, vl, vh = panel
+        hb, hv = 0.5 * (bh - bl), 0.5 * (vh - vl)
+        b = 0.5 * (bh + bl) + hb * oracle._K15_NODES
+        v = 0.5 * (vh + vl) + hv * oracle._K15_NODES
+        B, V = np.meshgrid(b, v, indexing="ij")
+        f = np.exp(target.logpdf(np.column_stack([B.ravel(), V.ravel()]))
+                   .reshape(15, 15) - shift)
+        comps = [f, B * f, B * B * f, np.exp(2 * V) * f, np.exp(4 * V) * f]
+
+        def rule(wb, ib, wv, iv, c):
+            return hb * hv * np.sum(np.outer(wb, wv) * c[np.ix_(ib, iv)])
+
+        k = np.arange(15)
+        kk = np.array([rule(wk, k, wk, k, c) for c in comps])
+        gg = np.array([rule(wg, g, wg, g, c) for c in comps])
+        gk = np.array([rule(wg, g, wk, k, c) for c in comps])
+        kg = np.array([rule(wk, k, wg, g, c) for c in comps])
+        scale = np.array([rule(wk, k, wk, k, np.abs(c)) for c in comps])
+        out.append((kk, np.abs(kk - gg).sum(), np.abs(kk - gk).sum(),
+                    np.abs(kk - kg).sum(), scale))
+    return [np.array(x) for x in zip(*out)]
+
+
+class TestPanelValues:
+    def test_matches_five_integrand_reference(self):
+        t = reduced_target(N, 0.5, 1.5, LPTN(0.95))
+        shift = quadrature_moments(t).log_norm
+        rng = np.random.default_rng(2)
+        b_lo = rng.uniform(-0.5, 0.6, 40)
+        v_lo = rng.uniform(-0.3, 0.2, 40)
+        b_hi = b_lo + rng.uniform(1e-4, 0.5, 40)
+        v_hi = v_lo + rng.uniform(1e-4, 0.3, 40)
+        kk, err, split_beta = oracle._panel_values(t, b_lo, b_hi, v_lo, v_hi, shift)
+        ref, ref_err, err_beta, err_nu, scale = _brute_force_panel_values(
+            t, b_lo, b_hi, v_lo, v_hi, shift)
+        assert np.all(np.abs(kk - ref) <= 1e-13 * scale)
+        assert np.all(np.abs(err - ref_err) <= 1e-13 * scale.sum(axis=1))
+        clear = np.abs(err_beta - err_nu) > 1e-12 * scale.sum(axis=1)
+        assert clear.sum() > 30
+        np.testing.assert_array_equal(split_beta[clear],
+                                      (err_beta >= err_nu)[clear])
 
 
 class TestPriorKinks:
