@@ -24,19 +24,28 @@ along each direction is the first level whose probes fall below
 are evaluated with it, so this finds the same mode and box as evaluating one
 point at a time.
 
-Each panel's 15 x 15 Kronrod nodes are evaluated in one batch with all other
-panels of a round, and the panel is contracted axis by axis: nu first, as
-matrix products with the Kronrod and Gauss weights times 1, e^{2nu} and
-e^{4nu}; then beta, with both weights times 1, beta and beta^2.  That gives
-the five moment integrals under four tensor rules at once.  Refinement
-bisects the panels with the largest embedded Gauss-7 error estimate, each
-along the axis its error comes from: the Gauss rule applied in beta alone and
-in nu alone gives one error estimate per axis (as in Genz & Malik 1980 and
-DCUHRE), and the panel is halved along the axis with the larger one.  This
-matters at the LPTN and CTN prior kinks, which lie on the curves
-beta = mu +/- tau e^nu / lambda and so cross panels obliquely.  Results are
-accumulated in panel-creation order, so the result is independent of
-evaluation scheduling.
+The integration domain is cut into at most three regions along the prior's
+kinks.  The LPTN and CTN densities switch from the normal to their heavier
+tails at |z| = tau (kappa), which in (beta, nu) are the curves
+beta = mu +/- tau e^nu / lambda.  A rectangle in (beta, nu) would cross them
+obliquely, and a Kronrod rule on a panel holding a kink both converges slowly
+and misjudges its own error.  So the central band is integrated in
+t = (beta - mu) e^{-nu} and each tail in u, a translation of beta along its
+kink curve; in those coordinates the kinks are straight panel edges.  A
+prior without a kink keeps the single region beta itself.
+
+A panel is a rectangle in its region's coordinates (s, nu).  Its 15 x 15
+Kronrod nodes are mapped to (beta, nu) and evaluated in one batch with all
+other panels of a round, and the panel is contracted axis by axis: nu first,
+as matrix products with the Kronrod and Gauss weights times eight columns
+(the region's Jacobian times the powers of its map and of e^{2nu}); then s,
+with both weights times 1, s and s^2.  That gives the five moment integrals
+under four tensor rules at once.  Refinement bisects the panels with the
+largest embedded Gauss-7 error estimate, each along the axis its error comes
+from: the Gauss rule applied in s alone and in nu alone gives one error
+estimate per axis (as in Genz & Malik 1980 and DCUHRE), and the panel is
+halved along the axis with the larger one.  Results are accumulated in
+panel-creation order, so the result is independent of evaluation scheduling.
 """
 
 import heapq
@@ -323,56 +332,128 @@ def _box_distances(target, points, f0):
 _RULE_WEIGHTS = np.zeros((15, 2))
 _RULE_WEIGHTS[:, 0] = _K15_WEIGHTS
 _RULE_WEIGHTS[_G7_IDX, 1] = _G7_WEIGHTS
-# Moment components from the beta (row) and nu (column) weight powers:
-# mass, beta, beta^2, sigma^2, sigma^4.
-_B_POW = np.array([0, 1, 2, 0, 0])
-_V_POW = np.array([0, 0, 0, 1, 2])
 
 
-def _rule_weights(x):
-    """(k, 15, 6) node weights: K15 then G7, each times 1, x and x^2."""
-    powers = np.stack([np.ones_like(x), x, x * x], axis=-1)
-    weights = _RULE_WEIGHTS[:, :, None] * powers[:, :, None, :]   # (k, 15, 2, 3)
-    return weights.reshape(len(x), 15, 6)
+def _rule_weights(cols):
+    """(k, 15, 2c) node weights: K15 times each of the c columns, then G7."""
+    k, _, c = cols.shape
+    weights = _RULE_WEIGHTS[:, :, None] * cols[:, :, None, :]     # (k, 15, 2, c)
+    return weights.reshape(k, 15, 2 * c)
 
 
-def _panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
+def _panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
     """Tensor K15/G7 estimates of the five moment integrands on panels.
 
-    All panel arrays are (k,).  Returns the (k, 5) K15 x K15 estimates, the
-    (k,) error estimate |K15 x K15 - G7 x G7| summed over components, and a
-    (k,) bool that is True where the panel's error comes more from beta than
-    from nu: there the G7 rule in beta alone (K15 in nu) moves the estimate
-    at least as much as the G7 rule in nu alone.
+    A panel is the rectangle [s_lo, s_hi] x [v_lo, v_hi] of its region's
+    coordinates, mapped to beta = a0 + a1 e^nu + s (b0 + b1 e^nu) by the
+    row (a0, a1, b0, b1) of ``maps``, (k, 4); the other panel arrays are
+    (k,).  Returns the (k, 5) K15 x K15 estimates of the integrals of f,
+    beta f, beta^2 f, e^{2nu} f and e^{4nu} f, the (k,) error estimate
+    |K15 x K15 - G7 x G7| summed over components, and a (k,) bool that is
+    True where the panel's error comes more from s than from nu: there the
+    G7 rule in s alone (K15 in nu) moves the estimate at least as much as
+    the G7 rule in nu alone.
     """
-    k = len(b_lo)
-    hb = 0.5 * (b_hi - b_lo)
+    k = len(s_lo)
+    hs = 0.5 * (s_hi - s_lo)
     hv = 0.5 * (v_hi - v_lo)
-    cb = 0.5 * (b_hi + b_lo)
-    cv = 0.5 * (v_hi + v_lo)
-    bx = cb[:, None] + hb[:, None] * _K15_NODES[None, :]      # (k, 15)
-    vx = cv[:, None] + hv[:, None] * _K15_NODES[None, :]      # (k, 15)
+    sx = 0.5 * (s_hi + s_lo)[:, None] + hs[:, None] * _K15_NODES[None, :]
+    vx = 0.5 * (v_hi + v_lo)[:, None] + hv[:, None] * _K15_NODES[None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        ev = np.exp(vx)
+        e2v = np.exp(2.0 * vx)
+    a0, a1, b0, b1 = (m[:, None] for m in maps.T)
+    a = a0 + a1 * ev                                          # (k, 15)
+    b = b0 + b1 * ev                                          # also the Jacobian
     q = np.empty((k, 15, 15, 2))
-    q[..., 0] = bx[:, :, None]
+    q[..., 0] = a[:, None, :] + sx[:, :, None] * b[:, None, :]
     q[..., 1] = vx[:, None, :]
     logf = target.logpdf(q.reshape(-1, 2)).reshape(k, 15, 15)
     with np.errstate(over="ignore", under="ignore"):
         f = np.exp(logf - shift)
-        e2v = np.exp(2.0 * vx)
 
-    # Contract nu first, with the K15 and G7 weights times 1, e^{2nu} and
-    # e^{4nu}; then beta, with both weights times 1, beta and beta^2.  Row
-    # r and column c of the (6, 6) result hold rule r // 3 in beta with
-    # power r % 3, and rule c // 3 in nu with power c % 3, so one pass over
-    # the nodes gives four tensor rules of all five components.
-    rules = _rule_weights(bx).transpose(0, 2, 1) @ (f @ _rule_weights(e2v))
-    rules *= (hb * hv)[:, None, None]
-    # kk: K15 x K15, gk: G7 in beta only, kg: G7 in nu only, gg: G7 x G7.
-    kk, gk, kg, gg = (rules[:, rb + _B_POW, rv + _V_POW]
-                      for rb, rv in ((0, 0), (3, 0), (0, 3), (3, 3)))
+    # beta^j = (a + s b)^j, so the five integrands are s-powers 1, s, s^2
+    # times the nu-columns below, Jacobian b included.  Contract nu first
+    # with the K15 and G7 weights times the eight columns, then s with both
+    # weights times 1, s and s^2, so one pass over the nodes gives four
+    # tensor rules.
+    ab = a * b
+    cols = np.stack([b, b * a, ab * a, b * e2v, b * (e2v * e2v),
+                     b * b, 2.0 * ab * b, b * b * b], axis=-1)
+    powers = np.stack([np.ones_like(sx), sx, sx * sx], axis=-1)
+    rules = _rule_weights(powers).transpose(0, 2, 1) @ (f @ _rule_weights(cols))
+    rules *= (hs * hv)[:, None, None]
+    # Indexed by panel, s rule, s power, nu rule and nu column.
+    r = rules.reshape(k, 2, 3, 2, 8)
+    comps = np.stack([r[:, :, 0, :, 0], r[:, :, 0, :, 1] + r[:, :, 1, :, 5],
+                      r[:, :, 0, :, 2] + r[:, :, 1, :, 6] + r[:, :, 2, :, 7],
+                      r[:, :, 0, :, 3], r[:, :, 0, :, 4]], axis=1)
+    # kk: K15 x K15, gk: G7 in s only, kg: G7 in nu only, gg: G7 x G7.
+    kk, gk, kg, gg = (comps[:, :, rs, rv]
+                      for rs, rv in ((0, 0), (1, 0), (0, 1), (1, 1)))
     err = np.abs(kk - gg).sum(axis=1)
-    split_beta = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
-    return kk, err, split_beta
+    split_s = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
+    return kk, err, split_s
+
+
+def _regions(prior, box, mode):
+    """Each region's map (a0, a1, b0, b1), beta = a0 + a1 e^nu + s (b0 + b1 e^nu),
+    and its s-range: the image of the (beta, nu) box, cut at the kinks.
+
+    Without a kink, beta = s.  With kinks on beta = mu -/+ w e^nu
+    (w = tau / lambda), the lower tail, the band and the upper tail are
+    beta = u - w (e^nu - e^{nu0}), beta = mu + t e^nu with |t| <= w, and
+    beta = u + w (e^nu - e^{nu0}), nu0 the mode's nu; a tail's kink is then
+    the line u = mu -/+ w e^{nu0}, and u stays close to beta however far the
+    conflict.  Regions that miss the box are left out.
+    """
+    b_lo, b_hi, v_lo, v_hi = box
+    thr = None if prior is None else (getattr(prior.family, "tau", None)
+                                      or getattr(prior.family, "kappa", None))
+    if thr is None:
+        return [((0.0, 0.0, 1.0, 0.0), b_lo, b_hi)]
+    mu, w = prior.mu, thr / prior.lam
+    e0, e_lo, e_hi = np.exp([mode[1], v_lo, v_hi])
+    t_corners = [(b - mu) / e for b in (b_lo, b_hi) for e in (e_lo, e_hi)]
+    regions = [
+        ((w * e0, -w, 1.0, 0.0),
+         b_lo + w * (e_lo - e0), min(b_hi + w * (e_hi - e0), mu - w * e0)),
+        ((mu, 0.0, 0.0, 1.0), max(min(t_corners), -w), min(max(t_corners), w)),
+        ((-w * e0, w, 1.0, 0.0),
+         max(b_lo - w * (e_hi - e0), mu + w * e0), b_hi - w * (e_lo - e0)),
+    ]
+    return [(m, lo, hi) for m, lo, hi in regions if lo < hi]
+
+
+def _initial_panels(prior, box, mode):
+    """Initial panels (s_lo, s_hi, v_lo, v_hi, region) and the (R, 4) maps.
+
+    The beta edges are uniform splits of the box plus the mode's beta; each
+    is mapped at the mode's nu into the region that holds it, and every
+    region adds its own ends, so the kink loci are panel edges.  The nu
+    edges are uniform splits plus the mode's nu, shared by all regions.
+    """
+    b_lo, b_hi, v_lo, v_hi = box
+    b_edges = set(np.linspace(b_lo, b_hi, 7))
+    b_edges.add(min(max(mode[0], b_lo), b_hi))
+    v_edges = set(np.linspace(v_lo, v_hi, 5))
+    v_edges.add(min(max(mode[1], v_lo), v_hi))
+    v_edges = sorted(v_edges)
+    regions = _regions(prior, box, mode)
+    e0 = np.exp(mode[1])
+    panels = []
+    for r, ((a0, a1, b0, b1), lo, hi) in enumerate(regions):
+        s_edges = {lo, hi}
+        for x in b_edges:
+            s = (x - a0 - a1 * e0) / (b0 + b1 * e0)
+            if lo < s < hi:
+                s_edges.add(float(s))
+        s_edges = sorted(s_edges)
+        for i in range(len(s_edges) - 1):
+            for j in range(len(v_edges) - 1):
+                panels.append((s_edges[i], s_edges[i + 1],
+                               v_edges[j], v_edges[j + 1], r))
+    return panels, np.array([m for m, _, _ in regions])
 
 
 def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
@@ -384,11 +465,13 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     blends), and the bounding box by a doubling search from the mode and
     every candidate within 1e12 of its density; both searches batch their
     `logpdf` calls (see the module docstring).  ``tol`` is the absolute
-    tolerance on the summed error estimate of the mode-normalized integrals;
-    prior kink loci at the mode's sigma become initial panel edges.  Each
-    round evaluates the nodes of all its new panels in one call and bisects
-    the ``chunk`` panels with the largest error, each along the axis its
-    error comes from.  The result reports the error reached (``error``) and
+    tolerance on the summed error estimate of the mode-normalized integrals.
+    The prior's kink loci become initial panel edges: the box is integrated
+    over the regions between the kinks, each in coordinates where its kinks
+    are straight edges, so no panel ever holds a kink.  Each round evaluates
+    the nodes of all its new panels in one call and bisects the ``chunk``
+    panels with the largest error, each along the axis its error comes
+    from.  The result reports the error reached (``error``) and
     the panels evaluated on the way (``panels_evaluated``) beside the final
     ``n_panels``.  Raises `NumericalError` if the budget of ``max_panels``
     cannot meet ``tol`` or if box expansion fails to terminate.
@@ -425,27 +508,10 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     v_lo = np.min(keep[:, 1] - dist[:, 1, 0])
     v_hi = np.max(keep[:, 1] + dist[:, 1, 1])
 
-    # Initial edges: uniform splits plus the mode and the prior's kink loci.
-    b_edges = set(np.linspace(b_lo, b_hi, 7))
-    v_edges = set(np.linspace(v_lo, v_hi, 5))
-    b_edges.add(min(max(mode[0], b_lo), b_hi))
-    v_edges.add(min(max(mode[1], v_lo), v_hi))
-    if prior is not None:
-        thr = getattr(prior.family, "tau", None) or getattr(prior.family, "kappa", None)
-        if thr is not None:
-            w = thr * np.exp(mode[1]) / prior.lam
-            for x in (prior.mu - w, prior.mu, prior.mu + w):
-                if b_lo < x < b_hi:
-                    b_edges.add(float(x))
-    b_edges = sorted(b_edges)
-    v_edges = sorted(v_edges)
+    box = (b_lo, b_hi, v_lo, v_hi)
+    panels, maps = _initial_panels(prior, box, mode)
 
-    panels = []     # (b_lo, b_hi, v_lo, v_hi)
-    for i in range(len(b_edges) - 1):
-        for j in range(len(v_edges) - 1):
-            panels.append((b_edges[i], b_edges[i + 1], v_edges[j], v_edges[j + 1]))
-
-    store = {}      # id -> (box, estimate (5,), err, split along beta)
+    store = {}      # id -> (panel, estimate (5,), err, split along s)
     heap = []       # (-err, id), one entry per stored panel
     next_id = 0
     # Running total of the panel errors, and a bound on its rounding drift.
@@ -457,13 +523,14 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     running = 0.0
     drift = 0.0
 
-    def add_panels(boxes):
+    def add_panels(batch):
         nonlocal next_id, running, drift
-        arr = np.asarray(boxes)
-        k_est, err, split_beta = _panel_values(target, arr[:, 0], arr[:, 1],
-                                               arr[:, 2], arr[:, 3], f0)
-        for row, est, e, sb in zip(boxes, k_est, err, split_beta):
-            store[next_id] = (row, est, float(e), bool(sb))
+        arr = np.asarray(batch)
+        k_est, err, split_s = _panel_values(
+            target, maps[arr[:, 4].astype(int)], arr[:, 0], arr[:, 1],
+            arr[:, 2], arr[:, 3], f0)
+        for row, est, e, ss in zip(batch, k_est, err, split_s):
+            store[next_id] = (row, est, float(e), bool(ss))
             heapq.heappush(heap, (-float(e), next_id))
             next_id += 1
             running += float(e)
@@ -485,16 +552,16 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
         # Split the worst panels; ties broken by id so runs are reproducible.
         children = []
         for _ in range(min(chunk, len(heap))):
-            (blo, bhi, vlo, vhi), _, e, split_beta = store.pop(
+            (slo, shi, vlo, vhi, r), _, e, split_s = store.pop(
                 heapq.heappop(heap)[1])
             running -= e
             drift += _EPS * abs(running)
-            if split_beta:
-                mid = 0.5 * (blo + bhi)
-                children += [(blo, mid, vlo, vhi), (mid, bhi, vlo, vhi)]
+            if split_s:
+                mid = 0.5 * (slo + shi)
+                children += [(slo, mid, vlo, vhi, r), (mid, shi, vlo, vhi, r)]
             else:
                 mid = 0.5 * (vlo + vhi)
-                children += [(blo, bhi, vlo, mid), (blo, bhi, mid, vhi)]
+                children += [(slo, shi, vlo, mid, r), (slo, shi, mid, vhi, r)]
         add_panels(children)
 
     # Fixed summation order (panel id) so results do not depend on the heap.
@@ -513,6 +580,6 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
         log_norm=float(np.log(mass) + f0),
         sigma_sq_mean=float(s2_mean),
         sigma_sq_sd=float(np.sqrt(max(s2_var, 0.0))),
-        n_panels=len(store), box=(b_lo, b_hi, v_lo, v_hi),
+        n_panels=len(store), box=box,
         mode=(float(mode[0]), float(mode[1])),
         error=float(total_err), panels_evaluated=next_id)

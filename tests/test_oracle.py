@@ -316,24 +316,27 @@ class TestBatchedSearch:
         assert first_panels <= iterations + 3
 
 
-def _brute_force_panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
-    # The five integrands f, b f, b^2 f, e^{2nu} f and e^{4nu} f summed node
-    # by node under the K15 x K15, G7 x G7 and mixed rules; also returns the
-    # K15 x K15 rule of their absolute values, the scale for comparisons.
+def _brute_force_panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
+    # The five integrands f, beta f, beta^2 f, e^{2nu} f and e^{4nu} f, each
+    # times the Jacobian b, summed node by node in the region's coordinates
+    # (beta = a + s b, a = a0 + a1 e^nu, b = b0 + b1 e^nu) under the
+    # K15 x K15, G7 x G7 and mixed rules; also returns the K15 x K15 rule
+    # of their absolute values, the scale for comparisons.
     wk, wg, g = oracle._K15_WEIGHTS, oracle._G7_WEIGHTS, oracle._G7_IDX
     out = []
-    for panel in zip(b_lo, b_hi, v_lo, v_hi):
-        bl, bh, vl, vh = panel
-        hb, hv = 0.5 * (bh - bl), 0.5 * (vh - vl)
-        b = 0.5 * (bh + bl) + hb * oracle._K15_NODES
+    for (a0, a1, b0, b1), sl, sh, vl, vh in zip(maps, s_lo, s_hi, v_lo, v_hi):
+        hs, hv = 0.5 * (sh - sl), 0.5 * (vh - vl)
+        s = 0.5 * (sh + sl) + hs * oracle._K15_NODES
         v = 0.5 * (vh + vl) + hv * oracle._K15_NODES
-        B, V = np.meshgrid(b, v, indexing="ij")
+        S, V = np.meshgrid(s, v, indexing="ij")
+        jac = b0 + b1 * np.exp(V)
+        B = a0 + a1 * np.exp(V) + S * jac
         f = np.exp(target.logpdf(np.column_stack([B.ravel(), V.ravel()]))
-                   .reshape(15, 15) - shift)
+                   .reshape(15, 15) - shift) * jac
         comps = [f, B * f, B * B * f, np.exp(2 * V) * f, np.exp(4 * V) * f]
 
-        def rule(wb, ib, wv, iv, c):
-            return hb * hv * np.sum(np.outer(wb, wv) * c[np.ix_(ib, iv)])
+        def rule(ws, i_s, wv, iv, c):
+            return hs * hv * np.sum(np.outer(ws, wv) * c[np.ix_(i_s, iv)])
 
         k = np.arange(15)
         kk = np.array([rule(wk, k, wk, k, c) for c in comps])
@@ -349,27 +352,76 @@ def _brute_force_panel_values(target, b_lo, b_hi, v_lo, v_hi, shift):
 class TestPanelValues:
     def test_matches_five_integrand_reference(self):
         t = reduced_target(N, 0.5, 1.5, LPTN(0.95))
-        shift = quadrature_moments(t).log_norm
+        res = quadrature_moments(t)
+        mu, w = 0.5, LPTN(0.95).tau / t.priors[0].lam
+        e0 = np.exp(res.mode[1])
         rng = np.random.default_rng(2)
-        b_lo = rng.uniform(-0.5, 0.6, 40)
+        # Ten panels in each region kind: plain, central band, lower and
+        # upper tail, each panel on its own side of the kink.
+        maps = np.repeat([(0.0, 0.0, 1.0, 0.0), (mu, 0.0, 0.0, 1.0),
+                          (w * e0, -w, 1.0, 0.0), (-w * e0, w, 1.0, 0.0)],
+                         10, axis=0)
+        s_lo = np.concatenate([rng.uniform(-0.5, 0.6, 10),
+                               rng.uniform(-w, 0.5 * w, 10),
+                               rng.uniform(-0.5, 0.0, 10),
+                               rng.uniform(mu + w * e0, 0.9, 10)])
+        s_hi = s_lo + rng.uniform(1e-4, 0.5, 40)
+        s_hi[10:20] = np.minimum(s_hi[10:20], w)
+        s_hi[20:30] = np.minimum(s_hi[20:30], mu - w * e0)
         v_lo = rng.uniform(-0.3, 0.2, 40)
-        b_hi = b_lo + rng.uniform(1e-4, 0.5, 40)
         v_hi = v_lo + rng.uniform(1e-4, 0.3, 40)
-        kk, err, split_beta = oracle._panel_values(t, b_lo, b_hi, v_lo, v_hi, shift)
-        ref, ref_err, err_beta, err_nu, scale = _brute_force_panel_values(
-            t, b_lo, b_hi, v_lo, v_hi, shift)
+        kk, err, split_s = oracle._panel_values(t, maps, s_lo, s_hi, v_lo,
+                                                v_hi, res.log_norm)
+        ref, ref_err, err_s, err_nu, scale = _brute_force_panel_values(
+            t, maps, s_lo, s_hi, v_lo, v_hi, res.log_norm)
         assert np.all(np.abs(kk - ref) <= 1e-13 * scale)
         assert np.all(np.abs(err - ref_err) <= 1e-13 * scale.sum(axis=1))
-        clear = np.abs(err_beta - err_nu) > 1e-12 * scale.sum(axis=1)
+        clear = np.abs(err_s - err_nu) > 1e-12 * scale.sum(axis=1)
         assert clear.sum() > 30
-        np.testing.assert_array_equal(split_beta[clear],
-                                      (err_beta >= err_nu)[clear])
+        np.testing.assert_array_equal(split_s[clear], (err_s >= err_nu)[clear])
 
 
 class TestPriorKinks:
     # The LPTN and CTN densities kink at |z| = tau (kappa), which in
-    # (beta, nu) is the curve beta = mu +/- tau e^nu / lambda: no panel edge
-    # follows it, so panels must be split along the axis their error is in.
+    # (beta, nu) is the curve beta = mu +/- tau e^nu / lambda.  The oracle
+    # integrates the central band and the two tails as separate regions whose
+    # edges follow these curves, so no panel holds a kink.
+
+    @pytest.mark.parametrize("family, mu2, lam2, sigma_power", [
+        (LPTN(0.95), 0.5, 1.5, 0), (CTN(0.98), 0.4, 1.0, 0),
+        (CTN(0.98), 0.5, 0.3, 1), (CTN(0.98), 0.5, 101.0, 0)])
+    def test_no_panel_straddles_a_kink(self, family, mu2, lam2, sigma_power):
+        # Every 15 x 15 node block the oracle evaluates lies on one side of
+        # each kink curve.
+        t = reduced_target(N, mu2, lam2, family, sigma_power=sigma_power)
+        blocks = []
+        logpdf = t.logpdf
+
+        def recording(q):
+            if len(q) % 225 == 0:
+                blocks.append(q)
+            return logpdf(q)
+
+        t.logpdf = recording
+        res = quadrature_moments(t)
+        nodes = np.concatenate(blocks).reshape(-1, 225, 2)
+        assert len(nodes) == res.panels_evaluated
+        thr = getattr(family, "tau", None) or family.kappa
+        z = t.priors[0].lam * (nodes[..., 0] - mu2) * np.exp(-nodes[..., 1])
+        side = np.sign(z) * (np.abs(z) > thr)
+        assert np.all(side == side[:, :1])
+        assert len(np.unique(side[:, 0])) > 1
+
+    @pytest.mark.parametrize("family, mu2, lam2", [
+        (CTN(0.98), 0.4, 1.0), (CTN(0.98), 0.5, 1.02), (LPTN(0.95), 0.5, 1.0)])
+    def test_default_tol_meets_tight_reference(self, family, mu2, lam2):
+        # With panels straddling the kink the error estimate was fooled
+        # here: tol 1e-10 missed the tol-1e-13 mean by up to 2.3e-9.
+        t = reduced_target(N, mu2, lam2, family)
+        a = quadrature_moments(t, tol=1e-10)
+        b = quadrature_moments(t, tol=1e-13)
+        assert abs(a.mean - b.mean) < 1e-10
+        assert abs(a.sd - b.sd) < 1e-10
 
     def test_lptn_concentrated_scaling_point(self):
         # Splitting along the relatively wider side ran out of its 60,000
@@ -380,9 +432,10 @@ class TestPriorKinks:
         assert abs(res.mean - ref.mean) < 1e-6
 
     def test_lptn_panel_count(self):
-        # 12,597 panels when splitting along the relatively wider side.
+        # 12,597 final panels when splitting along the relatively wider side,
+        # and 1,365 while panels still straddled the kink.
         res = quadrature_moments(reduced_target(N, 0.5, 1.5, LPTN(0.95)))
-        assert res.n_panels < 3000
+        assert res.n_panels < 400
 
     @pytest.mark.parametrize("family, lam2", [(LPTN(0.95), 1.5),
                                               (CTN(0.98), 1.0)])
