@@ -229,6 +229,8 @@ class PowerAdjustedSigma:
     """
 
     def __init__(self, base, power):
+        if not float(power).is_integer():
+            raise ValueError(f"sigma power must be an integer, got {power!r}")
         self.base = base
         self.power = int(power)
 

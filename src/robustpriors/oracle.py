@@ -13,16 +13,18 @@ Three oracle routes live here:
 
 Integration happens in nu = log(sigma) so there is no boundary at zero: for
 proper targets the integrand decays super-exponentially in both directions.
-The search before the first panel is batched: the mode candidates are
-evaluated in one `logpdf` call together with their starting simplices, each
-Nelder-Mead iteration evaluates all its trial points in one call, and the
-bounding box comes from one call holding the whole doubling search (24 probe
-levels, two probes each, up to 1e6 widths, in four directions from the mode
-and from every candidate that carries non-negligible density).  The box edge
-along each direction is the first level whose probes fall below
-``peak * 1e-12``.  A 2-D target's row value does not depend on how many rows
-are evaluated with it, so this finds the same mode and box as evaluating one
-point at a time.
+The search before the first panel is batched.  The mode search evaluates a
+7 x 7 grid of spacing h around its best point in one `logpdf` call, moves to
+the grid's best point if that beats the centre, keeps h while the best point
+is on the outer ring (the maximum is not yet bracketed) and divides it by 3
+otherwise, until h < 1e-6: about 11 calls, the first holding the grids around
+all mode candidates.  The bounding box comes from one call holding the whole
+doubling search (24 probe levels, two probes each, up to 1e6 widths, in four
+directions from the mode and from every candidate that carries
+non-negligible density); its edge along each direction is the first level
+whose probes fall below ``peak * 1e-12``.  A 2-D target's row value does not
+depend on how many rows are evaluated with it, so this finds the same mode
+and box as evaluating one point at a time.
 
 The integration domain is cut into at most three regions along the prior's
 kinks.  The LPTN and CTN densities switch from the normal to their heavier
@@ -225,6 +227,8 @@ _G7_WEIGHTS = np.array([
     0.1294849661688697])
 
 _LOG_DROP = np.log(1e12)
+_INTEGRALS = ("f", "beta f", "beta^2 f", "e^{2nu} f (sigma^2)",
+              "e^{4nu} f (sigma^4)")
 _MAX_WIDTH = 1e6
 _EPS = 2.0 ** -52       # bounds the relative rounding error of one float op
 
@@ -236,7 +240,9 @@ class QuadratureResult:
     ``error`` is the summed Kronrod-Gauss error estimate of the final panels
     that the stop rule accepted; ``panels_evaluated`` counts every panel whose
     nodes were evaluated, including those later split (``n_panels`` counts
-    only the final ones).
+    only the final ones).  ``mode`` is the search's best point, an anchor for
+    the box, panels and shift; on an LPTN or CTN kink ridge it need not be
+    the exact maximizer.
     """
 
     mean: float
@@ -255,35 +261,28 @@ class QuadratureResult:
         return self.sd ** 2
 
 
-def _nelder_mead(f, simplex, vals, maxiter=300):
-    """Deterministic simplex minimizer; enough to localize the mode.
+# The mode search's grid, in units of its spacing: row 24 is the centre.
+_GRID = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], float)
+_RING = np.abs(_GRID).max(axis=1) == 3.0
+_GRID_STEP, _MIN_STEP = 0.05, 1e-6
 
-    ``f`` maps an (m, d) array of points to their (m,) values, and
-    ``simplex``/``vals`` are the evaluated starting simplex.  Each iteration
-    evaluates its reflection, expansion and contraction points and the
-    shrunk simplex in one call, then picks among them by the usual rules.
+
+def _grid_search(target, grid, vals, maxiter=300):
+    """Best point and value of a grid-contraction search from the evaluated
+    first grid ``grid``/``vals``, centre + _GRID_STEP * _GRID.
     """
+    mode, f0, h = grid[24], vals[24], _GRID_STEP
     for _ in range(maxiter):
-        order = np.argsort(vals)
-        simplex, vals = simplex[order], vals[order]
-        if abs(vals[-1] - vals[0]) < 1e-12 and np.max(np.abs(simplex[-1] - simplex[0])) < 1e-9:
+        i = int(np.argmax(vals))
+        moved = vals[i] > f0
+        if moved:
+            mode, f0 = grid[i], vals[i]
+        h /= 1.0 if moved and _RING[i] else 3.0
+        if h < _MIN_STEP:
             break
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        xe = centroid + 2.0 * (centroid - simplex[-1])
-        xc = centroid + 0.5 * (simplex[-1] - centroid)
-        shrunk = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-        fr, fe, fc, *f_shrunk = f(np.vstack([xr, xe, xc, shrunk]))
-        if fr < vals[0]:
-            simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = xr, fr
-        elif fc < vals[-1]:
-            simplex[-1], vals[-1] = xc, fc
-        else:
-            simplex[1:], vals[1:] = shrunk, f_shrunk
-    best = int(np.argmin(vals))
-    return simplex[best], vals[best]
+        grid = mode + h * _GRID
+        vals = target.logpdf(grid)
+    return mode, f0
 
 
 def _probe_offsets():
@@ -348,11 +347,10 @@ def _panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
     coordinates, mapped to beta = a0 + a1 e^nu + s (b0 + b1 e^nu) by the
     row (a0, a1, b0, b1) of ``maps``, (k, 4); the other panel arrays are
     (k,).  Returns the (k, 5) K15 x K15 estimates of the integrals of f,
-    beta f, beta^2 f, e^{2nu} f and e^{4nu} f, the (k,) error estimate
-    |K15 x K15 - G7 x G7| summed over components, and a (k,) bool that is
-    True where the panel's error comes more from s than from nu: there the
-    G7 rule in s alone (K15 in nu) moves the estimate at least as much as
-    the G7 rule in nu alone.
+    beta f, beta^2 f, e^{2nu} f and e^{4nu} f, their (k, 5) error estimates
+    |K15 x K15 - G7 x G7|, and a (k,) bool that is True where the panel's
+    error comes more from s than from nu: there the G7 rule in s alone (K15
+    in nu) moves the estimate at least as much as the G7 rule in nu alone.
     """
     k = len(s_lo)
     hs = 0.5 * (s_hi - s_lo)
@@ -391,7 +389,7 @@ def _panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
     # kk: K15 x K15, gk: G7 in s only, kg: G7 in nu only, gg: G7 x G7.
     kk, gk, kg, gg = (comps[:, :, rs, rv]
                       for rs, rv in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    err = np.abs(kk - gg).sum(axis=1)
+    err = np.abs(kk - gg)
     split_s = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
     return kk, err, split_s
 
@@ -460,9 +458,9 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     """Posterior mean/sd of the coefficient and of sigma^2 by 2-D quadrature.
 
     Only two-parameter targets are supported (higher-dimensional posteriors
-    are the sampler's job).  The mode is found by a Nelder-Mead search from
-    the best of a few candidates (least squares, the prior location and two
-    blends), and the bounding box by a doubling search from the mode and
+    are the sampler's job).  The mode is found by a grid-contraction search
+    from the best of a few candidates (least squares, the prior location and
+    two blends), and the bounding box by a doubling search from the mode and
     every candidate within 1e12 of its density; both searches batch their
     `logpdf` calls (see the module docstring).  ``tol`` is the absolute
     tolerance on the summed error estimate of the mode-normalized integrals.
@@ -480,8 +478,8 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
 
     # Mode candidates: least-squares point, prior locations, and a blend.
-    # Each candidate is evaluated with the simplex a search from it would
-    # start with, so the best one's simplex needs no second call.
+    # Each is evaluated at the centre of the first grid a search from it
+    # would use, so the best one's grid needs no second call.
     ols = float(np.linalg.solve(target._XtX, target._Xty)[0])
     cand_b = [ols]
     prior = target.priors[0]
@@ -490,18 +488,14 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
         shrink = prior.lam ** 2 / (target.n + prior.lam ** 2)
         cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
     cands = np.array([[b, 0.0] for b in cand_b])
-    simplices = np.repeat(cands[:, None, :], 3, axis=1)       # (k, 3, 2)
-    simplices[:, 1, 0] += 0.05
-    simplices[:, 2, 1] += 0.05
-    vals = target.logpdf(simplices.reshape(-1, 2)).reshape(-1, 3)
-    best = int(np.argmax(vals[:, 0]))
-    mode, neg = _nelder_mead(lambda q: -target.logpdf(q), simplices[best],
-                             -vals[best])
-    f0 = -neg
+    grids = cands[:, None, :] + _GRID_STEP * _GRID            # (k, 49, 2)
+    vals = target.logpdf(grids.reshape(-1, 2)).reshape(len(cands), -1)
+    best = int(np.argmax(vals[:, 24]))
+    mode, f0 = _grid_search(target, grids[best], vals[best])
 
     # Box = union of per-candidate expansions over all candidates that carry
     # non-negligible density (catches secondary bumps at prior locations).
-    keep = np.vstack([mode, cands[vals[:, 0] > f0 - _LOG_DROP]])
+    keep = np.vstack([mode, cands[vals[:, 24] > f0 - _LOG_DROP]])
     dist = _box_distances(target, keep, f0)
     b_lo = np.min(keep[:, 0] - dist[:, 0, 0])
     b_hi = np.max(keep[:, 0] + dist[:, 0, 1])
@@ -511,7 +505,7 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     box = (b_lo, b_hi, v_lo, v_hi)
     panels, maps = _initial_panels(prior, box, mode)
 
-    store = {}      # id -> (panel, estimate (5,), err, split along s)
+    store = {}      # id -> (panel, estimate (5,), err, split along s, errs)
     heap = []       # (-err, id), one entry per stored panel
     next_id = 0
     # Running total of the panel errors, and a bound on its rounding drift.
@@ -526,11 +520,12 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     def add_panels(batch):
         nonlocal next_id, running, drift
         arr = np.asarray(batch)
-        k_est, err, split_s = _panel_values(
+        k_est, errs, split_s = _panel_values(
             target, maps[arr[:, 4].astype(int)], arr[:, 0], arr[:, 1],
             arr[:, 2], arr[:, 3], f0)
-        for row, est, e, ss in zip(batch, k_est, err, split_s):
-            store[next_id] = (row, est, float(e), bool(ss))
+        for row, est, e, ss, es in zip(batch, k_est, errs.sum(axis=1),
+                                       split_s, errs):
+            store[next_id] = (row, est, float(e), bool(ss), es)
             heapq.heappush(heap, (-float(e), next_id))
             next_id += 1
             running += float(e)
@@ -541,18 +536,21 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     while True:
         slack = drift + len(store) * _EPS * running
         if not running - slack > tol or len(store) > max_panels:
-            total_err = sum(e for _, _, e, _ in store.values())
+            total_err = sum(e for _, _, e, _, _ in store.values())
             if total_err <= tol:
                 break
             if len(store) > max_panels:
+                errs = np.sum([es for *_, es in store.values()], axis=0)
                 raise NumericalError(
                     f"quadrature needs more than {max_panels} panels to reach "
-                    f"tol={tol:g} (error {total_err:g})")
+                    f"tol={tol:g}; the integral of {_INTEGRALS[errs.argmax()]} "
+                    f"carries the largest part, {errs.max():g}, and no budget "
+                    f"meets tol if it is infinite (error {total_err:g})")
             running, drift = total_err, len(store) * _EPS * total_err
         # Split the worst panels; ties broken by id so runs are reproducible.
         children = []
         for _ in range(min(chunk, len(heap))):
-            (slo, shi, vlo, vhi, r), _, e, split_s = store.pop(
+            (slo, shi, vlo, vhi, r), _, e, split_s, _ = store.pop(
                 heapq.heappop(heap)[1])
             running -= e
             drift += _EPS * abs(running)

@@ -143,6 +143,16 @@ class TestSigmaPriors:
         assert sp.log_density_nu(0.3) == pytest.approx(-0.3 + 2 * 0.3)
         assert sp.dlog_dnu(0.3) == pytest.approx(1.0)
 
+    def test_power_must_be_integral(self):
+        # A fractional power was truncated: sigma_power=0.5 ran as 0.
+        assert PowerAdjustedSigma(JeffreysSigma(), 1.0).power == 1
+        assert PowerAdjustedSigma(JeffreysSigma(), np.int64(-2)).power == -2
+        for power in (0.5, 100.5, -1.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="integer"):
+                PowerAdjustedSigma(JeffreysSigma(), power)
+        with pytest.raises(ValueError, match="integer"):
+            reduced_target(N, 0.5, 1.0, None, sigma_power=0.5)
+
 
 class TestReducedTarget:
     def test_appendix_difference_identity(self):

@@ -159,6 +159,19 @@ class TestQuadrature:
         with pytest.raises(NumericalError, match="integrable"):
             quadrature_moments(t)
 
+    @pytest.mark.parametrize("family, sigma_power, integral", [
+        (LPTN(0.95), 100, "e^{4nu} f (sigma^4)"),
+        (LPTN(0.95), 97, "e^{4nu} f (sigma^4)"), (Student(4), 0, "f")])
+    def test_panel_budget_names_integral(self, family, sigma_power, integral):
+        # sigma^100 against the Jeffreys base leaves both sigma^2 moments
+        # infinite and sigma^97 its variance, while beta's mean and sd exist;
+        # the budget error names the integral that cannot converge.  A
+        # finite target stopped early names the one with most error left.
+        t = reduced_target(N, 0.5, 1.0, family, sigma_power=sigma_power)
+        with pytest.raises(NumericalError) as exc:
+            quadrature_moments(t, max_panels=300 if sigma_power else 40)
+        assert f"the integral of {integral} carries" in str(exc.value)
+
     def test_panel_budget(self):
         # The budget check runs every round, whatever the running error
         # total says, and reports the summed error of the live panels.
@@ -180,41 +193,27 @@ class TestQuadrature:
 # Sequential reference versions of the mode and box search, one point per
 # `logpdf` call.  The oracle's batched search must find exactly what they find.
 
-def _reference_nelder_mead(f, x0, steps, maxiter=300):
-    # Returns the minimizer, its value and the iterations that evaluated.
-    pts = [np.asarray(x0, dtype=float)]
-    for i, s in enumerate(steps):
-        q = pts[0].copy()
-        q[i] += s
-        pts.append(q)
-    simplex = np.asarray(pts)
-    vals = np.array([f(q) for q in simplex])
-    iterations = 0
+def _reference_grid_search(logf, centre, h=0.05, maxiter=300):
+    # Returns the maximizer, its value and the grids it evaluated.
+    offsets = [np.array([i, j], dtype=float)
+               for i in range(-3, 4) for j in range(-3, 4)]
+    mode, f0 = centre, logf(centre)
+    grid = [mode + h * o for o in offsets]
+    vals = [logf(q) for q in grid]
+    grids = 1
     for _ in range(maxiter):
-        order = np.argsort(vals)
-        simplex, vals = simplex[order], vals[order]
-        if abs(vals[-1] - vals[0]) < 1e-12 and np.max(np.abs(simplex[-1] - simplex[0])) < 1e-9:
-            break
-        iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(xe)
-            simplex[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < vals[-2]:
-            simplex[-1], vals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = f(xc)
-            if fc < vals[-1]:
-                simplex[-1], vals[-1] = xc, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                vals[1:] = [f(q) for q in simplex[1:]]
-    best = int(np.argmin(vals))
-    return simplex[best], vals[best], iterations
+        i = int(np.argmax(vals))
+        moved = vals[i] > f0
+        if moved:
+            mode, f0 = grid[i], vals[i]
+        if not (moved and np.max(np.abs(offsets[i])) == 3):
+            h /= 3.0
+            if h < 1e-6:
+                break
+        grid = [mode + h * o for o in offsets]
+        vals = [logf(q) for q in grid]
+        grids += 1
+    return mode, f0, grids
 
 
 def _reference_expand_axis(logf, point, f0, axis, sign):
@@ -235,7 +234,7 @@ def _reference_expand_axis(logf, point, f0, axis, sign):
 
 
 def _reference_search(target):
-    """(mode, box, Nelder-Mead iterations) found one point at a time."""
+    """(mode, box, grids of the mode search) found one point at a time."""
     def logf(pt):
         return float(target.logpdf(pt[None, :])[0])
 
@@ -248,15 +247,13 @@ def _reference_search(target):
         cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
     cands = [np.array([b, 0.0]) for b in cand_b]
     vals = [logf(c) for c in cands]
-    mode, neg, iterations = _reference_nelder_mead(
-        lambda q: -logf(q), cands[int(np.argmax(vals))], steps=[0.05, 0.05])
-    f0 = -neg
+    mode, f0, grids = _reference_grid_search(logf, cands[int(np.argmax(vals))])
     keep = [mode] + [c for c in cands if logf(c) > f0 - oracle._LOG_DROP]
     box = (min(c[0] - _reference_expand_axis(logf, c, f0, 0, -1.0) for c in keep),
            max(c[0] + _reference_expand_axis(logf, c, f0, 0, +1.0) for c in keep),
            min(c[1] - _reference_expand_axis(logf, c, f0, 1, -1.0) for c in keep),
            max(c[1] + _reference_expand_axis(logf, c, f0, 1, +1.0) for c in keep))
-    return (float(mode[0]), float(mode[1])), box, iterations
+    return (float(mode[0]), float(mode[1])), box, grids
 
 
 SEARCH_TARGETS = [
@@ -305,15 +302,25 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("tag, kwargs", SEARCH_TARGETS[::2])
     def test_logpdf_calls_before_first_panel(self, tag, kwargs):
+        # One call for the candidates' grids, one per further grid (about
+        # ten) and one for the box.
         t = reduced_target(N, **kwargs)
-        _, _, iterations = _reference_search(t)
+        _, _, grids = _reference_search(t)
         rows = []
         logpdf = t.logpdf
         t.logpdf = lambda q: rows.append(len(q)) or logpdf(q)
         quadrature_moments(t)
         assert 1 not in rows
         first_panels = next(i for i, m in enumerate(rows) if m % 225 == 0)
-        assert first_panels <= iterations + 3
+        assert first_panels == grids + 1
+        assert first_panels <= 16
+
+    def test_mode_on_lptn_kink_ridge(self):
+        # The posterior's ridge follows a kink curve here.  Nelder-Mead
+        # stalled on it at log density -146.3613; the grid reaches -146.3409.
+        t = reduced_target(N, 0.5, 0.94, LPTN(0.95))
+        res = quadrature_moments(t)
+        assert t.logpdf(np.array(res.mode))[0] > -146.35
 
 
 def _brute_force_panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
@@ -344,7 +351,7 @@ def _brute_force_panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
         gk = np.array([rule(wg, g, wk, k, c) for c in comps])
         kg = np.array([rule(wk, k, wg, g, c) for c in comps])
         scale = np.array([rule(wk, k, wk, k, np.abs(c)) for c in comps])
-        out.append((kk, np.abs(kk - gg).sum(), np.abs(kk - gk).sum(),
+        out.append((kk, np.abs(kk - gg), np.abs(kk - gk).sum(),
                     np.abs(kk - kg).sum(), scale))
     return [np.array(x) for x in zip(*out)]
 
@@ -375,7 +382,7 @@ class TestPanelValues:
         ref, ref_err, err_s, err_nu, scale = _brute_force_panel_values(
             t, maps, s_lo, s_hi, v_lo, v_hi, res.log_norm)
         assert np.all(np.abs(kk - ref) <= 1e-13 * scale)
-        assert np.all(np.abs(err - ref_err) <= 1e-13 * scale.sum(axis=1))
+        assert np.all(np.abs(err - ref_err) <= 1e-13 * scale)
         clear = np.abs(err_s - err_nu) > 1e-12 * scale.sum(axis=1)
         assert clear.sum() > 30
         np.testing.assert_array_equal(split_s[clear], (err_s >= err_nu)[clear])
