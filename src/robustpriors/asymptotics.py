@@ -116,22 +116,28 @@ def _grid(grid, default):
     return g
 
 
+def _prior_ratio(family, lam, sigma, beta, mu_grid, trace_power, label):
+    # Scaled over unscaled prior density of one family along a location
+    # drift; the ratio tends to (sigma/lam)^trace_power.
+    if lam <= 0 or sigma <= 0:
+        raise ValueError("lam and sigma must be positive")
+    mu = _grid(mu_grid, DEFAULT_POINTWISE_GRID)
+    scale = lam / sigma
+    log_ratio = (np.log(scale) + family.log_density(scale * (beta - mu))
+                 - family.log_density(mu))
+    return RatioSeries(mu, np.exp(log_ratio),
+                       target=(sigma / lam) ** trace_power,
+                       family=family.name, label=label)
+
+
 def prior_ratio_student(lam, sigma, beta, gamma, mu_grid=None):
     """Student scaled/unscaled prior density ratio along a location drift.
 
     The ratio ``(lam/sigma) g((lam/sigma)(beta - mu)) / g(mu)`` tends to
     ``(sigma/lam)^gamma`` as the location goes to infinity.
     """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    mu = _grid(mu_grid, DEFAULT_POINTWISE_GRID)
-    fam = Student(gamma)
-    scale = lam / sigma
-    log_ratio = (np.log(scale) + fam.log_density(scale * (beta - mu))
-                 - fam.log_density(mu))
-    return RatioSeries(mu, np.exp(log_ratio), target=(sigma / lam) ** gamma,
-                       family="student",
-                       label=f"student gamma={gamma} lam={lam} sigma={sigma}")
+    return _prior_ratio(Student(gamma), lam, sigma, beta, mu_grid, gamma,
+                        f"student gamma={gamma} lam={lam} sigma={sigma}")
 
 
 def prior_ratio_lptn(lam, sigma, beta, rho, mu_grid=None):
@@ -140,15 +146,8 @@ def prior_ratio_lptn(lam, sigma, beta, rho, mu_grid=None):
     Asymptotic location-scale invariance: the limit is 1 no matter the
     scale, at a log-polynomial rate.
     """
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    mu = _grid(mu_grid, DEFAULT_POINTWISE_GRID)
-    fam = LPTN(rho)
-    scale = lam / sigma
-    log_ratio = (np.log(scale) + fam.log_density(scale * (beta - mu))
-                 - fam.log_density(mu))
-    return RatioSeries(mu, np.exp(log_ratio), target=1.0, family="lptn",
-                       label=f"lptn rho={rho} lam={lam} sigma={sigma}")
+    return _prior_ratio(LPTN(rho), lam, sigma, beta, mu_grid, 0,
+                        f"lptn rho={rho} lam={lam} sigma={sigma}")
 
 
 @dataclass
@@ -205,18 +204,15 @@ def prior_limit_ctn(beta, varrho, regime, lam=1.0, mu=None, sigma=1.0,
         raise ValueError("sigma must be positive")
     fam = CTN(varrho)
     if regime == "location":
-        mu_grid = _grid(grid, DEFAULT_POINTWISE_GRID)
-        scale = lam / sigma
-        z = scale * (beta - mu_grid)
-        axis = mu_grid
+        axis = _grid(grid, DEFAULT_POINTWISE_GRID)
+        z = (lam / sigma) * (beta - axis)
         label = f"ctn location varrho={varrho} lam={lam}"
     elif regime == "scaling":
         if mu is None or mu == beta:
             raise ValueError("scaling regime needs a fixed mu different "
                              "from beta")
-        lam_grid = _grid(grid, DEFAULT_POINTWISE_GRID)
-        z = (lam_grid / sigma) * (beta - mu)
-        axis = lam_grid
+        axis = _grid(grid, DEFAULT_POINTWISE_GRID)
+        z = (axis / sigma) * (beta - mu)
         label = f"ctn scaling varrho={varrho} mu={mu}"
     else:
         raise ValueError(f"unknown regime {regime!r}")
@@ -250,22 +246,14 @@ def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
     construction (its normalizer is 1 and the limit is itself).
     """
     omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
-    sqrt_n = np.sqrt(n)
-
     if path.conflicts_scaling:
         if not isinstance(family, CTN):
             raise ValueError("scaling-conflict limits hold for the "
                              "constant-tailed family only")
         _check_limit_condition(n, 1, 0)
         bar = limiting_reduced_target(n, n_ctn_conflicts=1)
-        log_mbar = quadrature_moments(bar, tol=quad_tol).log_norm
-        ratios = []
-        for w in omega:
-            lam2 = float(path.lam(w))
-            target = reduced_target(n, mu2=path.a, lambda2=lam2, family=family)
-            log_mw = quadrature_moments(target, tol=quad_tol).log_norm
-            log_norm = np.log(lam2 * sqrt_n) + np.log(normal_pdf(family.kappa))
-            ratios.append(np.exp(log_mw - log_norm - log_mbar))
+        log_norms = [np.log(float(path.lam(w)) * np.sqrt(n))
+                     + np.log(normal_pdf(family.kappa)) for w in omega]
         label = f"scaling-conflict marginal ratio (ctn, d={path.d})"
     elif path.conflicts_location:
         if not isinstance(family, LPTN):
@@ -273,19 +261,22 @@ def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
                              "log-Pareto-tailed family only")
         _check_limit_condition(n, 1, 1)
         bar = limiting_reduced_target(n)
-        log_mbar = quadrature_moments(bar, tol=quad_tol).log_norm
-        ratios = []
-        for w in omega:
-            mu2 = float(path.mu(w))
-            target = reduced_target(n, mu2=mu2, lambda2=path.c, family=family)
-            log_mw = quadrature_moments(target, tol=quad_tol).log_norm
-            ratios.append(np.exp(log_mw - family.log_density(mu2) - log_mbar))
+        log_norms = [family.log_density(float(path.mu(w))) for w in omega]
         label = f"location-conflict marginal ratio (lptn, b={path.b})"
     else:
         target = reduced_target(n, mu2=path.a, lambda2=path.c, family=family)
         log_m = quadrature_moments(target, tol=quad_tol).log_norm
-        ratios = [1.0 for _ in omega]  # m_omega / m_omega, normalizers empty
-        label = f"no-conflict path (log m = {log_m:.6f})"
+        # m_omega / m_omega: the normalizers are empty.
+        return RatioSeries(omega, np.ones(len(omega)), target=1.0,
+                           family=family.name,
+                           label=f"no-conflict path (log m = {log_m:.6f})")
+    log_mbar = quadrature_moments(bar, tol=quad_tol).log_norm
+    ratios = []
+    for w, log_norm in zip(omega, log_norms):
+        target = reduced_target(n, mu2=float(path.mu(w)),
+                                lambda2=float(path.lam(w)), family=family)
+        log_mw = quadrature_moments(target, tol=quad_tol).log_norm
+        ratios.append(np.exp(log_mw - log_norm - log_mbar))
     return RatioSeries(omega, np.asarray(ratios), target=1.0,
                        family=family.name, label=label)
 
@@ -300,10 +291,6 @@ class SummaryComparison:
     limiting_mean: float
     limiting_sd: float
     family: str
-
-    def rows(self):
-        for w, m, s in zip(self.omega, self.mean, self.sd):
-            yield {"omega": w, "mean": m, "sd": s}
 
 
 def limiting_summary_comparison(path, family, n=100, omega_grid=None,
@@ -323,10 +310,8 @@ def limiting_summary_comparison(path, family, n=100, omega_grid=None,
         res = quadrature_moments(target, tol=quad_tol)
         means.append(res.mean)
         sds.append(res.sd)
-    if path.conflicts_scaling and isinstance(family, CTN):
-        bar = limiting_reduced_target(n, n_ctn_conflicts=1)
-    else:
-        bar = limiting_reduced_target(n)
+    bar = limiting_reduced_target(
+        n, n_ctn_conflicts=int(path.conflicts_scaling and isinstance(family, CTN)))
     bar_res = quadrature_moments(bar, tol=quad_tol)
     return SummaryComparison(omega=omega, mean=np.asarray(means),
                              sd=np.asarray(sds),

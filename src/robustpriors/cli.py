@@ -21,7 +21,6 @@ configurations and seeds produce byte-identical files.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -33,7 +32,7 @@ from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           write_series_csv)
 from .model import (DataError, JeffreysSigma, InverseGammaSigmaSq,
                     PowerAdjustedSigma, PosteriorTarget, load_csv,
-                    reduced_target, standardize)
+                    reduced_target, standardize, write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student
@@ -63,6 +62,32 @@ def default_lambda2_grid():
     return grid
 
 
+# Located prior families by spec name: constructor, the spec key of the
+# family's shape parameter and that parameter's default.  Sweeps also take
+# ``ctn_corrected``: the CTN family under a sigma^{+1} correction.
+_LOCATED = {"normal": (Normal, None, None),
+            "student": (Student, "gamma", 4.0),
+            "lptn": (LPTN, "rho", 0.95),
+            "ctn": (CTN, "rho", 0.98)}
+
+
+def _spec_options(rest, spec):
+    # ``key=value,...`` as floats by key; spaces around keys and values are
+    # allowed.
+    opts = {}
+    if rest:
+        for item in rest.split(","):
+            key, eq, val = item.partition("=")
+            if not eq:
+                raise ConfigError(f"bad option {item!r} in {spec!r}: "
+                                  "expected key=value")
+            try:
+                opts[key.strip()] = float(val)
+            except ValueError:
+                raise ConfigError(f"non-numeric value in {item!r}") from None
+    return opts
+
+
 def parse_prior_spec(spec):
     """Parse ``family[:key=value,...]`` into a prior factory.
 
@@ -73,39 +98,20 @@ def parse_prior_spec(spec):
     """
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ConfigError(f"bad prior option {item!r} in {spec!r}")
-            try:
-                opts[key.strip()] = float(val)
-            except ValueError:
-                raise ConfigError(f"non-numeric value in {item!r}") from None
-
-    def take(key, default):
-        return opts.pop(key, default)
-
+    opts = _spec_options(rest, spec)
+    if name == "jeffreys":
+        if opts:
+            raise ConfigError(f"the flat prior takes no options, got {spec!r}")
+        return None
+    if name not in _LOCATED:
+        raise ConfigError(f"unknown prior family {name!r}")
+    make, key, default = _LOCATED[name]
     try:
-        if name == "jeffreys":
-            family = None
-        elif name == "normal":
-            family = Normal()
-        elif name == "student":
-            family = Student(take("gamma", 4.0))
-        elif name == "lptn":
-            family = LPTN(take("rho", 0.95))
-        elif name == "ctn":
-            family = CTN(take("rho", 0.98))
-        else:
-            raise ConfigError(f"unknown prior family {name!r}")
-        mu = take("mu", 0.0)
-        lam = take("lambda", 1.0)
+        family = make() if key is None else make(opts.pop(key, default))
+        mu = opts.pop("mu", 0.0)
+        lam = opts.pop("lambda", 1.0)
         if opts:
             raise ConfigError(f"unknown prior options {sorted(opts)} in {spec!r}")
-        if family is None:
-            return None
         return CoefficientPrior(mu=mu, lam=lam, family=family)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -126,17 +132,18 @@ def parse_sigma_prior_spec(spec):
     name, _, rest = base_spec.partition(":")
     name = name.strip().lower()
     try:
+        opts = _spec_options(rest, spec)
         if name == "jeffreys":
             base = JeffreysSigma()
         elif name == "invgamma":
-            opts = dict(item.split("=") for item in rest.split(",") if item)
-            base = InverseGammaSigmaSq(float(opts.pop("shape")),
-                                       float(opts.pop("scale")))
-            if opts:
-                raise ConfigError(f"unknown sigma-prior options {sorted(opts)}")
+            base = InverseGammaSigmaSq(opts.pop("shape"), opts.pop("scale"))
         else:
             raise ConfigError(f"unknown sigma prior {name!r}")
-    except (KeyError, ValueError) as exc:
+        if opts:
+            raise ConfigError(f"unknown sigma-prior options {sorted(opts)}")
+    except KeyError as exc:
+        raise ConfigError(f"bad sigma prior {spec!r}: missing option {exc}") from None
+    except ValueError as exc:
         raise ConfigError(f"bad sigma prior {spec!r}: {exc}") from None
     return PowerAdjustedSigma(base, k) if k else base
 
@@ -212,7 +219,7 @@ def _derive_path(path, suffix):
     return f"{stem}{suffix}.{ext}"
 
 
-def _sweep_point(family_tag, hyper, axis_mu2, axis_lambda2, n, method, args):
+def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, method, args):
     """Posterior mean/sd of the focal coefficient at one sweep grid point."""
     if family_tag == "jeffreys":
         mean, var = jeffreys_benchmark(n)
@@ -220,24 +227,15 @@ def _sweep_point(family_tag, hyper, axis_mu2, axis_lambda2, n, method, args):
     if family_tag == "normal":
         res = conjugate_posterior(n, axis_mu2, axis_lambda2)
         return res.beta_mean, float(np.sqrt(res.beta_variance))
-    family = {"student": lambda: Student(hyper),
-              "lptn": lambda: LPTN(hyper),
-              "ctn": lambda: CTN(hyper),
-              "ctn_corrected": lambda: CTN(hyper)}[family_tag]()
-    sigma_power = 1 if family_tag == "ctn_corrected" else 0
     target = reduced_target(n, mu2=axis_mu2, lambda2=axis_lambda2,
-                            family=family, sigma_power=sigma_power)
+                            family=family,
+                            sigma_power=1 if family_tag == "ctn_corrected" else 0)
     if method == "quad":
         res = quadrature_moments(target, tol=args.quad_tol)
         return res.mean, res.sd
     chains = sample(target, _hmc_config(args))
     row = summarize(chains).row("beta_1")
     return float(row["mean"]), float(row["sd"])
-
-
-def _default_hyper(family_tag):
-    return {"student": 4.0, "lptn": 0.95, "ctn": 0.98,
-            "ctn_corrected": 0.98}.get(family_tag)
 
 
 def cmd_sweep(args):
@@ -253,12 +251,8 @@ def cmd_sweep(args):
     else:
         grid = default_mu2_grid() if args.axis == "mu2" else default_lambda2_grid()
 
-    hyper_lists = {
-        "student": args.gamma or [_default_hyper("student")],
-        "lptn": args.rho or [_default_hyper("lptn")],
-        "ctn": args.varrho or [_default_hyper("ctn")],
-        "ctn_corrected": args.varrho or [_default_hyper("ctn_corrected")],
-    }
+    # Shape values per located family: its repeatable flag, else the default.
+    hyper_flags = {"student": args.gamma, "lptn": args.rho, "ctn": args.varrho}
     comments = _config_comments(args, extra=[
         f"grid = {','.join(repr(g) for g in grid)}",
         "prior inverse-scale includes the sqrt(n) factor of the reduced "
@@ -266,22 +260,21 @@ def cmd_sweep(args):
 
     rows = []
     for family_tag in families:
-        for hyper in hyper_lists.get(family_tag, [None]):
+        located = family_tag.removesuffix("_corrected")
+        make, _, default = _LOCATED.get(located, (None, None, None))
+        for hyper in hyper_flags.get(located) or [default]:
+            family = None if hyper is None else make(hyper)
             for g in grid:
                 mu2 = g if args.axis == "mu2" else args.mu2
                 lam2 = g if args.axis == "lambda2" else args.lambda2
-                mean, sd = _sweep_point(family_tag, hyper, mu2, lam2,
+                mean, sd = _sweep_point(family_tag, family, mu2, lam2,
                                         args.n, args.method, args)
                 rows.append([family_tag,
                              "" if hyper is None else repr(float(hyper)),
                              repr(float(mu2)), repr(float(lam2)),
                              repr(float(mean)), repr(float(sd))])
-    with open(args.out, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["family", "hyper", "mu2", "lambda2", "mean", "sd"])
-        writer.writerows(rows)
+    write_commented_csv(args.out, ["family", "hyper", "mu2", "lambda2", "mean",
+                                   "sd"], rows, comments)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -347,12 +340,8 @@ def cmd_check(args):
         print(f"{claim}: {verdict} (terminal error {err:.3e}, "
               f"threshold {threshold:g})")
     comments = _config_comments(args)
-    with open(args.out, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["claim", "terminal_error", "threshold", "verdict"])
-        writer.writerows(rows)
+    write_commented_csv(args.out, ["claim", "terminal_error", "threshold",
+                                   "verdict"], rows, comments)
     series_path = _derive_path(args.out, "_series")
     write_series_csv(series, series_path, comments=comments)
     print(f"wrote {args.out} and {series_path}")

@@ -178,6 +178,16 @@ def load_csv(path):
     return data, names
 
 
+def write_commented_csv(path, header, rows, comments=()):
+    """Write ``#``-prefixed comment lines, then a header row and the rows."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # Priors on sigma, parameterized by nu = log(sigma).  Each returns the log
 # of pi(sigma = e^nu) without the change-of-variables Jacobian, which the

@@ -194,12 +194,9 @@ def limiting_target_resolved(target, conflict_indices, sigma_prior=None):
 
 def limiting_target_ctn(target, conflict_indices):
     """Limit of `target` for constant-tailed conflicts: sigma^{-|C|} trace."""
-    priors = list(target.priors)
-    for j in conflict_indices:
-        priors[j] = None
-    sp = PowerAdjustedSigma(target.sigma_prior, -len(conflict_indices))
-    return PosteriorTarget(target.data, priors, sigma_prior=sp,
-                           error_family=target.error_family)
+    return limiting_target_resolved(
+        target, conflict_indices,
+        PowerAdjustedSigma(target.sigma_prior, -len(conflict_indices)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ central interval is exact by construction.  At the tail kinks the gradient
 returns the interior branch value; the kink set has null measure, which is
 all gradient-based samplers need.
 
-Instances are immutable after construction and safe for concurrent use.
+The families are frozen dataclasses: immutable, equal and hashed by their
+parameter, and safe for concurrent use.  Derived constants such as ``tau``
+are attributes, not fields, so the repr reads ``LPTN(rho=0.95)``.
 """
 
 import math
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import LOG_INV_SQRT_2PI, normal_cdf, normal_inv_cdf, normal_pdf
+from .specfun import (LOG_INV_SQRT_2PI, _finite_map, normal_cdf,
+                      normal_inv_cdf, normal_pdf)
 
 __all__ = ["Normal", "Student", "LPTN", "CTN", "CoefficientPrior",
            "LPTN_RHO_LOWER"]
@@ -49,30 +52,43 @@ __all__ = ["Normal", "Student", "LPTN", "CTN", "CoefficientPrior",
 LPTN_RHO_LOWER = 2.0 * normal_cdf(1.0) - 1.0
 
 
-def _check_z(z):
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("z must be finite")
-    return arr
-
-
 def _std_normal_log_pdf(z):
     # Shared central branch of all four families.
     return LOG_INV_SQRT_2PI - 0.5 * z * z
 
 
-def _maybe_scalar(out, z):
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+def _derive(family, **values):
+    # A frozen dataclass sets the attributes derived from its fields here.
+    for key, value in values.items():
+        object.__setattr__(family, key, value)
 
 
-def _public(kernel, z, check):
-    # What log_density and grad_log_density share: validate z and unwrap a
-    # scalar result, or hand a finite float array straight to the kernel.
-    if not check:
-        return kernel(z)
-    return _maybe_scalar(kernel(_check_z(z)), z)
+def _family(cls):
+    """Make ``cls`` a frozen dataclass with the public density methods.
+
+    They are set on the class itself, not inherited, so each family's own
+    namespace holds them.  With ``check`` they validate ``z`` and return a
+    float for scalar input; without, they pass a finite float array straight
+    to the ``_log``/``_grad`` kernel.
+    """
+    cls = dataclass(frozen=True)(cls)
+
+    def log_density(self, z, check=True):
+        return _finite_map(self._log, z) if check else self._log(z)
+
+    def grad_log_density(self, z, check=True):
+        return _finite_map(self._grad, z) if check else self._grad(z)
+
+    def density(self, z):
+        return np.exp(self.log_density(z))
+
+    for method in (log_density, grad_log_density, density):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
 
 
+@_family
 class Normal:
     """Standard normal density with score -z."""
 
@@ -85,22 +101,8 @@ class Normal:
     def _grad(self, z):
         return -z
 
-    def log_density(self, z, check=True):
-        return _public(self._log, z, check)
 
-    def grad_log_density(self, z, check=True):
-        return _public(self._grad, z, check)
-
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
-    def __repr__(self):
-        return "Normal()"
-
-    def __eq__(self, other):
-        return isinstance(other, Normal)
-
-
+@_family
 class Student:
     """Student density with ``gamma`` degrees of freedom, fully normalized.
 
@@ -111,13 +113,16 @@ class Student:
     is_proper = True
     name = "student"
 
-    def __init__(self, gamma):
-        if not (np.isfinite(gamma) and gamma > 0):
-            raise ValueError(f"degrees of freedom must be positive, got {gamma}")
-        self.gamma = float(gamma)
-        g = self.gamma
-        self._log_norm = (math.lgamma((g + 1) / 2) - math.lgamma(g / 2)
-                          - 0.5 * math.log(g * math.pi))
+    gamma: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(
+                f"degrees of freedom must be positive, got {self.gamma}")
+        g = float(self.gamma)
+        _derive(self, gamma=g,
+                _log_norm=(math.lgamma((g + 1) / 2) - math.lgamma(g / 2)
+                           - 0.5 * math.log(g * math.pi)))
 
     def _log(self, z):
         g = self.gamma
@@ -127,22 +132,8 @@ class Student:
         g = self.gamma
         return -(g + 1) * z / (g + z * z)
 
-    def log_density(self, z, check=True):
-        return _public(self._log, z, check)
 
-    def grad_log_density(self, z, check=True):
-        return _public(self._grad, z, check)
-
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
-    def __repr__(self):
-        return f"Student(gamma={self.gamma})"
-
-    def __eq__(self, other):
-        return isinstance(other, Student) and other.gamma == self.gamma
-
-
+@_family
 class LPTN:
     """Log-Pareto-tailed normal with mass fraction ``rho``.
 
@@ -158,24 +149,27 @@ class LPTN:
     is_proper = True
     name = "lptn"
 
-    def __init__(self, rho):
+    rho: float
+
+    def __post_init__(self):
+        rho = self.rho
         if not (np.isfinite(rho) and LPTN_RHO_LOWER < rho < 1.0):
             raise ValueError(
                 f"rho must lie in ({LPTN_RHO_LOWER:.6f}, 1), got {rho}")
-        self.rho = float(rho)
-        self.tau = normal_inv_cdf((1.0 + self.rho) / 2.0)
-        self.theta = (2.0 / (1.0 - self.rho) * normal_pdf(self.tau)
-                      * self.tau * math.log(self.tau) + 1.0)
-        self._log_tail_const = (_std_normal_log_pdf(self.tau)
-                                + math.log(self.tau)
-                                + self.theta * math.log(math.log(self.tau)))
+        rho = float(rho)
+        tau = normal_inv_cdf((1.0 + rho) / 2.0)
+        theta = (2.0 / (1.0 - rho) * normal_pdf(tau) * tau * math.log(tau)
+                 + 1.0)
+        _derive(self, rho=rho, tau=tau, theta=theta,
+                _log_tail=(_std_normal_log_pdf(tau) + math.log(tau)
+                           + theta * math.log(math.log(tau))))
 
     def _log(self, z):
         az = np.abs(z)
         interior = az <= self.tau
         # Mask the tail argument so log(log|z|) never sees |z| <= 1.
         az_safe = np.where(interior, self.tau + 1.0, az)
-        tail = (self._log_tail_const - np.log(az_safe)
+        tail = (self._log_tail - np.log(az_safe)
                 - self.theta * np.log(np.log(az_safe)))
         return np.where(interior, _std_normal_log_pdf(z), tail)
 
@@ -185,22 +179,8 @@ class LPTN:
         tail = -1.0 / z_safe - self.theta / (z_safe * np.log(np.abs(z_safe)))
         return np.where(interior, -z, tail)
 
-    def log_density(self, z, check=True):
-        return _public(self._log, z, check)
 
-    def grad_log_density(self, z, check=True):
-        return _public(self._grad, z, check)
-
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
-    def __repr__(self):
-        return f"LPTN(rho={self.rho})"
-
-    def __eq__(self, other):
-        return isinstance(other, LPTN) and other.rho == self.rho
-
-
+@_family
 class CTN:
     """Constant-tailed normal with mass fraction ``varrho`` in (0, 1).
 
@@ -213,12 +193,16 @@ class CTN:
     is_proper = False
     name = "ctn"
 
-    def __init__(self, varrho):
+    varrho: float
+
+    def __post_init__(self):
+        varrho = self.varrho
         if not (np.isfinite(varrho) and 0.0 < varrho < 1.0):
             raise ValueError(f"varrho must lie in (0, 1), got {varrho}")
-        self.varrho = float(varrho)
-        self.kappa = normal_inv_cdf((1.0 + self.varrho) / 2.0)
-        self._log_tail = _std_normal_log_pdf(self.kappa)
+        varrho = float(varrho)
+        kappa = normal_inv_cdf((1.0 + varrho) / 2.0)
+        _derive(self, varrho=varrho, kappa=kappa,
+                _log_tail=_std_normal_log_pdf(kappa))
 
     def _log(self, z):
         return np.where(np.abs(z) <= self.kappa,
@@ -226,21 +210,6 @@ class CTN:
 
     def _grad(self, z):
         return np.where(np.abs(z) <= self.kappa, -z, 0.0)
-
-    def log_density(self, z, check=True):
-        return _public(self._log, z, check)
-
-    def grad_log_density(self, z, check=True):
-        return _public(self._grad, z, check)
-
-    def density(self, z):
-        return np.exp(self.log_density(z))
-
-    def __repr__(self):
-        return f"CTN(varrho={self.varrho})"
-
-    def __eq__(self, other):
-        return isinstance(other, CTN) and other.varrho == self.varrho
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,12 @@ divergences and auto-rejected, and a run whose divergence rate exceeds 10%
 raises `DivergenceError`.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import write_commented_csv
 
 __all__ = ["HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
            "leapfrog", "sample", "summarize", "ess_imse", "save_chains"]
@@ -260,15 +261,11 @@ class PosteriorSummary:
                 "ess": self.ess[i], "mcse": self.mcse[i]}
 
     def write_csv(self, path, comments=()):
-        with open(path, "w", newline="") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["param", "mean", "sd", "ess", "mcse"])
-            for i, name in enumerate(self.params):
-                writer.writerow([name] + [repr(float(x)) for x in
-                                          (self.mean[i], self.sd[i],
-                                           self.ess[i], self.mcse[i])])
+        cols = (self.mean, self.sd, self.ess, self.mcse)
+        rows = ([name] + [repr(float(c[i])) for c in cols]
+                for i, name in enumerate(self.params))
+        write_commented_csv(path, ["param", "mean", "sd", "ess", "mcse"], rows,
+                            comments)
 
 
 def summarize(chains, param_names=None):
@@ -308,11 +305,6 @@ def save_chains(chains, path, comments=()):
         raise ValueError("no chains to save")
     dim = chains[0].draws.shape[1]
     header = ["chain", "iter"] + [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu"]
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c in chains:
-            for it, row in enumerate(c.draws):
-                writer.writerow([c.index, it] + [repr(float(v)) for v in row])
+    rows = ([c.index, it] + [repr(float(v)) for v in row]
+            for c in chains for it, row in enumerate(c.draws))
+    write_commented_csv(path, header, rows, comments)

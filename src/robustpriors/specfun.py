@@ -1,32 +1,28 @@
 """Standard-normal special functions: pdf, cdf and inverse cdf.
 
-Every density in this package is built from the standard normal, so these
-three functions are kept self-contained and high accuracy.  The cdf goes
-through the complementary error function (rational Chebyshev approximation,
-full double precision); the inverse cdf is the classic AS 241 rational
-approximation (Wichura's PPND16 variant, absolute error well below 1e-9).
-
-``ACCURACY_TARGET`` documents the guaranteed absolute error bound of the
-cdf/inverse-cdf pair.  It is a fixed property of the implementation, not a
-tunable.
+The cdf and inverse cdf are validating wrappers over ``scipy.special.ndtr``
+and ``ndtri``: non-finite input raises ``ValueError``, the inverse cdf takes
+only the open interval (0, 1) and the cdf is clamped into it.
+``ACCURACY_TARGET`` is the absolute error bound the pair is held to.
 """
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr, ndtri
 
 ACCURACY_TARGET = 1e-9
 
 LOG_INV_SQRT_2PI = -0.9189385332046727417803297364056176
 
 _SQRT_2PI = 2.5066282746310005024157652848110453
-_INV_SQRT2 = 0.7071067811865475244008443621048490
 
 
-def _as_finite(z, name):
+def _finite_map(fn, z):
+    # fn over z as a float array; non-finite z raises, scalar z gives a float.
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return arr
+        raise ValueError(f"z must be finite, got {z!r}")
+    out = fn(arr)
+    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
 def normal_pdf(z):
@@ -34,9 +30,7 @@ def normal_pdf(z):
 
     Accepts a float or an ndarray; non-finite input raises ``ValueError``.
     """
-    arr = _as_finite(z, "z")
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
+    return _finite_map(lambda a: np.exp(-0.5 * a * a) / _SQRT_2PI, z)
 
 
 def normal_cdf(z):
@@ -45,72 +39,14 @@ def normal_cdf(z):
     Values that would underflow past the representable range are clamped to
     the nearest representable number inside the open interval.
     """
-    arr = _as_finite(z, "z")
-    out = 0.5 * erfc(-arr * _INV_SQRT2)
-    tiny = np.nextafter(0.0, 1.0)
-    top = np.nextafter(1.0, 0.0)
-    out = np.clip(out, tiny, top)
-    return float(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
-# AS 241 (PPND16) rational-approximation coefficients.
-_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-      1.9715909503065514427e3, 1.3731693765509461125e4,
-      4.5921953931549871457e4, 6.7265770927008700853e4,
-      3.3430575583588128105e4, 2.5090809287301226727e3)
-_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-      5.3941960214247511077e3, 2.1213794301586595867e4,
-      3.9307895800092710610e4, 2.8729085735721942674e4,
-      5.2264952788528545610e3)
-_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-      5.76949722146069140550e0, 3.64784832476320460504e0,
-      1.27045825245236838258e0, 2.41780725177450611770e-1,
-      2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-      6.89767334985100004550e-1, 1.48103976427480074590e-1,
-      1.51986665636164571966e-2, 5.47593808499534494600e-4,
-      1.05075007164441684324e-9)
-_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-      1.78482653991729133580e0, 2.96560571828504891230e-1,
-      2.65321895265761230930e-2, 1.24266094738807843860e-3,
-      2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-      1.48753612908506148525e-2, 7.86869131145613259100e-4,
-      1.84631831751005468180e-5, 1.42151175831644588870e-7,
-      2.04426310338993978564e-15)
-
-
-def _poly(coeffs, x):
-    out = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
+    return _finite_map(lambda a: np.clip(ndtr(a), np.nextafter(0.0, 1.0),
+                                         np.nextafter(1.0, 0.0)), z)
 
 
 def normal_inv_cdf(p):
-    """Standard normal inverse cdf Phi^{-1}(p) for p in the open (0, 1).
-
-    AS 241: a central rational approximation on |p - 1/2| <= 0.425 and two
-    tail approximations in the variable r = sqrt(-log(min(p, 1-p))).
-    """
+    """Standard normal inverse cdf Phi^{-1}(p) for p in the open (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-
-    q = arr - 0.5
-    central = np.abs(q) <= 0.425
-
-    r_c = 0.180625 - q * q
-    z_central = q * _poly(_A, r_c) / _poly(_B, r_c)
-
-    # Tail branches share r = sqrt(-log(smaller tail mass)).
-    small = np.where(q < 0.0, arr, 1.0 - arr)
-    small = np.where(central, 0.25, small)  # dummy, masked out below
-    r_t = np.sqrt(-np.log(small))
-    z_mid = _poly(_C, r_t - 1.6) / _poly(_D, r_t - 1.6)
-    z_far = _poly(_E, r_t - 5.0) / _poly(_F, r_t - 5.0)
-    z_tail = np.where(r_t <= 5.0, z_mid, z_far)
-    z_tail = np.where(q < 0.0, -z_tail, z_tail)
-
-    out = np.where(central, z_central, z_tail)
+    out = ndtri(arr)
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out

@@ -66,6 +66,31 @@ class TestPriorSpecs:
         assert isinstance(sp, PowerAdjustedSigma) and sp.power == 1
 
 
+    def test_flat_prior_takes_no_options(self, tmp_path):
+        from robustpriors.cli import ConfigError
+        with pytest.raises(ConfigError, match="no options"):
+            parse_prior_spec("jeffreys:mu=3,lambda=2")
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        code = main(["fit", "--data", str(data_path),
+                     "--prior", "jeffreys:mu=3", "--prior", "jeffreys",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_sigma_spec_whitespace_and_bad_items(self):
+        from robustpriors.cli import ConfigError
+        sp = parse_sigma_prior_spec("invgamma: shape = 2 , scale=3 ")
+        assert isinstance(sp, InverseGammaSigmaSq)
+        assert sp.shape == 2.0 and sp.scale == 3.0
+        with pytest.raises(ConfigError, match="'scale3'"):
+            parse_sigma_prior_spec("invgamma:shape=2,scale3")
+        with pytest.raises(ConfigError, match="missing option 'scale'"):
+            parse_sigma_prior_spec("invgamma:shape=2")
+        with pytest.raises(ConfigError, match="unknown sigma-prior options"):
+            parse_sigma_prior_spec("jeffreys:shape=2")
+
+
 class TestFit:
     def test_flat_prior_recovers_ols(self, tmp_path):
         data_path = tmp_path / "d.csv"

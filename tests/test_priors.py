@@ -1,5 +1,6 @@
 """Prior families: hyperparameter derivation, densities, gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,31 @@ class TestDerivation:
     def test_properness_flags(self):
         assert Normal().is_proper and Student(4).is_proper and LPTN(0.95).is_proper
         assert not CTN(0.98).is_proper
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("cls, args, text, attrs", [
+        (Normal, (), "Normal()", ("name",)),
+        (Student, (4,), "Student(gamma=4.0)", ("gamma",)),
+        (LPTN, (0.95,), "LPTN(rho=0.95)", ("rho", "tau", "theta")),
+        (CTN, (0.98,), "CTN(varrho=0.98)", ("varrho", "kappa")),
+    ])
+    def test_immutable_hashable_and_repr(self, cls, args, text, attrs):
+        family = cls(*args)
+        assert repr(family) == text
+        twin = cls(*args)
+        assert family == twin and hash(family) == hash(twin)
+        assert len({family, twin}) == 1
+        before = {a: getattr(family, a) for a in attrs}
+        for attr in attrs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(family, attr, 0.5)
+        assert {a: getattr(family, a) for a in attrs} == before
+
+    def test_parameters_decide_equality(self):
+        assert Student(4) == Student(4.0) and Student(4) != Student(5)
+        assert LPTN(0.95) != LPTN(0.9)
+        assert LPTN(0.95) != CTN(0.95)
 
 
 class TestLogDensity:
