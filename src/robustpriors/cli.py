@@ -73,16 +73,19 @@ _LOCATED = {"normal": (Normal, None, None),
 
 def _spec_options(rest, spec):
     # ``key=value,...`` as floats by key; spaces around keys and values are
-    # allowed.
+    # allowed, a repeated key is not.
     opts = {}
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ConfigError(f"bad option {item!r} in {spec!r}: "
                                   "expected key=value")
+            if key in opts:
+                raise ConfigError(f"option {key!r} given twice in {spec!r}")
             try:
-                opts[key.strip()] = float(val)
+                opts[key] = float(val)
             except ValueError:
                 raise ConfigError(f"non-numeric value in {item!r}") from None
     return opts
@@ -199,12 +202,14 @@ def cmd_fit(args):
     priors += [parse_prior_spec(s) for s in specs]
     sigma_prior = parse_sigma_prior_spec(args.sigma_prior)
     target = PosteriorTarget(data, priors, sigma_prior=sigma_prior)
-    config = _hmc_config(args)
-    chains = sample(target, config)
+    chains = sample(target, _hmc_config(args))
     summary = summarize(chains)
-    comments = _config_comments(args, extra=[
-        "columns: intercept=beta_1, " + ", ".join(
-            f"{name}=beta_{i + 2}" for i, name in enumerate(cov_names))])
+    extra = ["columns: intercept=beta_1, " + ", ".join(
+        f"{name}=beta_{i + 2}" for i, name in enumerate(cov_names))]
+    if args.hmc_leapfrog_steps is None:
+        extra.append(f"leapfrog steps after warmup = "
+                     f"{chains[0].leapfrog_steps} (chosen from warmup)")
+    comments = _config_comments(args, extra=extra)
     summary.write_csv(args.out, comments=comments)
     chains_out = args.chains_out or _derive_path(args.out, "_chains")
     save_chains(chains, chains_out, comments=comments)
@@ -252,7 +257,14 @@ def cmd_sweep(args):
         grid = default_mu2_grid() if args.axis == "mu2" else default_lambda2_grid()
 
     # Shape values per located family: its repeatable flag, else the default.
-    hyper_flags = {"student": args.gamma, "lptn": args.rho, "ctn": args.varrho}
+    # A flag for a family that is not swept would be ignored: an error.
+    shape_flags = {"student": "gamma", "lptn": "rho", "ctn": "varrho"}
+    hyper_flags = {fam: getattr(args, flag) for fam, flag in shape_flags.items()}
+    swept = {f.removesuffix("_corrected") for f in families}
+    for fam, flag in shape_flags.items():
+        if hyper_flags[fam] and fam not in swept:
+            raise ConfigError(f"--{flag} sets the {fam} shape, but the swept "
+                              f"families are {', '.join(families)}")
     comments = _config_comments(args, extra=[
         f"grid = {','.join(repr(g) for g in grid)}",
         "prior inverse-scale includes the sqrt(n) factor of the reduced "
@@ -382,7 +394,8 @@ def _build_parsers(exit_on_error=True):
         p.add_argument("--quad-tol", type=float, default=1e-10,
                        help="absolute quadrature tolerance")
         p.add_argument("--hmc-step-size", type=float, default=0.05)
-        p.add_argument("--hmc-leapfrog-steps", type=int, default=30)
+        p.add_argument("--hmc-leapfrog-steps", type=int, default=None,
+                       help="trajectory length; default: chosen from warmup")
         p.add_argument("--hmc-samples", type=int, default=20000)
         p.add_argument("--hmc-warmup", type=int, default=2000)
         p.add_argument("--hmc-chains", type=int, default=4)

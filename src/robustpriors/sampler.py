@@ -4,14 +4,20 @@ The sampler works on any object exposing ``dim``, ``logpdf(q)`` and
 ``grad_logpdf(q)`` over batched coordinate rows; posteriors supply these in
 ``(beta, nu)`` coordinates so the space is unconstrained.
 
-Tuning is deliberately simple: fixed step size, identity (or user supplied
-diagonal) mass, and a trajectory length jittered uniformly over
-``{ceil(0.8 L), ..., ceil(1.2 L)}`` to avoid resonances.  Chains are
-vectorized; each chain draws momenta and acceptance variables from its own
-stream derived from ``(rng_seed, chain_index)``, while the jittered lengths
-come from one extra derived stream shared by all chains (a common
-deterministic schedule, so the batch stays in lockstep).  Everything is
-reproducible bit for bit from the seed.
+Tuning: a fixed step size, identity (or user supplied diagonal) mass, and a
+trajectory length ``L`` jittered uniformly over ``{ceil(0.8 L), ...,
+ceil(1.2 L)}`` to avoid resonances.  ``L`` is either given or, by default,
+chosen from the warmup: warmup runs at ``L = 30``, and from the second half
+of its draws the post-warmup length is set to a quarter period of the
+slowest coordinate, ``L* = max(1, round((pi/2) max_j s_j sqrt(mass_j) /
+step_size))`` with ``s_j`` the within-chain sd averaged over chains.  The
+chosen length is jittered wider, over ``{ceil(0.5 L*), ..., ceil(1.5 L*)}``:
+a short length that lands near a resonance stays near it under +-20%.
+Chains are vectorized; each chain draws momenta and acceptance variables
+from its own stream derived from ``(rng_seed, chain_index)``, while the
+jittered lengths come from one extra derived stream shared by all chains (a
+common deterministic schedule, so the batch stays in lockstep).  Everything
+is reproducible bit for bit from the seed.
 
 Each trajectory costs its ``n_steps`` gradient evaluations and one density
 evaluation at the proposal.  The gradient at the current state is carried
@@ -44,12 +50,24 @@ class DivergenceError(RuntimeError):
         self.last_state = last_state
 
 
+# Warmup trajectory length when the post-warmup one is chosen from warmup.
+WARMUP_LEAPFROG_STEPS = 30
+# Fewest warmup iterations whose second half can estimate the scales.
+MIN_AUTO_WARMUP = 20
+
+
 @dataclass(frozen=True)
 class HmcConfig:
-    """Sampler settings; the defaults are sized for the reduced 2-D targets."""
+    """Sampler settings; the defaults are sized for the reduced 2-D targets.
+
+    ``leapfrog_steps=None`` (the default) runs warmup at
+    `WARMUP_LEAPFROG_STEPS` and then chooses the trajectory length from the
+    warmup draws, which needs ``n_warmup >= MIN_AUTO_WARMUP``; an integer
+    fixes the length for the whole run.
+    """
 
     step_size: float = 0.05
-    leapfrog_steps: int = 30
+    leapfrog_steps: int | None = None
     n_samples: int = 20000
     n_warmup: int = 2000
     n_chains: int = 4
@@ -60,11 +78,19 @@ class HmcConfig:
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        for name in ("leapfrog_steps", "n_samples", "n_chains"):
+        for name in ("n_samples", "n_chains"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_warmup < 0:
             raise ValueError("n_warmup must be nonnegative")
+        if self.leapfrog_steps is None:
+            if self.n_warmup < MIN_AUTO_WARMUP:
+                raise ValueError(
+                    f"choosing leapfrog_steps from warmup needs n_warmup >= "
+                    f"{MIN_AUTO_WARMUP}, got {self.n_warmup}; give "
+                    "leapfrog_steps or more warmup")
+        elif self.leapfrog_steps < 1:
+            raise ValueError("leapfrog_steps must be at least 1")
 
 
 @dataclass
@@ -76,6 +102,7 @@ class Chain:
     seed: int                   # rng_seed the stream was derived from
     index: int                  # chain index within the run
     divergences: int = 0
+    leapfrog_steps: int | None = None   # post-warmup length, before jitter
 
 
 def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
@@ -125,13 +152,43 @@ def _kinetic(p, inv_mass):
         return 0.5 * np.sum(p * p * inv_mass[None, :], axis=1)
 
 
+def _jitter_range(n_steps, spread):
+    return (int(np.ceil((1.0 - spread) * n_steps)),
+            int(np.ceil((1.0 + spread) * n_steps)))
+
+
+def _steps_from_warmup(window, mass, step_size):
+    """Trajectory length covering a quarter period of the slowest coordinate.
+
+    `window` holds the (chains, draws, dim) states of the second half of
+    warmup.  If no coordinate has a positive finite sd (the chains never
+    moved), the warmup length is kept, with a warning.
+    """
+    # Deviations from each chain's first state make a chain that never moved
+    # give an sd of exactly 0, not round-off from its mean.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = window - window[:, :1]
+        sd = np.sqrt(np.mean(np.var(dev, axis=1, ddof=1), axis=0))
+        scale = sd * np.sqrt(mass)
+    ok = np.isfinite(scale) & (scale > 0)
+    if not ok.any():
+        warnings.warn(
+            "warmup draws have no positive finite sd to choose the trajectory "
+            f"length from; keeping the warmup length {WARMUP_LEAPFROG_STEPS}",
+            UserWarning, stacklevel=3)
+        return WARMUP_LEAPFROG_STEPS
+    return max(1, int(round(0.5 * np.pi * float(scale[ok].max()) / step_size)))
+
+
 def sample(target, config):
     """Run Metropolis-corrected HMC chains against `target`.
 
     Returns one `Chain` per configured chain with warmup discarded.  The
     acceptance decision uses the exact joint Hamiltonian difference.  A
     tuning warning is emitted if any chain's post-warmup acceptance rate
-    leaves [0.4, 0.95].
+    leaves [0.4, 0.95].  With ``config.leapfrog_steps=None`` the post-warmup
+    trajectory length is chosen at the end of warmup (see the module
+    docstring) and recorded in each `Chain`.
     """
     dim = target.dim
     m = config.n_chains
@@ -155,9 +212,13 @@ def sample(target, config):
     logp = target.logpdf(q)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = target.grad_logpdf(q)
-    lo = int(np.ceil(0.8 * config.leapfrog_steps))
-    hi = int(np.ceil(1.2 * config.leapfrog_steps))
+    auto = config.leapfrog_steps is None
+    n_fixed = WARMUP_LEAPFROG_STEPS if auto else config.leapfrog_steps
+    lo, hi = _jitter_range(n_fixed, 0.2)
     total = config.n_warmup + config.n_samples
+    window_start = config.n_warmup // 2
+    if auto:
+        window = np.empty((m, config.n_warmup - window_start, dim))
 
     draws = np.empty((m, config.n_samples, dim))
     accepted = np.zeros(m, dtype=int)
@@ -165,7 +226,10 @@ def sample(target, config):
     last_divergent = None
 
     for it in range(total):
-        n_steps = int(traj_rng.integers(lo, hi + 1)) if config.jitter else config.leapfrog_steps
+        if auto and it == config.n_warmup:
+            n_fixed = _steps_from_warmup(window, mass, config.step_size)
+            lo, hi = _jitter_range(n_fixed, 0.5)
+        n_steps = int(traj_rng.integers(lo, hi + 1)) if config.jitter else n_fixed
         p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
         p0 *= np.sqrt(mass)[None, :]
         q_new, p_new, grad_new, div = _leapfrog(target, q, p0, grad,
@@ -192,6 +256,8 @@ def sample(target, config):
         if it >= config.n_warmup:
             draws[:, it - config.n_warmup] = q
             accepted += accept
+        elif auto and it >= window_start:
+            window[:, it - window_start] = q
 
     rate = divergences.sum() / (total * m)
     if rate > 0.10:
@@ -209,7 +275,8 @@ def sample(target, config):
                 stacklevel=2)
         chains.append(Chain(draws=draws[i], accept_rate=float(acc),
                             seed=config.rng_seed, index=i,
-                            divergences=int(divergences[i])))
+                            divergences=int(divergences[i]),
+                            leapfrog_steps=n_fixed))
     return chains
 
 

@@ -90,6 +90,15 @@ class TestPriorSpecs:
         with pytest.raises(ConfigError, match="unknown sigma-prior options"):
             parse_sigma_prior_spec("jeffreys:shape=2")
 
+    def test_repeated_option_is_error(self):
+        from robustpriors.cli import ConfigError
+        with pytest.raises(ConfigError, match="'gamma' given twice"):
+            parse_prior_spec("student:gamma=3,gamma=5")
+        with pytest.raises(ConfigError, match="'mu' given twice"):
+            parse_prior_spec("normal:mu=1, mu =2")
+        with pytest.raises(ConfigError, match="'shape' given twice"):
+            parse_sigma_prior_spec("invgamma:shape=2,shape=3,scale=1")
+
 
 class TestFit:
     def test_flat_prior_recovers_ols(self, tmp_path):
@@ -148,6 +157,39 @@ class TestFit:
         ref = conjugate_posterior(n, 2.0, 1.0)
         mean, _, _, mcse = table["beta_2"]
         assert abs(mean - ref.beta_mean) < 3 * mcse
+
+    def test_chosen_trajectory_length_is_recorded(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        base = ["fit", "--data", str(data_path), "--prior", "jeffreys",
+                "--prior", "normal:mu=1", "--seed", "2", "--hmc-samples",
+                "100", "--hmc-warmup", "40", "--hmc-chains", "2",
+                "--hmc-step-size", "0.1"]
+        line = "# leapfrog steps after warmup = {} (chosen from warmup)"
+        auto = tmp_path / "auto.csv"
+        assert main(base + ["--out", str(auto)]) == EXIT_OK
+        comments, _, _ = read_csv(auto)
+        chosen = [c for c in comments if c.startswith("# leapfrog steps")]
+        assert len(chosen) == 1
+        steps = int(chosen[0].split("= ")[1].split(" ")[0])
+        assert chosen[0] == line.format(steps) and steps >= 1
+        assert read_csv(tmp_path / "auto_chains.csv")[0] == comments
+
+        fixed = tmp_path / "fixed.csv"
+        assert main(base + ["--hmc-leapfrog-steps", "30",
+                            "--out", str(fixed)]) == EXIT_OK
+        fixed_comments = read_csv(fixed)[0]
+        assert not any(c.startswith("# leapfrog steps") for c in fixed_comments)
+        assert "# hmc_leapfrog_steps = 30" in fixed_comments
+
+    def test_too_little_warmup_to_choose_length(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-warmup", "10",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert "n_warmup >= 20" in capsys.readouterr().err
 
     def test_prior_count_mismatch(self, tmp_path):
         data_path = tmp_path / "d.csv"
@@ -216,6 +258,19 @@ class TestSweep:
         _, _, rows = read_csv(out)
         hypers = sorted({r[1] for r in rows})
         assert hypers == ["1.0", "4.0"]
+
+    @pytest.mark.parametrize("flag, families", [
+        ("gamma", "jeffreys,normal"), ("rho", "ctn,ctn_corrected"),
+        ("varrho", "student,lptn")])
+    def test_shape_flag_for_unswept_family(self, tmp_path, capsys, flag,
+                                           families):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--axis", "mu2", "--families", families,
+                     f"--{flag}", "3", "--grid", "0.5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--{flag}" in err and families.replace(",", ", ") in err
+        assert not out.exists()
 
     def test_unknown_family(self, tmp_path):
         code = main(["sweep", "--axis", "mu2", "--families", "gauss",

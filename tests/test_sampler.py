@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from robustpriors.model import reduced_target
-from robustpriors.priors import Normal
-from robustpriors.sampler import (Chain, DivergenceError, HmcConfig,
-                                  ess_imse, leapfrog, sample, save_chains,
-                                  summarize)
+from robustpriors.priors import LPTN, Normal
+from robustpriors.sampler import (MIN_AUTO_WARMUP, WARMUP_LEAPFROG_STEPS,
+                                  Chain, DivergenceError, HmcConfig,
+                                  _steps_from_warmup, ess_imse, leapfrog,
+                                  sample, save_chains, summarize)
 
 
 class GaussianTarget:
@@ -236,6 +237,119 @@ class TestSample:
             HmcConfig(n_chains=0)
         with pytest.raises(ValueError):
             sample(GaussianTarget(2), HmcConfig(mass=np.array([1.0, -1.0])))
+
+
+class ScaledGaussian:
+    """Independent normal coordinates with the given sds."""
+
+    def __init__(self, sd):
+        self.sd = np.asarray(sd, dtype=float)
+        self.dim = len(self.sd)
+
+    def logpdf(self, q):
+        z = np.atleast_2d(q) / self.sd
+        return -0.5 * np.sum(z * z, axis=1)
+
+    def grad_logpdf(self, q):
+        return -np.atleast_2d(q) / self.sd ** 2
+
+
+class RecordingTarget(GaussianTarget):
+    """`GaussianTarget` that keeps a copy of every `logpdf` batch."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.logpdf_inputs = []
+
+    def logpdf(self, q):
+        self.logpdf_inputs.append(np.array(q))
+        return super().logpdf(q)
+
+
+class StuckTarget(GaussianTarget):
+    """Every proposal is 500 nats below the start: no chain ever moves.
+
+    The energy rise stays under the divergence threshold, so the run
+    completes with all draws at the start.
+    """
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.started = False
+
+    def logpdf(self, q):
+        out = np.full(len(np.atleast_2d(q)), -500.0 if self.started else 0.0)
+        self.started = True
+        return out
+
+    def grad_logpdf(self, q):
+        return np.zeros_like(np.atleast_2d(q))
+
+
+class TestTrajectoryLengthFromWarmup:
+    @pytest.mark.parametrize("mass", [None, np.array([1.0, 4.0, 1.0])])
+    def test_quarter_period_of_slowest_coordinate(self, mass):
+        sd = np.array([0.1, 1.0, 0.8])
+        step = 0.15
+        cfg = HmcConfig(step_size=step, n_samples=200, n_warmup=1000,
+                        n_chains=4, rng_seed=3, mass=mass)
+        scale = sd * np.sqrt(np.ones(3) if mass is None else mass)
+        expected = round(0.5 * np.pi * scale.max() / step)
+        chains = sample(ScaledGaussian(sd), cfg)
+        assert {c.leapfrog_steps for c in chains} == {chains[0].leapfrog_steps}
+        assert abs(chains[0].leapfrog_steps - expected) <= 1
+
+    def test_warmup_matches_explicit_warmup_length(self):
+        # The chosen length applies after warmup only: warmup proposals, and
+        # so the states the post-warmup draws start from, are those of an
+        # explicit run at the warmup length with the same seed.
+        kw = dict(step_size=1.2, n_samples=50, n_warmup=60, n_chains=3,
+                  rng_seed=8)
+        auto, fixed = RecordingTarget(2), RecordingTarget(2)
+        chains = sample(auto, HmcConfig(**kw))
+        sample(fixed, HmcConfig(leapfrog_steps=WARMUP_LEAPFROG_STEPS, **kw))
+        assert chains[0].leapfrog_steps != WARMUP_LEAPFROG_STEPS
+        n = 1 + kw["n_warmup"]          # the start, then one per iteration
+        for a, b in zip(auto.logpdf_inputs[:n], fixed.logpdf_inputs[:n]):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(auto.logpdf_inputs[n], fixed.logpdf_inputs[n])
+
+    def test_seed_determinism(self):
+        t = reduced_target(100, 1.0, 1.0, LPTN(0.95))
+        cfg = HmcConfig(step_size=0.08, n_samples=200, n_warmup=100,
+                        n_chains=2, rng_seed=4)
+        a, b = sample(t, cfg), sample(t, cfg)
+        for ca, cb in zip(a, b):
+            assert ca.leapfrog_steps == cb.leapfrog_steps
+            np.testing.assert_array_equal(ca.draws, cb.draws)
+
+    def test_explicit_length_is_recorded(self):
+        cfg = HmcConfig(step_size=0.9, leapfrog_steps=7, n_samples=20,
+                        n_warmup=0, n_chains=2)
+        assert [c.leapfrog_steps for c in sample(GaussianTarget(2), cfg)] == [7, 7]
+
+    def test_needs_enough_warmup(self):
+        with pytest.raises(ValueError, match=f"n_warmup >= {MIN_AUTO_WARMUP}"):
+            HmcConfig(n_warmup=MIN_AUTO_WARMUP - 1)
+        HmcConfig(n_warmup=MIN_AUTO_WARMUP)
+        HmcConfig(n_warmup=0, leapfrog_steps=5)
+        with pytest.raises(ValueError, match="leapfrog_steps"):
+            HmcConfig(leapfrog_steps=0)
+
+    def test_stuck_warmup_keeps_warmup_length(self):
+        cfg = HmcConfig(step_size=0.1, n_samples=20, n_warmup=40, n_chains=2)
+        with pytest.warns(UserWarning) as record:
+            chains = sample(StuckTarget(2), cfg)
+        assert any(f"warmup length {WARMUP_LEAPFROG_STEPS}" in str(w.message)
+                   for w in record)
+        assert chains[0].leapfrog_steps == WARMUP_LEAPFROG_STEPS
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_no_finite_positive_sd_keeps_warmup_length(self, fill):
+        window = np.full((2, 10, 3), fill)
+        with pytest.warns(UserWarning, match="warmup length"):
+            assert _steps_from_warmup(window, np.ones(3), 0.1) == \
+                WARMUP_LEAPFROG_STEPS
 
 
 class TestSummarize:
