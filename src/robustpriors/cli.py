@@ -14,6 +14,11 @@ Three subcommands:
     Run the asymptotic-limit diagnostics and write a pass/fail report plus
     the underlying ratio series.
 
+Each command takes only the options it reads.  All three take ``--config``
+and ``--out``; ``fit`` and ``sweep`` take the sampler options (``--seed``
+and ``--hmc-*``), and ``sweep`` and ``check`` take ``--quad-tol``.  A flag
+or config-file key that a command does not take is an error.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  All output CSVs are UTF-8, comma-delimited, with ``#``-prefixed
 comment lines recording the fully resolved configuration, so identical
@@ -50,6 +55,11 @@ SWEEP_FAMILIES = ("jeffreys", "normal", "student", "lptn", "ctn",
 
 class ConfigError(ValueError):
     """Raised for invalid command-line or config-file input."""
+
+
+# The fixed value of each sweep axis while the other one is swept.  A value
+# given for the swept axis itself would be ignored: an error.
+_FIXED_AXIS = {"mu2": 0.5, "lambda2": 1.0}
 
 
 def default_mu2_grid():
@@ -192,7 +202,7 @@ def _config_comments(args, extra=()):
 
 def cmd_fit(args):
     data, cov_names = load_csv(args.data)
-    data, _ = standardize(data)
+    data, transform = standardize(data)
     specs = args.prior or []
     if len(specs) != len(cov_names):
         raise ConfigError(
@@ -206,6 +216,12 @@ def cmd_fit(args):
     summary = summarize(chains)
     extra = ["columns: intercept=beta_1, " + ", ".join(
         f"{name}=beta_{i + 2}" for i, name in enumerate(cov_names))]
+    # Rows are in standardized units; this line maps them back.
+    means = [transform.y_mean, *transform.col_means[1:]]
+    scales = [transform.y_scale, *transform.col_scales[1:]]
+    extra.append("standardized units, each column as (value - mean) / scale: "
+                 + ", ".join(f"{name} mean={float(m)!r} scale={float(s)!r}"
+                             for name, m, s in zip(["y", *cov_names], means, scales)))
     if args.hmc_leapfrog_steps is None:
         extra.append(f"leapfrog steps after warmup = "
                      f"{chains[0].leapfrog_steps} (chosen from warmup)")
@@ -255,6 +271,9 @@ def cmd_sweep(args):
             raise ConfigError("--grid must be a strictly increasing list")
     else:
         grid = default_mu2_grid() if args.axis == "mu2" else default_lambda2_grid()
+    if getattr(args, args.axis) != _FIXED_AXIS[args.axis]:
+        raise ConfigError(f"--{args.axis} fixes {args.axis} while the other "
+                          f"axis is swept, but the swept axis is {args.axis}")
 
     # Shape values per located family: its repeatable flag, else the default.
     # A flag for a family that is not swept would be ignored: an error.
@@ -386,23 +405,25 @@ def _build_parsers(exit_on_error=True):
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_options(p, sampler=False, quadrature=False):
         p.add_argument("--config", help="flat key = value config file; "
                        "explicit flags take precedence")
-        p.add_argument("--seed", type=int, default=0, help="rng seed")
         p.add_argument("--out", help="output CSV path (required)")
-        p.add_argument("--quad-tol", type=float, default=1e-10,
-                       help="absolute quadrature tolerance")
-        p.add_argument("--hmc-step-size", type=float, default=0.05)
-        p.add_argument("--hmc-leapfrog-steps", type=int, default=None,
-                       help="trajectory length; default: chosen from warmup")
-        p.add_argument("--hmc-samples", type=int, default=20000)
-        p.add_argument("--hmc-warmup", type=int, default=2000)
-        p.add_argument("--hmc-chains", type=int, default=4)
+        if sampler:
+            p.add_argument("--seed", type=int, default=0, help="rng seed")
+            p.add_argument("--hmc-step-size", type=float, default=0.05)
+            p.add_argument("--hmc-leapfrog-steps", type=int, default=None,
+                           help="trajectory length; default: chosen from warmup")
+            p.add_argument("--hmc-samples", type=int, default=20000)
+            p.add_argument("--hmc-warmup", type=int, default=2000)
+            p.add_argument("--hmc-chains", type=int, default=4)
+        if quadrature:
+            p.add_argument("--quad-tol", type=float, default=1e-10,
+                           help="absolute quadrature tolerance")
 
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC",
                             exit_on_error=exit_on_error)
-    add_common(p_fit)
+    add_options(p_fit, sampler=True)
     p_fit.add_argument("--data", help="CSV with a 'y' column (required)")
     p_fit.add_argument("--prior", action="append",
                        help="prior spec per covariate, e.g. "
@@ -415,7 +436,7 @@ def _build_parsers(exit_on_error=True):
 
     p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps",
                             exit_on_error=exit_on_error)
-    add_common(p_sweep)
+    add_options(p_sweep, sampler=True, quadrature=True)
     p_sweep.add_argument("--axis", choices=("mu2", "lambda2"),
                          help="swept parameter (required)")
     p_sweep.add_argument("--families", default="jeffreys,normal,student,lptn,ctn",
@@ -423,9 +444,10 @@ def _build_parsers(exit_on_error=True):
     p_sweep.add_argument("--n", type=int, default=100)
     p_sweep.add_argument("--method", choices=("quad", "hmc"), default="quad")
     p_sweep.add_argument("--grid", help="comma list overriding the default grid")
-    p_sweep.add_argument("--mu2", type=float, default=0.5,
+    p_sweep.add_argument("--mu2", type=float, default=_FIXED_AXIS["mu2"],
                          help="fixed location for the lambda2 axis")
-    p_sweep.add_argument("--lambda2", type=float, default=1.0,
+    p_sweep.add_argument("--lambda2", type=float,
+                         default=_FIXED_AXIS["lambda2"],
                          help="fixed scaling for the mu2 axis")
     p_sweep.add_argument("--gamma", action="append", type=float,
                          help="Student degrees of freedom (repeatable)")
@@ -437,7 +459,7 @@ def _build_parsers(exit_on_error=True):
 
     p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics",
                             exit_on_error=exit_on_error)
-    add_common(p_check)
+    add_options(p_check, quadrature=True)
     p_check.add_argument("--fast", action="store_true",
                          help="pointwise ratio checks only (skip quadrature "
                               "marginal ratios)")

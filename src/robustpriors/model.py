@@ -293,6 +293,17 @@ class PosteriorTarget:
         self._yty = float(data.y @ data.y)
         self._n = data.n
         self._p = data.p
+        # Along a null direction of the flat-prior columns the likelihood is
+        # constant and nothing else bounds the density.  Such a direction
+        # needs a rank-deficient design.
+        self._full_rank = np.linalg.matrix_rank(self._XtX) == self._p
+        flat = [j for j, pr in enumerate(self.priors) if pr is None]
+        if (not self._full_rank
+                and np.linalg.matrix_rank(self._XtX[np.ix_(flat, flat)]) < len(flat)):
+            raise DataError(
+                "the design columns with flat priors ("
+                + ", ".join(f"beta_{j + 1}" for j in flat) + ") are collinear, "
+                "so the posterior is improper; give one of them a proper prior")
 
         # Located priors as arrays, so every prior argument of a batch is
         # built at once as one (m, k) matrix.
@@ -320,8 +331,15 @@ class PosteriorTarget:
 
     @property
     def start_point(self):
-        """Least-squares coefficients and log residual scale, for chain warm starts."""
-        beta = np.linalg.solve(self._XtX, self._Xty)
+        """Least-squares coefficients and log residual scale, for chain warm starts.
+
+        A rank-deficient design has many least-squares points; the one of
+        minimum norm is taken.
+        """
+        if self._full_rank:
+            beta = np.linalg.solve(self._XtX, self._Xty)
+        else:
+            beta = np.linalg.lstsq(self.data.X, self.data.y, rcond=None)[0]
         resid = self.data.y - self.data.X @ beta
         rms = float(np.sqrt((resid ** 2).mean()))
         nu0 = np.log(rms) if rms > 0 else 0.0
@@ -541,8 +559,7 @@ def _standardized_pattern(n):
     return y * np.sqrt(n) / norm
 
 
-def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0,
-                   sigma_prior=None):
+def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):
     """The two-parameter simulation target as an intercept-only model.
 
     With a single all-ones design column and a standardized response the
@@ -565,8 +582,6 @@ def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0,
         priors = [None]
     else:
         priors = [CoefficientPrior(mu=mu2, lam=lambda2 * np.sqrt(n), family=family)]
-    if sigma_prior is None:
-        sigma_prior = JeffreysSigma()
-    if sigma_power != 0:
-        sigma_prior = PowerAdjustedSigma(sigma_prior, sigma_power)
+    sigma_prior = (PowerAdjustedSigma(JeffreysSigma(), sigma_power)
+                   if sigma_power else None)
     return PosteriorTarget(data, priors, sigma_prior=sigma_prior)

@@ -228,6 +228,7 @@ _INTEGRALS = ("f", "beta f", "beta^2 f", "e^{2nu} f (sigma^2)",
               "e^{4nu} f (sigma^4)")
 _MAX_WIDTH = 1e6
 _EPS = 2.0 ** -52       # bounds the relative rounding error of one float op
+_SPLITS_PER_ROUND = 24  # panels bisected per refinement round
 
 
 @dataclass
@@ -451,7 +452,7 @@ def _initial_panels(prior, box, mode):
     return panels, np.array([m for m, _, _ in regions])
 
 
-def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
+def quadrature_moments(target, tol=1e-10, max_panels=60000):
     """Posterior mean/sd of the coefficient and of sigma^2 by 2-D quadrature.
 
     Only two-parameter targets are supported (higher-dimensional posteriors
@@ -464,12 +465,12 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     The prior's kink loci become initial panel edges: the box is integrated
     over the regions between the kinks, each in coordinates where its kinks
     are straight edges, so no panel ever holds a kink.  Each round evaluates
-    the nodes of all its new panels in one call and bisects the ``chunk``
-    panels with the largest error, each along the axis its error comes
-    from.  The result reports the error reached (``error``) and
-    the panels evaluated on the way (``panels_evaluated``) beside the final
-    ``n_panels``.  Raises `NumericalError` if the budget of ``max_panels``
-    cannot meet ``tol`` or if box expansion fails to terminate.
+    the nodes of all its new panels in one call and bisects the 24 panels
+    with the largest error, each along the axis its error comes from.  The
+    result reports the error reached (``error``) and the panels evaluated
+    on the way (``panels_evaluated``) beside the final ``n_panels``.
+    Raises `NumericalError` if the budget of ``max_panels`` cannot meet
+    ``tol`` or if box expansion fails to terminate.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
@@ -477,7 +478,7 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
     # Mode candidates: least-squares point, prior locations, and a blend.
     # Each is evaluated at the centre of the first grid a search from it
     # would use, so the best one's grid needs no second call.
-    ols = float(np.linalg.solve(target._XtX, target._Xty)[0])
+    ols = float(target.start_point[0])
     cand_b = [ols]
     prior = target.priors[0]
     if prior is not None:
@@ -546,7 +547,7 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000, chunk=24):
             running, drift = total_err, len(store) * _EPS * total_err
         # Split the worst panels; ties broken by id so runs are reproducible.
         children = []
-        for _ in range(min(chunk, len(heap))):
+        for _ in range(min(_SPLITS_PER_ROUND, len(heap))):
             (slo, shi, vlo, vhi, r), _, e, split_s, _ = store.pop(
                 heapq.heappop(heap)[1])
             running -= e

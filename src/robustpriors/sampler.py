@@ -73,7 +73,6 @@ class HmcConfig:
     n_chains: int = 4
     rng_seed: int = 0
     mass: np.ndarray | None = None
-    jitter: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
@@ -229,7 +228,7 @@ def sample(target, config):
         if auto and it == config.n_warmup:
             n_fixed = _steps_from_warmup(window, mass, config.step_size)
             lo, hi = _jitter_range(n_fixed, 0.5)
-        n_steps = int(traj_rng.integers(lo, hi + 1)) if config.jitter else n_fixed
+        n_steps = int(traj_rng.integers(lo, hi + 1))
         p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
         p0 *= np.sqrt(mass)[None, :]
         q_new, p_new, grad_new, div = _leapfrog(target, q, p0, grad,
@@ -335,7 +334,7 @@ class PosteriorSummary:
                             comments)
 
 
-def summarize(chains, param_names=None):
+def summarize(chains):
     """Pool chains into a `PosteriorSummary`.
 
     Needs at least one chain with at least 100 post-warmup draws.  ESS is
@@ -346,13 +345,9 @@ def summarize(chains, param_names=None):
     if any(c.draws.shape[0] < 100 for c in chains):
         raise ValueError("need at least 100 post-warmup draws per chain")
     dim = chains[0].draws.shape[1]
-    if param_names is None:
-        param_names = [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu"]
-    if len(param_names) != dim:
-        raise ValueError("param_names length mismatch")
 
     blocks = [c.draws for c in chains]
-    names = list(param_names) + ["sigma"]
+    names = [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu", "sigma"]
     columns = [np.concatenate([b[:, j] for b in blocks]) for j in range(dim)]
     columns.append(np.exp(np.concatenate([b[:, dim - 1] for b in blocks])))
     per_chain = [[b[:, j] for b in blocks] for j in range(dim)]

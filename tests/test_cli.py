@@ -25,14 +25,15 @@ def read_csv(path):
     return comments, rows[0], rows[1:]
 
 
-def write_dataset(path, n=60, seed=0, constant_col=False):
+def write_dataset(path, n=60, seed=0, constant_col=False, duplicate_col=False):
     rng = np.random.default_rng(seed)
     x1 = rng.normal(size=n)
     x2 = np.full(n, 3.0) if constant_col else rng.normal(size=n)
     y = 1.0 + 0.8 * x1 - 0.5 * x2 + 0.6 * rng.normal(size=n)
+    cols = [y, x1, x2] + [x2] * duplicate_col
     with open(path, "w") as fh:
-        fh.write("y,x1,x2\n")
-        for row in zip(y, x1, x2):
+        fh.write("y,x1,x2" + ",x3" * duplicate_col + "\n")
+        for row in zip(*cols):
             fh.write(",".join(f"{v:.10f}" for v in row) + "\n")
 
 
@@ -206,6 +207,48 @@ class TestFit:
                      "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("prior, code", [("normal", EXIT_OK),
+                                             ("jeffreys", EXIT_DATA)])
+    def test_duplicated_covariate(self, tmp_path, capsys, prior, code):
+        # x3 repeats x2: proper priors on both keep the posterior proper,
+        # flat ones leave it improper.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path, duplicate_col=True)
+        out = tmp_path / "o.csv"
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", prior, "--prior", prior, "--seed", "1",
+                     "--hmc-samples", "200", "--hmc-warmup", "40",
+                     "--hmc-chains", "2", "--out", str(out)]) == code
+        if code == EXIT_DATA:
+            assert "improper" in capsys.readouterr().err
+            return
+        # The two copies are exchangeable, so their means agree.
+        table = {r[0]: [float(v) for v in r[1:]] for r in read_csv(out)[2]}
+        (m3, _, _, e3), (m4, _, _, e4) = table["beta_3"], table["beta_4"]
+        assert abs(m3 - m4) < 4 * (e3 + e4)
+
+    def test_units_comment(self, tmp_path):
+        # Rows stay in standardized units; both files say how to map back.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-samples", "100",
+                     "--hmc-warmup", "20", "--hmc-chains", "1",
+                     "--out", str(out)]) == EXIT_OK
+        from robustpriors.model import load_csv
+        data, _ = load_csv(data_path)
+        x2 = data.X[:, 2]
+        line = ("# standardized units, each column as (value - mean) / scale: "
+                f"y mean={float(data.y.mean())!r} "
+                f"scale={float(data.y.std())!r}, x1 mean=")
+        for path in (out, tmp_path / "fit_chains.csv"):
+            units = [c for c in path.read_text().splitlines()
+                     if c.startswith("# standardized units")]
+            assert len(units) == 1 and units[0].startswith(line)
+            assert units[0].endswith(f"x2 mean={float(x2.mean())!r} "
+                                     f"scale={float(x2.std())!r}")
+
     def test_too_few_rows_is_data_error(self, tmp_path):
         data_path = tmp_path / "d.csv"
         data_path.write_text("y,x1,x2\n1.0,2.0,3.0\n2.0,3.0,4.0\n")
@@ -272,6 +315,22 @@ class TestSweep:
         assert f"--{flag}" in err and families.replace(",", ", ") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, source", [("mu2", "flag"),
+                                              ("lambda2", "config")])
+    def test_value_for_swept_axis(self, tmp_path, capsys, axis, source):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", axis, "--families", "normal", "--grid",
+                "0.5", "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{axis}", "3"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{axis} = 3\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"--{axis}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_family(self, tmp_path):
         code = main(["sweep", "--axis", "mu2", "--families", "gauss",
                      "--out", str(tmp_path / "x.csv")])
@@ -319,6 +378,27 @@ class TestCheck:
         assert {"student_location_limit", "lptn_location_invariance",
                 "lptn_scaling_trace_slow", "ctn_exact_attainment"} <= claims
         assert (tmp_path / "check_series.csv").exists()
+
+
+class TestOptionGroups:
+    # Each command takes only the options it reads.
+    @pytest.mark.parametrize("argv", [["check", "--hmc-samples", "5"],
+                                      ["check", "--seed", "1"],
+                                      ["fit", "--data", "d.csv", "--prior",
+                                       "jeffreys", "--quad-tol", "1e-3"]])
+    def test_option_a_command_does_not_read(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_config_key_a_command_does_not_read(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fast = yes\nhmc_samples = 5\n")
+        assert main(["check", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: hmc_samples: unknown config key for check" in err
 
 
 class TestConfigFile:

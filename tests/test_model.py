@@ -411,6 +411,20 @@ class TestPosteriorTarget:
         sp = t.start_point
         np.testing.assert_allclose(sp[:-1], ols_fit(data), atol=1e-10)
 
+    def test_duplicated_column(self):
+        # Proper priors on both copies keep the posterior proper, and the
+        # warm start is the minimum-norm least-squares point; flat priors
+        # on both leave it improper.
+        data = random_data(seed=6)
+        dup = RegressionData(y=data.y, X=np.column_stack([data.X, data.X[:, 2]]))
+        prior = CoefficientPrior(0.0, 1.0, Normal())
+        sp = PosteriorTarget(dup, [None, None, prior, prior]).start_point
+        assert np.all(np.isfinite(sp)) and sp[2] == pytest.approx(sp[3])
+        np.testing.assert_allclose(sp[1:3], ols_fit(data)[1:] * [1, 0.5],
+                                   atol=1e-10)
+        with pytest.raises(DataError, match="beta_3, beta_4.*improper"):
+            PosteriorTarget(dup, [None] * 4)
+
     def test_sigma_space_density(self):
         # Removing the Jacobian recovers the explicit sigma-space kernel
         # sigma^-(n+1) exp(-n (1 + b^2) / (2 sigma^2)) of the flat case.
