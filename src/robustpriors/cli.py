@@ -223,6 +223,8 @@ def cmd_fit(args):
                  + ", ".join(f"{name} mean={float(m)!r} scale={float(s)!r}"
                              for name, m, s in zip(["y", *cov_names], means, scales)))
     if args.hmc_leapfrog_steps is None:
+        extra.append(f"warmup leapfrog steps after the pilot = "
+                     f"{chains[0].warmup_leapfrog_steps} (chosen from the pilot)")
         extra.append(f"leapfrog steps after warmup = "
                      f"{chains[0].leapfrog_steps} (chosen from warmup)")
     comments = _config_comments(args, extra=extra)

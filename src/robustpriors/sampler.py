@@ -4,31 +4,42 @@ The sampler works on any object exposing ``dim``, ``logpdf(q)`` and
 ``grad_logpdf(q)`` over batched coordinate rows; posteriors supply these in
 ``(beta, nu)`` coordinates so the space is unconstrained.
 
+Start: the target's ``start_point`` (or the origin) is moved uphill to a
+local mode by gradient ascent (`_climb_to_mode`, at most
+`MODE_SEARCH_CALLS` target calls), and each chain adds its own
+``0.1 N(0, I)`` jitter to that mode.  Under a strong conflicting prior the
+least-squares point sits deep in that prior's tail, where a step size that
+suits the posterior diverges.
+
 Tuning: a fixed step size, identity (or user supplied diagonal) mass, and a
 trajectory length ``L`` jittered uniformly over ``{ceil(0.8 L), ...,
 ceil(1.2 L)}`` to avoid resonances.  ``L`` is either given or, by default,
-chosen from the warmup: warmup runs at ``L = 30``, and from the second half
-of its draws the post-warmup length is set to a quarter period of the
-slowest coordinate, ``L* = max(1, round((pi/2) max_j s_j sqrt(mass_j) /
-step_size))`` with ``s_j`` the within-chain sd averaged over chains.  The
-chosen length is jittered wider, over ``{ceil(0.5 L*), ..., ceil(1.5 L*)}``:
-a short length that lands near a resonance stays near it under +-20%.
-Chains are vectorized; each chain draws momenta and acceptance variables
-from its own stream derived from ``(rng_seed, chain_index)``, while the
-jittered lengths come from one extra derived stream shared by all chains (a
-common deterministic schedule, so the batch stays in lockstep).  Everything
-is reproducible bit for bit from the seed.
+chosen from the warmup in two stages.  A pilot, the first tenth of warmup
+and at least `MIN_PILOT` iterations, runs at ``L = 30``; from the second
+half of its draws the rest of warmup runs at a quarter period of the
+slowest coordinate, ``max(1, round((pi/2) max_j s_j sqrt(mass_j) /
+step_size))`` with ``s_j`` the within-chain sd averaged over chains.  From
+the second half of warmup the same rule sets the post-warmup length ``L*``.
+Both chosen lengths are jittered wider, over ``{ceil(0.5 L*), ...,
+ceil(1.5 L*)}``: a short length that lands near a resonance stays near it
+under +-20%.  Chains are vectorized; each chain draws momenta and
+acceptance variables from its own stream derived from ``(rng_seed,
+chain_index)``, while the jittered lengths come from one extra derived
+stream shared by all chains (a common deterministic schedule, so the batch
+stays in lockstep).  Everything is reproducible bit for bit from the seed.
 
 Each trajectory costs its ``n_steps`` gradient evaluations and one density
 evaluation at the proposal.  The gradient at the current state is carried
 from one iteration to the next (the proposal's on accept, the old one on
 reject), so a run of ``N`` trajectories makes ``sum(n_steps) + 1`` gradient
-calls in all.
+calls in all, besides those of the mode search.
 
 Kinked gradients from the piecewise prior tails need no special treatment
 (the kink sets have null measure); non-finite trajectories are flagged as
-divergences and auto-rejected, and a run whose divergence rate exceeds 10%
-raises `DivergenceError`.
+divergences and auto-rejected.  A run raises `DivergenceError` when more
+than 10% of its warmup trajectories diverge, at the end of warmup and
+before any post-warmup draw, or when more than 10% of all its trajectories
+do, at the end.
 """
 
 import warnings
@@ -43,27 +54,34 @@ __all__ = ["HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
 
 
 class DivergenceError(RuntimeError):
-    """Raised when more than 10% of trajectories diverge."""
+    """Raised when more than 10% of warmup, or of all, trajectories diverge."""
 
     def __init__(self, msg, last_state=None):
         super().__init__(msg)
         self.last_state = last_state
 
 
-# Warmup trajectory length when the post-warmup one is chosen from warmup.
+# Pilot trajectory length when the lengths are chosen from warmup.
 WARMUP_LEAPFROG_STEPS = 30
 # Fewest warmup iterations whose second half can estimate the scales.
 MIN_AUTO_WARMUP = 20
+# Fewest pilot iterations; the pilot is otherwise the first tenth of warmup.
+MIN_PILOT = 10
+# Most target calls the search for the start's mode may make.
+MODE_SEARCH_CALLS = 200
 
 
 @dataclass(frozen=True)
 class HmcConfig:
     """Sampler settings; the defaults are sized for the reduced 2-D targets.
 
-    ``leapfrog_steps=None`` (the default) runs warmup at
-    `WARMUP_LEAPFROG_STEPS` and then chooses the trajectory length from the
-    warmup draws, which needs ``n_warmup >= MIN_AUTO_WARMUP``; an integer
-    fixes the length for the whole run.
+    ``leapfrog_steps=None`` (the default) runs a warmup pilot at
+    `WARMUP_LEAPFROG_STEPS`, chooses the length for the rest of warmup from
+    the pilot's draws and the post-warmup length from the warmup's, which
+    needs ``n_warmup >= MIN_AUTO_WARMUP``; an integer fixes the length for
+    the whole run.  Every run starts from a local mode uphill of the
+    target's start point and stops at the end of warmup if more than 10% of
+    its warmup trajectories diverged.
     """
 
     step_size: float = 0.05
@@ -102,6 +120,7 @@ class Chain:
     index: int                  # chain index within the run
     divergences: int = 0
     leapfrog_steps: int | None = None   # post-warmup length, before jitter
+    warmup_leapfrog_steps: int | None = None    # length after the pilot
 
 
 def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
@@ -160,8 +179,8 @@ def _steps_from_warmup(window, mass, step_size):
     """Trajectory length covering a quarter period of the slowest coordinate.
 
     `window` holds the (chains, draws, dim) states of the second half of
-    warmup.  If no coordinate has a positive finite sd (the chains never
-    moved), the warmup length is kept, with a warning.
+    the pilot or of warmup.  If no coordinate has a positive finite sd (the
+    chains never moved), the warmup length is kept, with a warning.
     """
     # Deviations from each chain's first state make a chain that never moved
     # give an sd of exactly 0, not round-off from its mean.
@@ -179,15 +198,82 @@ def _steps_from_warmup(window, mass, step_size):
     return max(1, int(round(0.5 * np.pi * float(scale[ok].max()) / step_size)))
 
 
+# Density change, in nats, below which two moves in a row end the search.
+_MODE_GAIN = 1e-8
+# Accepted values the mode search's backtracking compares a move with.
+_MODE_MEMORY = 10
+
+
+def _climb_to_mode(target, q0):
+    """Move `q0` uphill to a local mode of `target`; returns the end point.
+
+    Gradient ascent with Barzilai-Borwein step lengths and the nonmonotone
+    backtracking of Grippo, Lampariello and Lucidi: a move must gain 1e-4 of
+    its first-order prediction over the lowest of the last `_MODE_MEMORY`
+    values, which keeps the long steps that make Barzilai-Borwein fast on
+    badly scaled targets.  It stops after two moves in a row that change
+    the density by under `_MODE_GAIN` nats, a move that underflows, or
+    `MODE_SEARCH_CALLS` calls of `logpdf` and `grad_logpdf` together.  A
+    start whose gradient is zero, or whose density or gradient is not
+    finite, is returned unchanged.
+    """
+    q = np.array(q0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = target.grad_logpdf(q[None, :])[0]
+    if not (np.all(np.isfinite(g)) and np.any(g)):
+        return q
+    f = float(target.logpdf(q[None, :])[0])
+    calls = 2
+    if not np.isfinite(f):
+        return q
+    recent = [f]
+    flat_moves = 0
+    # The first move is at most 1e-3 in any coordinate; the Barzilai-Borwein
+    # lengths then follow the curvature seen along the path.
+    alpha = 1e-3 / float(np.max(np.abs(g)))
+    while calls + 2 <= MODE_SEARCH_CALLS:
+        q_new = q + alpha * g
+        if np.array_equal(q_new, q):
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_new = float(target.logpdf(q_new[None, :])[0])
+        calls += 1
+        if not f_new >= min(recent) + 1e-4 * alpha * float(g @ g):
+            alpha *= 0.5
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_new = target.grad_logpdf(q_new[None, :])[0]
+        calls += 1
+        flat_moves = flat_moves + 1 if abs(f_new - f) < _MODE_GAIN else 0
+        s, y = q_new - q, g - g_new
+        q, f, g = q_new, f_new, g_new
+        recent = recent[1 - _MODE_MEMORY:] + [f]
+        if flat_moves == 2 or not (np.all(np.isfinite(g)) and np.any(g)):
+            break
+        sy = float(s @ y)
+        # Along a direction of negative curvature keep growing the step.
+        alpha = float(s @ s) / sy if sy > 0 else 2.0 * alpha
+    return q
+
+
+def _check_divergences(divergences, n_trajectories, last_divergent, what):
+    rate = divergences.sum() / n_trajectories
+    if rate > 0.10:
+        raise DivergenceError(
+            f"{rate:.1%} of {what} trajectories diverged; last divergent "
+            f"state {last_divergent}", last_state=last_divergent)
+
+
 def sample(target, config):
     """Run Metropolis-corrected HMC chains against `target`.
 
     Returns one `Chain` per configured chain with warmup discarded.  The
     acceptance decision uses the exact joint Hamiltonian difference.  A
     tuning warning is emitted if any chain's post-warmup acceptance rate
-    leaves [0.4, 0.95].  With ``config.leapfrog_steps=None`` the post-warmup
-    trajectory length is chosen at the end of warmup (see the module
-    docstring) and recorded in each `Chain`.
+    leaves [0.4, 0.95].  With ``config.leapfrog_steps=None`` the warmup
+    trajectory length is chosen after the pilot and the post-warmup one at
+    the end of warmup (see the module docstring); both are recorded in each
+    `Chain`.
     """
     dim = target.dim
     m = config.n_chains
@@ -201,10 +287,9 @@ def sample(target, config):
     chain_rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams[:m]]
     traj_rng = np.random.Generator(np.random.PCG64(streams[m]))
 
-    q = np.zeros((m, dim))
     start = getattr(target, "start_point", None)
-    if start is not None:
-        q += np.asarray(start, dtype=float)[None, :]
+    start = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
+    q = np.repeat(_climb_to_mode(target, start)[None, :], m, axis=0)
     for i in range(m):
         q[i] += 0.1 * chain_rngs[i].standard_normal(dim)
 
@@ -215,9 +300,10 @@ def sample(target, config):
     n_fixed = WARMUP_LEAPFROG_STEPS if auto else config.leapfrog_steps
     lo, hi = _jitter_range(n_fixed, 0.2)
     total = config.n_warmup + config.n_samples
-    window_start = config.n_warmup // 2
+    pilot = max(MIN_PILOT, config.n_warmup // 10) if auto else None
+    warmup_steps = None
     if auto:
-        window = np.empty((m, config.n_warmup - window_start, dim))
+        warmup = np.empty((m, config.n_warmup, dim))
 
     draws = np.empty((m, config.n_samples, dim))
     accepted = np.zeros(m, dtype=int)
@@ -225,9 +311,16 @@ def sample(target, config):
     last_divergent = None
 
     for it in range(total):
-        if auto and it == config.n_warmup:
-            n_fixed = _steps_from_warmup(window, mass, config.step_size)
-            lo, hi = _jitter_range(n_fixed, 0.5)
+        if auto and it == pilot:
+            warmup_steps = _steps_from_warmup(warmup[:, pilot // 2:pilot],
+                                              mass, config.step_size)
+            lo, hi = _jitter_range(warmup_steps, 0.5)
+        if it == config.n_warmup and it > 0:
+            _check_divergences(divergences, it * m, last_divergent, "warmup")
+            if auto:
+                n_fixed = _steps_from_warmup(warmup[:, it // 2:], mass,
+                                             config.step_size)
+                lo, hi = _jitter_range(n_fixed, 0.5)
         n_steps = int(traj_rng.integers(lo, hi + 1))
         p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
         p0 *= np.sqrt(mass)[None, :]
@@ -255,14 +348,10 @@ def sample(target, config):
         if it >= config.n_warmup:
             draws[:, it - config.n_warmup] = q
             accepted += accept
-        elif auto and it >= window_start:
-            window[:, it - window_start] = q
+        elif auto:
+            warmup[:, it] = q
 
-    rate = divergences.sum() / (total * m)
-    if rate > 0.10:
-        raise DivergenceError(
-            f"{rate:.1%} of trajectories diverged; last divergent state "
-            f"{last_divergent}", last_state=last_divergent)
+    _check_divergences(divergences, total * m, last_divergent, "all")
 
     chains = []
     for i in range(m):
@@ -275,7 +364,8 @@ def sample(target, config):
         chains.append(Chain(draws=draws[i], accept_rate=float(acc),
                             seed=config.rng_seed, index=i,
                             divergences=int(divergences[i]),
-                            leapfrog_steps=n_fixed))
+                            leapfrog_steps=n_fixed,
+                            warmup_leapfrog_steps=warmup_steps))
     return chains
 
 
@@ -327,9 +417,9 @@ class PosteriorSummary:
                 "ess": self.ess[i], "mcse": self.mcse[i]}
 
     def write_csv(self, path, comments=()):
-        cols = (self.mean, self.sd, self.ess, self.mcse)
-        rows = ([name] + [repr(float(c[i])) for c in cols]
-                for i, name in enumerate(self.params))
+        table = np.column_stack([self.mean, self.sd, self.ess, self.mcse])
+        rows = ([name, *map(repr, values)]
+                for name, values in zip(self.params, table.tolist()))
         write_commented_csv(path, ["param", "mean", "sd", "ess", "mcse"], rows,
                             comments)
 
@@ -367,6 +457,7 @@ def save_chains(chains, path, comments=()):
         raise ValueError("no chains to save")
     dim = chains[0].draws.shape[1]
     header = ["chain", "iter"] + [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu"]
-    rows = ([c.index, it] + [repr(float(v)) for v in row]
-            for c in chains for it, row in enumerate(c.draws))
+    # ``tolist`` yields Python floats, whose repr is the shortest round trip.
+    rows = ([c.index, it, *map(repr, row)]
+            for c in chains for it, row in enumerate(c.draws.tolist()))
     write_commented_csv(path, header, rows, comments)

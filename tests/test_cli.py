@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK,
+from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                               default_lambda2_grid, default_mu2_grid, main,
                               parse_prior_spec, parse_sigma_prior_spec)
 from robustpriors.model import InverseGammaSigmaSq, PowerAdjustedSigma
@@ -13,15 +13,11 @@ from robustpriors.priors import LPTN, Student
 
 
 def read_csv(path):
+    """Whole ``#`` comment lines, then the header and rows of a CSV."""
     with open(path) as fh:
-        comments = []
-        rows = []
-        reader = csv.reader(fh)
-        for row in reader:
-            if row and row[0].startswith("# "):
-                comments.append(row[0])
-            else:
-                rows.append(row)
+        lines = fh.read().splitlines()
+    comments = [line for line in lines if line.startswith("# ")]
+    rows = list(csv.reader(line for line in lines if not line.startswith("# ")))
     return comments, rows[0], rows[1:]
 
 
@@ -166,21 +162,29 @@ class TestFit:
                 "--prior", "normal:mu=1", "--seed", "2", "--hmc-samples",
                 "100", "--hmc-warmup", "40", "--hmc-chains", "2",
                 "--hmc-step-size", "0.1"]
-        line = "# leapfrog steps after warmup = {} (chosen from warmup)"
+        lines = {"leapfrog": "# leapfrog steps after warmup = {} "
+                             "(chosen from warmup)",
+                 "warmup": "# warmup leapfrog steps after the pilot = {} "
+                           "(chosen from the pilot)"}
         auto = tmp_path / "auto.csv"
         assert main(base + ["--out", str(auto)]) == EXIT_OK
         comments, _, _ = read_csv(auto)
-        chosen = [c for c in comments if c.startswith("# leapfrog steps")]
-        assert len(chosen) == 1
-        steps = int(chosen[0].split("= ")[1].split(" ")[0])
-        assert chosen[0] == line.format(steps) and steps >= 1
+        for start, line in lines.items():
+            chosen = [c for c in comments if c.startswith(f"# {start}")]
+            assert len(chosen) == 1
+            steps = int(chosen[0].split("= ")[1].split(" ")[0])
+            assert chosen[0] == line.format(steps) and steps >= 1
         assert read_csv(tmp_path / "auto_chains.csv")[0] == comments
+        rerun = tmp_path / "rerun.csv"
+        assert main(base + ["--out", str(rerun)]) == EXIT_OK
+        assert rerun.read_bytes() == auto.read_bytes()
 
         fixed = tmp_path / "fixed.csv"
         assert main(base + ["--hmc-leapfrog-steps", "30",
                             "--out", str(fixed)]) == EXIT_OK
         fixed_comments = read_csv(fixed)[0]
-        assert not any(c.startswith("# leapfrog steps") for c in fixed_comments)
+        assert not any(c.startswith(("# leapfrog", "# warmup leapfrog"))
+                       for c in fixed_comments)
         assert "# hmc_leapfrog_steps = 30" in fixed_comments
 
     def test_too_little_warmup_to_choose_length(self, tmp_path, capsys):
@@ -191,6 +195,37 @@ class TestFit:
                      "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
         assert "n_warmup >= 20" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    def test_conflicting_prior_on_every_covariate(self, tmp_path):
+        # n = 500 with 5 orthogonal covariates: the least-squares start is
+        # deep in the tail of the strong prior at 3, where every trajectory
+        # at step 0.015 diverged.
+        n, p = 500, 5
+        rng = np.random.default_rng(4)
+        basis, _ = np.linalg.qr(np.column_stack(
+            [np.ones(n), rng.standard_normal((n, p + 1))]))
+        X = basis[:, 1:p + 1] * np.sqrt(n)
+        y = X @ np.linspace(0.6, -0.3, p) + 0.5 * np.sqrt(n) * basis[:, -1]
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.column_stack([X, y]), delimiter=",",
+                   header="x1,x2,x3,x4,x5,y", comments="")
+        argv = ["fit", "--data", str(data_path), "--hmc-step-size", "0.015",
+                "--hmc-samples", "100", "--hmc-warmup", "40",
+                "--hmc-chains", "2", "--out", str(tmp_path / "o.csv")]
+        argv += ["--prior", "normal:mu=3,lambda=200"] * p
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.filterwarnings("ignore:warmup draws have no positive")
+    def test_divergent_warmup_exits_before_sampling(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-step-size", "5",
+                     "--hmc-warmup", "20", "--hmc-samples", "2000",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_NUMERICAL
+        assert "of warmup trajectories diverged" in capsys.readouterr().err
 
     def test_prior_count_mismatch(self, tmp_path):
         data_path = tmp_path / "d.csv"

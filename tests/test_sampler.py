@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from robustpriors.model import reduced_target
-from robustpriors.priors import LPTN, Normal
-from robustpriors.sampler import (MIN_AUTO_WARMUP, WARMUP_LEAPFROG_STEPS,
+from robustpriors.model import (PosteriorTarget, RegressionData,
+                                reduced_target, standardize)
+from robustpriors.priors import LPTN, CoefficientPrior, Normal
+from robustpriors.sampler import (MIN_AUTO_WARMUP, MIN_PILOT,
+                                  MODE_SEARCH_CALLS, WARMUP_LEAPFROG_STEPS,
                                   Chain, DivergenceError, HmcConfig,
-                                  _steps_from_warmup, ess_imse, leapfrog,
-                                  sample, save_chains, summarize)
+                                  _climb_to_mode, _steps_from_warmup,
+                                  ess_imse, leapfrog, sample, save_chains,
+                                  summarize)
 
 
 class GaussianTarget:
@@ -191,12 +194,14 @@ class TestSample:
             assert np.array_equal(c.draws, expected[c.index])
 
     def test_one_gradient_call_per_leapfrog_step(self):
+        # Besides one call per step and one at the jittered start, the mode
+        # search makes one call: the origin's gradient is zero, so it stops.
         cfg = HmcConfig(step_size=1.5, leapfrog_steps=4, n_samples=200,
                         n_warmup=20, n_chains=2, rng_seed=6)
         t = CountingTarget(2)
         sample(t, cfg)
         _, total_steps = reference_sample(GaussianTarget(2), cfg)
-        assert t.grad_calls == total_steps + 1
+        assert t.grad_calls == total_steps + 2
 
     def test_seed_determinism(self):
         t = reduced_target(100, family=None)
@@ -267,20 +272,17 @@ class RecordingTarget(GaussianTarget):
 
 
 class StuckTarget(GaussianTarget):
-    """Every proposal is 500 nats below the start: no chain ever moves.
+    """Flat within 0.5 of the origin and 500 nats lower outside it.
 
-    The energy rise stays under the divergence threshold, so the run
-    completes with all draws at the start.
+    The gradient is zero everywhere, so at a large step every trajectory
+    runs straight out of the ball and is rejected: no chain ever moves.  The
+    energy rise stays under the divergence threshold, so the run completes
+    with all draws at the start.
     """
 
-    def __init__(self, d):
-        super().__init__(d)
-        self.started = False
-
     def logpdf(self, q):
-        out = np.full(len(np.atleast_2d(q)), -500.0 if self.started else 0.0)
-        self.started = True
-        return out
+        q = np.atleast_2d(q)
+        return np.where(np.linalg.norm(q, axis=1) < 0.5, 0.0, -500.0)
 
     def grad_logpdf(self, q):
         return np.zeros_like(np.atleast_2d(q))
@@ -300,19 +302,38 @@ class TestTrajectoryLengthFromWarmup:
         assert abs(chains[0].leapfrog_steps - expected) <= 1
 
     def test_warmup_matches_explicit_warmup_length(self):
-        # The chosen length applies after warmup only: warmup proposals, and
-        # so the states the post-warmup draws start from, are those of an
-        # explicit run at the warmup length with the same seed.
+        # Only the pilot runs at the warmup length: its proposals are those
+        # of an explicit run at that length with the same seed, and the
+        # first proposal after it is not.  The mode search makes no logpdf
+        # call here, since the origin's gradient is zero.
         kw = dict(step_size=1.2, n_samples=50, n_warmup=60, n_chains=3,
                   rng_seed=8)
         auto, fixed = RecordingTarget(2), RecordingTarget(2)
         chains = sample(auto, HmcConfig(**kw))
         sample(fixed, HmcConfig(leapfrog_steps=WARMUP_LEAPFROG_STEPS, **kw))
+        assert chains[0].warmup_leapfrog_steps != WARMUP_LEAPFROG_STEPS
         assert chains[0].leapfrog_steps != WARMUP_LEAPFROG_STEPS
-        n = 1 + kw["n_warmup"]          # the start, then one per iteration
+        n = 1 + MIN_PILOT               # the start, then one per iteration
         for a, b in zip(auto.logpdf_inputs[:n], fixed.logpdf_inputs[:n]):
             assert np.array_equal(a, b)
         assert not np.array_equal(auto.logpdf_inputs[n], fixed.logpdf_inputs[n])
+
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    @pytest.mark.parametrize("n_warmup, pilot", [(20, MIN_PILOT),
+                                                 (99, MIN_PILOT), (250, 25)])
+    def test_pilot_is_a_tenth_of_warmup(self, n_warmup, pilot):
+        # With a step far too small for the Gaussian, the pilot's draws ask
+        # for a longer trajectory, so the first proposal after the pilot is
+        # the first to leave the explicit run at the warmup length.
+        kw = dict(step_size=0.01, n_samples=5, n_warmup=n_warmup, n_chains=2,
+                  rng_seed=1)
+        auto, fixed = RecordingTarget(2), RecordingTarget(2)
+        chains = sample(auto, HmcConfig(**kw))
+        sample(fixed, HmcConfig(leapfrog_steps=WARMUP_LEAPFROG_STEPS, **kw))
+        assert chains[0].warmup_leapfrog_steps > WARMUP_LEAPFROG_STEPS
+        same = [np.array_equal(a, b)
+                for a, b in zip(auto.logpdf_inputs, fixed.logpdf_inputs)]
+        assert same.index(False) == 1 + pilot
 
     def test_seed_determinism(self):
         t = reduced_target(100, 1.0, 1.0, LPTN(0.95))
@@ -337,12 +358,14 @@ class TestTrajectoryLengthFromWarmup:
             HmcConfig(leapfrog_steps=0)
 
     def test_stuck_warmup_keeps_warmup_length(self):
-        cfg = HmcConfig(step_size=0.1, n_samples=20, n_warmup=40, n_chains=2)
+        cfg = HmcConfig(step_size=10.0, n_samples=20, n_warmup=40, n_chains=2)
         with pytest.warns(UserWarning) as record:
             chains = sample(StuckTarget(2), cfg)
         assert any(f"warmup length {WARMUP_LEAPFROG_STEPS}" in str(w.message)
                    for w in record)
+        assert chains[0].warmup_leapfrog_steps == WARMUP_LEAPFROG_STEPS
         assert chains[0].leapfrog_steps == WARMUP_LEAPFROG_STEPS
+        assert all(c.accept_rate == 0.0 for c in chains)
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
     def test_no_finite_positive_sd_keeps_warmup_length(self, fill):
@@ -350,6 +373,117 @@ class TestTrajectoryLengthFromWarmup:
         with pytest.warns(UserWarning, match="warmup length"):
             assert _steps_from_warmup(window, np.ones(3), 0.1) == \
                 WARMUP_LEAPFROG_STEPS
+
+
+class ShiftedGaussian(ScaledGaussian):
+    """`ScaledGaussian` centred at `mean`, counting its target calls."""
+
+    def __init__(self, mean, sd):
+        super().__init__(sd)
+        self.mean = np.asarray(mean, dtype=float)
+        self.calls = 0
+
+    def logpdf(self, q):
+        self.calls += 1
+        return super().logpdf(np.atleast_2d(q) - self.mean)
+
+    def grad_logpdf(self, q):
+        self.calls += 1
+        return super().grad_logpdf(np.atleast_2d(q) - self.mean)
+
+
+def orthogonal_regression(n=500, p=5, seed=0):
+    """Standardized data with orthogonal covariates and R^2 = 0.9."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n),
+                                             rng.standard_normal((n, p + 1))]))
+    X = basis[:, 1:p + 1] * np.sqrt(n)
+    beta = np.linspace(1.0, -0.5, p)
+    beta *= 1.5 / np.linalg.norm(beta)
+    y = 0.5 + X @ beta + 0.5 * np.sqrt(n) * basis[:, -1]
+    data, _ = standardize(RegressionData(y=y, X=np.column_stack([np.ones(n), X])))
+    return data
+
+
+class TestModeStart:
+    def test_climbs_to_the_mode(self):
+        t = ShiftedGaussian([2.0, -1.0, 0.5], [0.05, 1.0, 0.3])
+        mode = _climb_to_mode(t, np.zeros(3))
+        assert np.all(np.abs(mode - t.mean) < 1e-6 * t.sd)
+        assert t.calls <= MODE_SEARCH_CALLS
+
+    def test_mode_start_is_kept_bit_for_bit(self):
+        t = ShiftedGaussian([0.25, -0.5], [1.0, 2.0])
+        assert np.array_equal(_climb_to_mode(t, t.mean), t.mean)
+        assert t.calls == 1             # one gradient, found zero
+
+    def test_call_budget_without_a_mode(self):
+        class Slope(GaussianTarget):
+            calls = 0
+            def logpdf(self, q):
+                self.calls += 1
+                return np.atleast_2d(q).sum(axis=1)
+            def grad_logpdf(self, q):
+                self.calls += 1
+                return np.ones_like(np.atleast_2d(q))
+
+        t = Slope(2)
+        q = _climb_to_mode(t, np.zeros(2))
+        assert t.calls <= MODE_SEARCH_CALLS and q.sum() > 1.0
+
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    def test_conflicting_normal_prior_far_from_least_squares(self):
+        # The least-squares start sits deep in the prior's tail, where every
+        # trajectory diverged; from the mode none may.
+        data = orthogonal_regression()
+        prior = CoefficientPrior(mu=3.0, lam=200.0, family=Normal())
+        target = PosteriorTarget(data, [None] + [prior] * 5)
+        cfg = HmcConfig(step_size=0.015, n_samples=200, n_warmup=60,
+                        n_chains=2, rng_seed=0)
+        chains = sample(target, cfg)
+        trajectories = (cfg.n_warmup + cfg.n_samples) * cfg.n_chains
+        assert sum(c.divergences for c in chains) < 0.01 * trajectories
+        assert np.all(np.abs(chains[0].draws[:, 1:6].mean(axis=0) - 3.0) < 0.1)
+
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    def test_strong_conflict_reduced_target_leaves_its_start(self):
+        # Seed 118 of this point stayed at the least-squares start and
+        # raised `DivergenceError` when the chains started there.
+        target = reduced_target(100, 2.0, 2.0, Normal())
+        cfg = HmcConfig(n_samples=500, n_warmup=800, n_chains=2, rng_seed=118)
+        chains = sample(target, cfg)
+        assert sum(c.divergences for c in chains) == 0
+
+
+class TestFailEarly:
+    def test_warmup_divergences_raise_before_the_first_draw(self):
+        class CountingCliff(CliffTarget):
+            calls = 0
+            def logpdf(self, q):
+                self.calls += 1
+                return super().logpdf(q)
+
+        t = CountingCliff()
+        cfg = HmcConfig(step_size=5.0, leapfrog_steps=10, n_samples=2000,
+                        n_warmup=30, n_chains=2, rng_seed=0)
+        with pytest.raises(DivergenceError, match="of warmup trajectories") as exc:
+            sample(t, cfg)
+        assert t.calls == 1 + cfg.n_warmup     # the start, then one per warmup
+        assert exc.value.last_state[0] < cfg.n_warmup
+
+    def test_rare_warmup_divergences_pass(self):
+        # One divergent warmup trajectory in 20 (5%) is under the limit.
+        class OnceCliff(GaussianTarget):
+            calls = 0
+            def logpdf(self, q):
+                self.calls += 1
+                out = super().logpdf(q)
+                return np.full_like(out, -np.inf) if self.calls == 2 else out
+
+        cfg = HmcConfig(step_size=1.2, leapfrog_steps=3, n_samples=100,
+                        n_warmup=20, n_chains=1, rng_seed=0)
+        chains = sample(OnceCliff(1), cfg)
+        assert chains[0].divergences == 1
 
 
 class TestSummarize:
