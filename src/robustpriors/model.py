@@ -386,7 +386,7 @@ class PosteriorTarget:
         """
         B, v = self._split(beta, nu)
         scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._evaluate(B, v, want_grad=False)
+        out = self._evaluate(B, v)[0]
         return float(out[0]) if scalar and B.shape[0] == 1 else out
 
     def grad_log_posterior(self, beta, nu):
@@ -397,7 +397,7 @@ class PosteriorTarget:
         """
         B, v = self._split(beta, nu)
         scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._evaluate(B, v, want_grad=True)
+        out = self._evaluate(B, v, value=False, grad=True)[1]
         return out[0] if scalar and B.shape[0] == 1 else out
 
     def _prior_args(self, B, inv_sigma):
@@ -417,8 +417,14 @@ class PosteriorTarget:
             out[:, i] = method(Z[:, i], check=False)
         return out
 
-    def _evaluate(self, B, v, want_grad):
-        """Log density (m,) or its gradient (m, p+1) at rows (B, v).
+    def _evaluate(self, B, v, value=True, grad=False):
+        """Log density (m,) and/or its gradient (m, p+1) at rows (B, v).
+
+        Returns ``(value, gradient)``, with None in place of the one not
+        asked for.  Both share the prefix (``exp(-nu)``, prior arguments,
+        finite checks and the likelihood's residual terms), and each is
+        computed by the same operations whether or not the other is, so a
+        fused call gives the bits of two separate ones.
 
         A row with a non-finite coordinate or prior argument gives -inf and
         a zero gradient.  One reduction decides whether any row can be bad;
@@ -444,37 +450,44 @@ class PosteriorTarget:
                     v = np.where(ok, v, 0.0)
                     inv_sigma = np.exp(-v)
                     Z = self._prior_args(B, inv_sigma)
+            terms = g = val = None
+            if grad:
+                terms = self._likelihood_terms(B, inv_sigma)
+                g = self._gradient(v, inv_sigma, Z, terms, ok)
+            if value:
+                val = self._value(B, v, inv_sigma, Z, terms, ok)
+        return val, g
 
-            if want_grad:
-                gB, gv = self._grad_likelihood(B, v, inv_sigma)
-                if self._located:
-                    G = self._per_prior(Z, grad=True)
-                    gB[:, self._cols] += G * self._lam * inv_sigma[:, None]
-                    # Column by column, in prior order, as a per-prior sum
-                    # would.
-                    for t in (-1.0 - Z * G).T:
-                        gv += t
-                out = np.empty((B.shape[0], self._p + 1))
-                out[:, :self._p] = gB
-                out[:, self._p] = gv
-                if ok is not None:
-                    out = np.where(ok[:, None], out, 0.0)
-                if not math.isfinite(out.sum()):
-                    out = np.where(np.isfinite(out), out, 0.0)
-                return out
+    def _value(self, B, v, inv_sigma, Z, terms, ok):
+        out = v + self.sigma_prior.log_density_nu(v)
+        out = out + self._log_likelihood(B, v, inv_sigma, terms)
+        if self._located:
+            prior = ((self._log_lam - v[:, None])
+                     + self._per_prior(Z, grad=False))
+            for t in prior.T:
+                out = out + t
+        if ok is not None:
+            out = np.where(ok, out, -np.inf)
+        if not math.isfinite(out.sum()):
+            out = np.where(np.isnan(out), -np.inf, out)
+        return out
 
-            out = v + self.sigma_prior.log_density_nu(v)
-            out = out + self._log_likelihood(B, v, inv_sigma)
-            if self._located:
-                terms = ((self._log_lam - v[:, None])
-                         + self._per_prior(Z, grad=False))
-                for t in terms.T:
-                    out = out + t
-            if ok is not None:
-                out = np.where(ok, out, -np.inf)
-            if not math.isfinite(out.sum()):
-                out = np.where(np.isnan(out), -np.inf, out)
-            return out
+    def _gradient(self, v, inv_sigma, Z, terms, ok):
+        gB, gv = self._grad_likelihood(v, inv_sigma, terms)
+        if self._located:
+            G = self._per_prior(Z, grad=True)
+            gB[:, self._cols] += G * self._lam * inv_sigma[:, None]
+            # Column by column, in prior order, as a per-prior sum would.
+            for t in (-1.0 - Z * G).T:
+                gv += t
+        out = np.empty((v.shape[0], self._p + 1))
+        out[:, :self._p] = gB
+        out[:, self._p] = gv
+        if ok is not None:
+            out = np.where(ok[:, None], out, 0.0)
+        if not math.isfinite(out.sum()):
+            out = np.where(np.isfinite(out), out, 0.0)
+        return out
 
     def _gram(self, B):
         """``B @ XtX`` (m, p) and the residual sum of squares S(B) (m,).
@@ -490,28 +503,37 @@ class PosteriorTarget:
         BX = B @ self._XtX
         return BX, self._yty - 2.0 * B @ self._Xty + (BX * B).sum(axis=1)
 
-    def _log_likelihood(self, B, v, inv_sigma):
+    def _likelihood_terms(self, B, inv_sigma):
+        # What the likelihood's value and gradient share: `_gram` on the
+        # Gram path, the scaled residuals (m, n) otherwise.
         if self._use_gram:
-            S = self._gram(B)[1]
+            return self._gram(B)
+        return (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
+
+    def _log_likelihood(self, B, v, inv_sigma, terms=None):
+        # Without `terms` they are computed here and freed on return: a
+        # value-only call on a large batch keeps no more arrays alive than
+        # it needs.
+        if self._use_gram:
+            S = (self._gram(B) if terms is None else terms)[1]
             return (-self._n * v - 0.5 * S * inv_sigma * inv_sigma
                     + self._n * LOG_INV_SQRT_2PI)
-        R = (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
+        R = self._likelihood_terms(B, inv_sigma) if terms is None else terms
         rbad = ~np.all(np.isfinite(R), axis=1)
         if np.any(rbad):
             R = np.where(rbad[:, None], 0.0, R)
         ll = -self._n * v + self.error_family.log_density(R, check=False).sum(axis=1)
         return np.where(rbad, -np.inf, ll) if np.any(rbad) else ll
 
-    def _grad_likelihood(self, B, v, inv_sigma):
+    def _grad_likelihood(self, v, inv_sigma, terms):
         # Gradient of log pi(sigma) + Jacobian + log-likelihood: (gB, gv).
         gv = 1.0 + self.sigma_prior.dlog_dnu(v)
         if self._use_gram:
             inv2 = inv_sigma * inv_sigma
-            BX, S = self._gram(B)
+            BX, S = terms
             gB = (self._Xty[None, :] - BX) * inv2[:, None]
             return gB, gv - self._n + S * inv2
-        R = (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
-        R = np.where(np.isfinite(R), R, 0.0)
+        R = np.where(np.isfinite(terms), terms, 0.0)
         fg = self.error_family.grad_log_density(R, check=False)
         gB = -(fg @ self.data.X) * inv_sigma[:, None]
         return gB, gv - self._n - (R * fg).sum(axis=1)
@@ -531,19 +553,27 @@ class PosteriorTarget:
 
     # -- flat coordinate interface for samplers and quadrature --------------
 
-    def logpdf(self, q):
-        """Log density over packed coordinates ``q = (beta_1..beta_p, nu)``."""
+    def _packed(self, q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             q = q[None, :]
-        return self._evaluate(q[:, :self._p], q[:, self._p], want_grad=False)
+        return q[:, :self._p], q[:, self._p]
+
+    def logpdf(self, q):
+        """Log density over packed coordinates ``q = (beta_1..beta_p, nu)``."""
+        return self._evaluate(*self._packed(q))[0]
 
     def grad_logpdf(self, q):
         """Gradient of `logpdf`, one row of ``(d/d beta, d/d nu)`` per row of q."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            q = q[None, :]
-        return self._evaluate(q[:, :self._p], q[:, self._p], want_grad=True)
+        return self._evaluate(*self._packed(q), value=False, grad=True)[1]
+
+    def logpdf_and_grad(self, q):
+        """``(logpdf(q), grad_logpdf(q))`` from one pass, bit for bit.
+
+        The two share their prefix, so a caller that needs both at the same
+        rows (a sampler at a trajectory's end) pays for it once.
+        """
+        return self._evaluate(*self._packed(q), grad=True)
 
     def __repr__(self):
         fams = [pr.family.name if pr is not None else "flat" for pr in self.priors]

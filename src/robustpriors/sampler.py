@@ -28,18 +28,24 @@ chain_index)``, while the jittered lengths come from one extra derived
 stream shared by all chains (a common deterministic schedule, so the batch
 stays in lockstep).  Everything is reproducible bit for bit from the seed.
 
-Each trajectory costs its ``n_steps`` gradient evaluations and one density
-evaluation at the proposal.  The gradient at the current state is carried
-from one iteration to the next (the proposal's on accept, the old one on
-reject), so a run of ``N`` trajectories makes ``sum(n_steps) + 1`` gradient
-calls in all, besides those of the mode search.
+Each trajectory costs ``n_steps`` target calls.  The first ``n_steps - 1``
+ask for the gradient; the last, at the proposal, asks for the density and
+the gradient together, through ``target.logpdf_and_grad`` when the
+target's type has one (`PosteriorTarget` does, sharing the work of the
+two) and through ``logpdf`` then ``grad_logpdf`` otherwise.  The start
+state is evaluated the same way.  The proposal's gradient is carried to
+the next iteration (the proposal's on accept, the old one on reject), so
+a run of ``N`` trajectories makes ``sum(n_steps) + 1`` gradient
+evaluations and ``N + 1`` density evaluations in all, besides those of
+the mode search.
 
 Kinked gradients from the piecewise prior tails need no special treatment
 (the kink sets have null measure); non-finite trajectories are flagged as
 divergences and auto-rejected.  A run raises `DivergenceError` when more
-than 10% of its warmup trajectories diverge, at the end of warmup and
-before any post-warmup draw, or when more than 10% of all its trajectories
-do, at the end.
+than 10% of its warmup trajectories diverge: at the end of the pilot, if
+its own trajectories already pass that rate, and otherwise at the end of
+warmup, before any post-warmup draw.  It also raises when more than 10%
+of all its trajectories diverge, at the end.
 """
 
 import warnings
@@ -80,8 +86,8 @@ class HmcConfig:
     the pilot's draws and the post-warmup length from the warmup's, which
     needs ``n_warmup >= MIN_AUTO_WARMUP``; an integer fixes the length for
     the whole run.  Every run starts from a local mode uphill of the
-    target's start point and stops at the end of warmup if more than 10% of
-    its warmup trajectories diverged.
+    target's start point and stops at the end of warmup (or of the pilot)
+    if more than 10% of its warmup trajectories so far diverged.
     """
 
     step_size: float = 0.05
@@ -126,48 +132,51 @@ class Chain:
 def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
     """Integrate Hamilton's equations with the position-momentum leapfrog.
 
-    `position`/`momentum` are (m, dim) batches advanced ``n_steps`` steps.
-    Returns ``(position, momentum, divergent)``; rows flagged divergent hit
-    a non-finite or absurdly large state along the way and must be rejected
-    by the caller.
+    `position`/`momentum` are (m, dim) batches advanced ``n_steps >= 1``
+    steps.  Returns ``(position, momentum, divergent)``; rows flagged
+    divergent hit a non-finite or absurdly large state along the way and
+    must be rejected by the caller.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     q = np.array(np.atleast_2d(position), dtype=float)
     p = np.array(np.atleast_2d(momentum), dtype=float)
     inv_mass = 1.0 / (np.ones(q.shape[1]) if mass is None else np.asarray(mass, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         grad = target.grad_logpdf(q)
-    q, p, _, divergent = _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass)
+        q, p, _, _, divergent = _leapfrog(
+            target, q, p, grad, step_size, n_steps, inv_mass,
+            lambda x: (None, target.grad_logpdf(x)))
     return q, p, divergent
 
 
-def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass):
-    """`leapfrog` given the gradient at `q`; also returns the one at the end.
+def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass, end):
+    """`leapfrog` given the gradient at `q`, under the caller's errstate.
 
-    Returns ``(q, p, grad, divergent)``.  The end gradient is the one the
-    last step computed, so a caller that keeps it needs no fresh evaluation
-    at the start of the next trajectory.
+    The last step evaluates the target through ``end(q)``, which returns
+    ``(logp, grad)``, so a caller that needs the proposal's density gets it
+    from that call.  Returns ``(q, p, logp, grad, divergent)``; the end
+    gradient is carried by the caller to the next trajectory's start.
     """
     # Non-finite states propagate freely (the target maps them to -inf /
     # zero gradient) and are flagged once at the end; the caller rejects
     # divergent rows, so there is no need to freeze them mid-trajectory.
+    p = p + 0.5 * step_size * grad
+    for _ in range(n_steps - 1):
+        q = q + step_size * p * inv_mass
+        p = p + step_size * target.grad_logpdf(q)
+    q = q + step_size * p * inv_mass
+    logp, grad = end(q)
+    p = p + 0.5 * step_size * grad
     # Magnitudes beyond 1e50 count as divergent too: a gradient that
     # overflowed mid-trajectory can leave a huge but still-finite state.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = p + 0.5 * step_size * grad
-        last = n_steps - 1
-        for i in range(n_steps):
-            q = q + step_size * p * inv_mass[None, :]
-            grad = target.grad_logpdf(q)
-            p = p + (0.5 if i == last else 1.0) * step_size * grad
-        state_max = np.maximum(np.max(np.abs(q), axis=1),
-                               np.max(np.abs(p), axis=1))
-        divergent = ~np.isfinite(state_max) | (state_max > 1e50)
-    return q, p, grad, divergent
+    # A NaN fails the comparison, so it is flagged with the infinities.
+    state_max = np.maximum(np.abs(q).max(axis=1), np.abs(p).max(axis=1))
+    return q, p, logp, grad, ~(state_max <= 1e50)
 
 
 def _kinetic(p, inv_mass):
-    with np.errstate(over="ignore"):
-        return 0.5 * np.sum(p * p * inv_mass[None, :], axis=1)
+    return 0.5 * (p * p * inv_mass).sum(axis=1)
 
 
 def _jitter_range(n_steps, spread):
@@ -267,7 +276,9 @@ def _check_divergences(divergences, n_trajectories, last_divergent, what):
 def sample(target, config):
     """Run Metropolis-corrected HMC chains against `target`.
 
-    Returns one `Chain` per configured chain with warmup discarded.  The
+    `target` needs ``dim``, ``logpdf`` and ``grad_logpdf``; ``start_point``
+    and ``logpdf_and_grad`` are used when it has them.  Returns one `Chain`
+    per configured chain with warmup discarded.  The
     acceptance decision uses the exact joint Hamiltonian difference.  A
     tuning warning is emitted if any chain's post-warmup acceptance rate
     leaves [0.4, 0.95].  With ``config.leapfrog_steps=None`` the warmup
@@ -293,9 +304,12 @@ def sample(target, config):
     for i in range(m):
         q[i] += 0.1 * chain_rngs[i].standard_normal(dim)
 
-    logp = target.logpdf(q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = target.grad_logpdf(q)
+    if hasattr(type(target), "logpdf_and_grad"):
+        evaluate = target.logpdf_and_grad
+    else:
+        def evaluate(x):
+            return target.logpdf(x), target.grad_logpdf(x)
+
     auto = config.leapfrog_steps is None
     n_fixed = WARMUP_LEAPFROG_STEPS if auto else config.leapfrog_steps
     lo, hi = _jitter_range(n_fixed, 0.2)
@@ -309,47 +323,56 @@ def sample(target, config):
     accepted = np.zeros(m, dtype=int)
     divergences = np.zeros(m, dtype=int)
     last_divergent = None
+    sqrt_mass = np.sqrt(mass)
+    p0 = np.empty((m, dim))
 
-    for it in range(total):
-        if auto and it == pilot:
-            warmup_steps = _steps_from_warmup(warmup[:, pilot // 2:pilot],
-                                              mass, config.step_size)
-            lo, hi = _jitter_range(warmup_steps, 0.5)
-        if it == config.n_warmup and it > 0:
-            _check_divergences(divergences, it * m, last_divergent, "warmup")
-            if auto:
-                n_fixed = _steps_from_warmup(warmup[:, it // 2:], mass,
-                                             config.step_size)
-                lo, hi = _jitter_range(n_fixed, 0.5)
-        n_steps = int(traj_rng.integers(lo, hi + 1))
-        p0 = np.stack([rng.standard_normal(dim) for rng in chain_rngs])
-        p0 *= np.sqrt(mass)[None, :]
-        q_new, p_new, grad_new, div = _leapfrog(target, q, p0, grad,
-                                                config.step_size, n_steps,
-                                                inv_mass)
-        logp_new = target.logpdf(q_new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logp, grad = evaluate(q)
+        for it in range(total):
+            if auto and it == pilot:
+                # A pilot that cannot sample stops the run here, before its
+                # stuck draws are read for a trajectory length.
+                _check_divergences(divergences, it * m, last_divergent,
+                                   "warmup")
+                warmup_steps = _steps_from_warmup(warmup[:, pilot // 2:pilot],
+                                                  mass, config.step_size)
+                lo, hi = _jitter_range(warmup_steps, 0.5)
+            if it == config.n_warmup and it > 0:
+                _check_divergences(divergences, it * m, last_divergent,
+                                   "warmup")
+                if auto:
+                    n_fixed = _steps_from_warmup(warmup[:, it // 2:], mass,
+                                                 config.step_size)
+                    lo, hi = _jitter_range(n_fixed, 0.5)
+            n_steps = int(traj_rng.integers(lo, hi + 1))
+            for i, rng in enumerate(chain_rngs):
+                rng.standard_normal(out=p0[i])
+            p0 *= sqrt_mass
+            q_new, p_new, logp_new, grad_new, div = _leapfrog(
+                target, q, p0, grad, config.step_size, n_steps, inv_mass,
+                evaluate)
 
-        h_old = -logp + _kinetic(p0, inv_mass)
-        h_new = -logp_new + _kinetic(p_new, inv_mass)
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_accept = np.where(np.isfinite(h_new), h_old - h_new, -np.inf)
-            # Energy blow-ups are divergences even when the state is finite.
-            div = div | ~np.isfinite(h_new) | (h_new - h_old > 1000.0)
-        u = np.array([rng.random() for rng in chain_rngs])
-        accept = (np.log(u) < log_accept) & ~div
+            h_old = -logp + _kinetic(p0, inv_mass)
+            h_new = -logp_new + _kinetic(p_new, inv_mass)
+            # Energy blow-ups are divergences even when the state is finite;
+            # a non-finite h_new is one, so it is never accepted.
+            div |= ~np.isfinite(h_new) | (h_new - h_old > 1000.0)
+            u = np.array([rng.random() for rng in chain_rngs])
+            accept = (np.log(u) < h_old - h_new) & ~div
 
-        q = np.where(accept[:, None], q_new, q)
-        grad = np.where(accept[:, None], grad_new, grad)
-        logp = np.where(accept, logp_new, logp)
-        if np.any(div):
-            divergences += div
-            bad = int(np.argmax(div))
-            last_divergent = (it, bad, q_new[bad].copy())
-        if it >= config.n_warmup:
-            draws[:, it - config.n_warmup] = q
-            accepted += accept
-        elif auto:
-            warmup[:, it] = q
+            if accept.any():
+                q = np.where(accept[:, None], q_new, q)
+                grad = np.where(accept[:, None], grad_new, grad)
+                logp = np.where(accept, logp_new, logp)
+            if div.any():
+                divergences += div
+                bad = int(np.argmax(div))
+                last_divergent = (it, bad, q_new[bad].copy())
+            if it >= config.n_warmup:
+                draws[:, it - config.n_warmup] = q
+                accepted += accept
+            elif auto:
+                warmup[:, it] = q
 
     _check_divergences(divergences, total * m, last_divergent, "all")
 

@@ -385,6 +385,34 @@ class TestPosteriorTarget:
         assert np.array_equal(t.logpdf(q), value)
         assert np.array_equal(t.grad_logpdf(q), grad)
 
+    @pytest.mark.parametrize("case", ["gram", "residual", "reduced", "flat"])
+    def test_logpdf_and_grad_matches_separate_calls(self, case):
+        # Finite rows, non-finite rows and rows whose intermediates
+        # overflow (exp(-nu), the residuals, the Gram quadratic form).
+        if case == "reduced":
+            t = reduced_target(N, 0.5, 1.0, LPTN(0.95))
+        else:
+            data = random_data(n=30, p=4, seed=3)
+            priors = ([None] * 4 if case == "flat" else
+                      [None, CoefficientPrior(0.2, 1.0, LPTN(0.95)),
+                       CoefficientPrior(-0.1, 1.5, Student(4)),
+                       CoefficientPrior(0.0, 2.0, CTN(0.98))])
+            t = PosteriorTarget(data, priors, error_family=(
+                Student(4) if case == "residual" else None))
+        q = np.random.default_rng(4).normal(0.0, 0.5, size=(10, t.dim))
+        q[1, 0] = np.nan
+        q[2, -1] = -800.0
+        q[3, 0] = np.inf
+        q[4, -1] = 300.0
+        q[6, 0] = 1e160
+        q[7, -1] = np.nan
+        q[8, 0] = -1e200
+        for batch in [q[i:i + 1] for i in range(len(q))] + [q[:5], q[5:], q]:
+            value, grad = t.logpdf_and_grad(batch)
+            assert value.tobytes() == t.logpdf(batch).tobytes()
+            assert grad.tobytes() == t.grad_logpdf(batch).tobytes()
+        assert t.logpdf_and_grad(q[0])[0].tobytes() == t.logpdf(q[0]).tobytes()
+
     def test_prior_count_checked(self):
         data = random_data()
         with pytest.raises(ValueError, match="coefficient priors"):

@@ -1,11 +1,13 @@
 """HMC sampler: integrator properties, calibration, diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from robustpriors.model import (PosteriorTarget, RegressionData,
                                 reduced_target, standardize)
-from robustpriors.priors import LPTN, CoefficientPrior, Normal
+from robustpriors.priors import LPTN, CoefficientPrior, Normal, Student
 from robustpriors.sampler import (MIN_AUTO_WARMUP, MIN_PILOT,
                                   MODE_SEARCH_CALLS, WARMUP_LEAPFROG_STEPS,
                                   Chain, DivergenceError, HmcConfig,
@@ -471,6 +473,29 @@ class TestFailEarly:
         assert t.calls == 1 + cfg.n_warmup     # the start, then one per warmup
         assert exc.value.last_state[0] < cfg.n_warmup
 
+    def test_divergent_pilot_raises_before_the_rest_of_warmup(self):
+        # At step 5 the pilot's trajectories diverge and its chains stay at
+        # their start; the run stops at the pilot's end, before those draws
+        # are read for a trajectory length (which would warn) and before any
+        # later call.
+        class CountingCliff(CliffTarget):
+            calls = 0
+            def logpdf(self, q):
+                self.calls += 1
+                return super().logpdf(q)
+
+        t = CountingCliff()
+        cfg = HmcConfig(step_size=5.0, n_samples=2000, n_warmup=300,
+                        n_chains=2, rng_seed=0)
+        pilot = max(MIN_PILOT, cfg.n_warmup // 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="of warmup trajectories") as exc:
+                sample(t, cfg)
+        assert t.calls == 1 + pilot     # the start, then one per pilot trajectory
+        assert exc.value.last_state[0] < pilot
+
     def test_rare_warmup_divergences_pass(self):
         # One divergent warmup trajectory in 20 (5%) is under the limit.
         class OnceCliff(GaussianTarget):
@@ -484,6 +509,51 @@ class TestFailEarly:
                         n_warmup=20, n_chains=1, rng_seed=0)
         chains = sample(OnceCliff(1), cfg)
         assert chains[0].divergences == 1
+
+
+class TwoCallTarget:
+    """A duck-typed view of a target: `dim`, `start_point`, `logpdf` and
+    `grad_logpdf` only, so `sample` makes two calls at each trajectory's
+    end."""
+
+    def __init__(self, target):
+        self.dim = target.dim
+        self.start_point = target.start_point
+        self.logpdf = target.logpdf
+        self.grad_logpdf = target.grad_logpdf
+
+
+class CountingPosterior(PosteriorTarget):
+    """`PosteriorTarget` that counts its fused calls."""
+
+    fused_calls = 0
+
+    def logpdf_and_grad(self, q):
+        self.fused_calls += 1
+        return super().logpdf_and_grad(q)
+
+
+class TestFusedTrajectoryEnd:
+    @pytest.mark.parametrize("error_family", [None, Student(4)])
+    def test_fused_and_two_call_paths_draw_the_same_bits(self, error_family):
+        # Auto trajectory lengths, so the pilot and both chosen lengths run
+        # on both paths; the step rejects about a fifth of the proposals.
+        data = orthogonal_regression(n=60, p=3, seed=2)
+        priors = [None, CoefficientPrior(1.0, 2.0, LPTN(0.95)),
+                  CoefficientPrior(-0.5, 1.0, Student(4)), None]
+        t = CountingPosterior(data, priors, error_family=error_family)
+        cfg = HmcConfig(step_size=0.05, n_samples=200, n_warmup=100,
+                        n_chains=3, rng_seed=8)
+        fused = sample(t, cfg)
+        assert t.fused_calls == 1 + cfg.n_warmup + cfg.n_samples
+        two_call = sample(TwoCallTarget(t), cfg)
+        assert t.fused_calls == 1 + cfg.n_warmup + cfg.n_samples
+        for a, b in zip(fused, two_call):
+            assert a.draws.tobytes() == b.draws.tobytes()
+            assert a.accept_rate == b.accept_rate < 1.0
+            assert a.divergences == b.divergences
+            assert a.leapfrog_steps == b.leapfrog_steps
+            assert a.warmup_leapfrog_steps == b.warmup_leapfrog_steps
 
 
 class TestSummarize:
