@@ -8,15 +8,15 @@ Three subcommands:
 ``sweep``
     Reproduce the simulation-study data: posterior mean and sd of the
     focal coefficient as the prior location (axis ``mu2``) or scaling
-    (axis ``lambda2``) varies, per family, via the quadrature oracle by
-    default or HMC on request.
+    (axis ``lambda2``) varies, per family, from the closed forms or the
+    quadrature oracle.
 ``check``
     Run the asymptotic-limit diagnostics and write a pass/fail report plus
     the underlying ratio series.
 
 Each command takes only the options it reads.  All three take ``--config``
-and ``--out``; ``fit`` and ``sweep`` take the sampler options (``--seed``
-and ``--hmc-*``), and ``sweep`` and ``check`` take ``--quad-tol``.  A flag
+and ``--out``; only ``fit`` takes the sampler options (``--seed`` and
+``--hmc-*``), and ``sweep`` and ``check`` take ``--quad-tol``.  A flag
 or config-file key that a command does not take is an error.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
@@ -182,15 +182,6 @@ def read_config_file(path):
     return values
 
 
-def _hmc_config(args):
-    return HmcConfig(step_size=args.hmc_step_size,
-                     leapfrog_steps=args.hmc_leapfrog_steps,
-                     n_samples=args.hmc_samples,
-                     n_warmup=args.hmc_warmup,
-                     n_chains=args.hmc_chains,
-                     rng_seed=args.seed)
-
-
 def _config_comments(args, extra=()):
     # Full resolved configuration, minus self-referential output locations
     # (so reruns into different files stay byte-identical).
@@ -212,7 +203,12 @@ def cmd_fit(args):
     priors += [parse_prior_spec(s) for s in specs]
     sigma_prior = parse_sigma_prior_spec(args.sigma_prior)
     target = PosteriorTarget(data, priors, sigma_prior=sigma_prior)
-    chains = sample(target, _hmc_config(args))
+    chains = sample(target, HmcConfig(step_size=args.hmc_step_size,
+                                      leapfrog_steps=args.hmc_leapfrog_steps,
+                                      n_samples=args.hmc_samples,
+                                      n_warmup=args.hmc_warmup,
+                                      n_chains=args.hmc_chains,
+                                      rng_seed=args.seed))
     summary = summarize(chains)
     extra = ["columns: intercept=beta_1, " + ", ".join(
         f"{name}=beta_{i + 2}" for i, name in enumerate(cov_names))]
@@ -242,7 +238,7 @@ def _derive_path(path, suffix):
     return f"{stem}{suffix}.{ext}"
 
 
-def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, method, args):
+def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, tol):
     """Posterior mean/sd of the focal coefficient at one sweep grid point."""
     if family_tag == "jeffreys":
         mean, var = jeffreys_benchmark(n)
@@ -253,12 +249,8 @@ def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, method, args):
     target = reduced_target(n, mu2=axis_mu2, lambda2=axis_lambda2,
                             family=family,
                             sigma_power=1 if family_tag == "ctn_corrected" else 0)
-    if method == "quad":
-        res = quadrature_moments(target, tol=args.quad_tol)
-        return res.mean, res.sd
-    chains = sample(target, _hmc_config(args))
-    row = summarize(chains).row("beta_1")
-    return float(row["mean"]), float(row["sd"])
+    res = quadrature_moments(target, tol=tol)
+    return res.mean, res.sd
 
 
 def cmd_sweep(args):
@@ -267,15 +259,29 @@ def cmd_sweep(args):
         if f not in SWEEP_FAMILIES:
             raise ConfigError(f"unknown family {f!r}; choose from "
                               f"{', '.join(SWEEP_FAMILIES)}")
-    if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("--grid must be a strictly increasing list")
-    else:
+    if args.grid is None:
         grid = default_mu2_grid() if args.axis == "mu2" else default_lambda2_grid()
+    else:
+        try:
+            grid = [float(x) for x in args.grid.split(",")]
+        except ValueError:
+            raise ConfigError(f"--grid must be a comma list of numbers, "
+                              f"got {args.grid!r}") from None
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError(f"--grid values must be finite, got {args.grid!r}")
+        if args.axis == "lambda2" and min(grid) <= 0:
+            raise ConfigError(f"--grid values on the lambda2 axis must be "
+                              f"positive, got {args.grid!r}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("--grid must be a strictly increasing list")
     if getattr(args, args.axis) != _FIXED_AXIS[args.axis]:
         raise ConfigError(f"--{args.axis} fixes {args.axis} while the other "
                           f"axis is swept, but the swept axis is {args.axis}")
+    if not np.isfinite(args.mu2):
+        raise ConfigError(f"--mu2 must be finite, got {args.mu2}")
+    if not (np.isfinite(args.lambda2) and args.lambda2 > 0):
+        raise ConfigError(f"--lambda2 must be positive and finite, "
+                          f"got {args.lambda2}")
 
     # Shape values per located family: its repeatable flag, else the default.
     # A flag for a family that is not swept would be ignored: an error.
@@ -301,7 +307,7 @@ def cmd_sweep(args):
                 mu2 = g if args.axis == "mu2" else args.mu2
                 lam2 = g if args.axis == "lambda2" else args.lambda2
                 mean, sd = _sweep_point(family_tag, family, mu2, lam2,
-                                        args.n, args.method, args)
+                                        args.n, args.quad_tol)
                 rows.append([family_tag,
                              "" if hyper is None else repr(float(hyper)),
                              repr(float(mu2)), repr(float(lam2)),
@@ -407,25 +413,24 @@ def _build_parsers(exit_on_error=True):
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_options(p, sampler=False, quadrature=False):
+    def add_options(p, quadrature=False):
         p.add_argument("--config", help="flat key = value config file; "
                        "explicit flags take precedence")
         p.add_argument("--out", help="output CSV path (required)")
-        if sampler:
-            p.add_argument("--seed", type=int, default=0, help="rng seed")
-            p.add_argument("--hmc-step-size", type=float, default=0.05)
-            p.add_argument("--hmc-leapfrog-steps", type=int, default=None,
-                           help="trajectory length; default: chosen from warmup")
-            p.add_argument("--hmc-samples", type=int, default=20000)
-            p.add_argument("--hmc-warmup", type=int, default=2000)
-            p.add_argument("--hmc-chains", type=int, default=4)
         if quadrature:
             p.add_argument("--quad-tol", type=float, default=1e-10,
                            help="absolute quadrature tolerance")
 
     p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC",
                             exit_on_error=exit_on_error)
-    add_options(p_fit, sampler=True)
+    add_options(p_fit)
+    p_fit.add_argument("--seed", type=int, default=0, help="rng seed")
+    p_fit.add_argument("--hmc-step-size", type=float, default=0.05)
+    p_fit.add_argument("--hmc-leapfrog-steps", type=int, default=None,
+                       help="trajectory length; default: chosen from warmup")
+    p_fit.add_argument("--hmc-samples", type=int, default=20000)
+    p_fit.add_argument("--hmc-warmup", type=int, default=2000)
+    p_fit.add_argument("--hmc-chains", type=int, default=4)
     p_fit.add_argument("--data", help="CSV with a 'y' column (required)")
     p_fit.add_argument("--prior", action="append",
                        help="prior spec per covariate, e.g. "
@@ -438,13 +443,12 @@ def _build_parsers(exit_on_error=True):
 
     p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps",
                             exit_on_error=exit_on_error)
-    add_options(p_sweep, sampler=True, quadrature=True)
+    add_options(p_sweep, quadrature=True)
     p_sweep.add_argument("--axis", choices=("mu2", "lambda2"),
                          help="swept parameter (required)")
     p_sweep.add_argument("--families", default="jeffreys,normal,student,lptn,ctn",
                          help=f"comma list from {', '.join(SWEEP_FAMILIES)}")
     p_sweep.add_argument("--n", type=int, default=100)
-    p_sweep.add_argument("--method", choices=("quad", "hmc"), default="quad")
     p_sweep.add_argument("--grid", help="comma list overriding the default grid")
     p_sweep.add_argument("--mu2", type=float, default=_FIXED_AXIS["mu2"],
                          help="fixed location for the lambda2 axis")

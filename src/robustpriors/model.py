@@ -271,8 +271,13 @@ class PosteriorTarget:
     families are called with ``check=False`` (see `robustpriors.priors`),
     and only on rows already found finite.
 
-    Instances are immutable after construction and evaluation is pure, so a
-    single target can serve many chains concurrently.
+    Instances are immutable after construction and evaluation has no side
+    effects, so a single target can serve many chains concurrently.  On the
+    Gram path with more than one column, a row's value and gradient can
+    differ in the last bits with the number of rows evaluated together
+    (BLAS picks another kernel for one row than for several; about 3e-14
+    on a value of -142), so bit-for-bit reproducibility holds at a fixed
+    batch size, as in `sample`.
     """
 
     def __init__(self, data, priors, sigma_prior=None, error_family=None):

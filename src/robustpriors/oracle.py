@@ -98,8 +98,10 @@ def conjugate_posterior(n, mu2, lambda2):
     """
     if n <= 2:
         raise ValueError(f"posterior variance undefined for n <= 2, got n={n}")
-    if lambda2 <= 0:
-        raise ValueError("lambda2 must be positive")
+    if not np.isfinite(mu2):
+        raise ValueError(f"mu2 must be finite, got {mu2}")
+    if not (np.isfinite(lambda2) and lambda2 > 0):
+        raise ValueError(f"lambda2 must be positive and finite, got {lambda2}")
     shrink = lambda2 ** 2 / (1.0 + lambda2 ** 2)
     s = 1.0 + mu2 ** 2 * shrink
     return ConjugateResult(

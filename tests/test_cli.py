@@ -284,6 +284,16 @@ class TestFit:
             assert units[0].endswith(f"x2 mean={float(x2.mean())!r} "
                                      f"scale={float(x2.std())!r}")
 
+    def test_invalid_hmc_settings(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-samples", "0",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists() and not (tmp_path / "o_chains.csv").exists()
+
     def test_too_few_rows_is_data_error(self, tmp_path):
         data_path = tmp_path / "d.csv"
         data_path.write_text("y,x1,x2\n1.0,2.0,3.0\n2.0,3.0,4.0\n")
@@ -376,11 +386,44 @@ class TestSweep:
                      "--grid", "1.0,0.5", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
 
-    def test_invalid_hmc_settings(self, tmp_path):
-        code = main(["sweep", "--axis", "mu2", "--families", "student",
-                     "--grid", "0.0", "--method", "hmc",
-                     "--hmc-samples", "0", "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("axis, grid, message", [
+        ("mu2", "", "--grid must be a comma list of numbers, got ''"),
+        ("mu2", "0.5,abc", "--grid must be a comma list of numbers"),
+        *[(axis, f"0.5,{value}", "--grid values must be finite")
+          for axis in ("mu2", "lambda2") for value in ("nan", "inf", "-inf")],
+        *[("lambda2", grid, "--grid values on the lambda2 axis must be positive")
+          for grid in ("-1", "0", "0,0.5")]])
+    def test_invalid_grid(self, tmp_path, capsys, axis, grid, message):
+        # The flat prior reads neither axis, so only the check stops its rows.
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", axis, "--families", "jeffreys,normal",
+                     f"--grid={grid}", "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_grid_in_config_file(self, tmp_path, capsys):
+        # An empty grid is an error, not the default grid.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid =\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--axis", "mu2",
+                     "--families", "normal", "--out", str(out)]) == EXIT_CONFIG
+        assert "--grid must be a comma list of numbers, got ''" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("mu2", "nan"), ("mu2", "-inf"), ("lambda2", "inf"), ("lambda2", "nan"),
+        ("lambda2", "0"), ("lambda2", "-1")])
+    def test_bad_fixed_axis_value(self, tmp_path, capsys, flag, value):
+        # The flag fixes the axis that is not swept.
+        axis = "lambda2" if flag == "mu2" else "mu2"
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", axis, "--families", "jeffreys",
+                     "--grid", "0.5", f"--{flag}={value}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"--{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--axis", "mu2", "--families", "normal,student",
@@ -389,16 +432,6 @@ class TestSweep:
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_hmc_method(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--axis", "mu2", "--families", "student",
-                     "--grid", "0.0", "--method", "hmc", "--seed", "3",
-                     "--hmc-samples", "2000", "--hmc-warmup", "500",
-                     "--hmc-chains", "2", "--out", str(out)])
-        assert code == EXIT_OK
-        _, _, rows = read_csv(out)
-        assert abs(float(rows[0][4])) < 0.02  # mean near 0 at mu2 = 0
 
 
 class TestCheck:
@@ -420,7 +453,12 @@ class TestOptionGroups:
     @pytest.mark.parametrize("argv", [["check", "--hmc-samples", "5"],
                                       ["check", "--seed", "1"],
                                       ["fit", "--data", "d.csv", "--prior",
-                                       "jeffreys", "--quad-tol", "1e-3"]])
+                                       "jeffreys", "--quad-tol", "1e-3"],
+                                      ["sweep", "--axis", "mu2", "--method",
+                                       "hmc"],
+                                      ["sweep", "--axis", "mu2", "--seed", "1"],
+                                      ["sweep", "--axis", "mu2",
+                                       "--hmc-samples", "5"]])
     def test_option_a_command_does_not_read(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "o.csv")])
@@ -434,6 +472,12 @@ class TestOptionGroups:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{cfg}:2: hmc_samples: unknown config key for check" in err
+        cfg.write_text("axis = mu2\nmethod = hmc\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: method: unknown config key for sweep" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestConfigFile:

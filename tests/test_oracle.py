@@ -37,6 +37,13 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conjugate_posterior(2, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu2 must be finite"):
+            conjugate_posterior(N, bad, 1.0)
+        with pytest.raises(ValueError, match="lambda2 must be positive and finite"):
+            conjugate_posterior(N, 0.5, bad)
+
 
 class TestJeffreysBenchmark:
     def test_values(self):
