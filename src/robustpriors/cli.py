@@ -4,7 +4,8 @@ Three subcommands:
 
 ``fit``
     Standardize a CSV dataset, build the posterior with per-covariate prior
-    specs, sample it with HMC and write a summary CSV plus a chain dump.
+    specs, sample it with HMC in likelihood-whitened coordinates and write
+    a summary CSV plus a chain dump.
 ``sweep``
     Reproduce the simulation-study data: posterior mean and sd of the
     focal coefficient as the prior location (axis ``mu2``) or scaling
@@ -27,6 +28,7 @@ configurations and seeds produce byte-identical files.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,16 +184,27 @@ def read_config_file(path):
     return values
 
 
-def _config_comments(args, extra=()):
+def _config_comments(args, extra=(), resolved=()):
     # Full resolved configuration, minus self-referential output locations
-    # (so reruns into different files stay byte-identical).
-    skip = {"func", "config", "out", "chains_out"}
+    # (so reruns into different files stay byte-identical) and the raw
+    # values of the options in `resolved`, whose resolved values `extra`
+    # records instead.
+    skip = {"func", "config", "out", "chains_out", *resolved}
     items = [f"{k} = {v}" for k, v in sorted(vars(args).items())
              if k not in skip and not callable(v)]
     return [f"robustpriors {__version__}"] + items + list(extra)
 
 
 def cmd_fit(args):
+    """Sample the posterior of a CSV dataset in likelihood-whitened coordinates.
+
+    HMC runs on `PosteriorTarget.whitened`, where the likelihood has unit
+    scale in every coefficient direction, at the step ``--hmc-step-size /
+    s_min``.  The flag so keeps its meaning in ``(beta, nu)``: the raw step
+    along the likelihood's tightest direction.  Draws, and the state a
+    `DivergenceError` reports, are mapped back to ``(beta, nu)`` before
+    they are summarized or written.
+    """
     data, cov_names = load_csv(args.data)
     data, transform = standardize(data)
     specs = args.prior or []
@@ -203,12 +216,22 @@ def cmd_fit(args):
     priors += [parse_prior_spec(s) for s in specs]
     sigma_prior = parse_sigma_prior_spec(args.sigma_prior)
     target = PosteriorTarget(data, priors, sigma_prior=sigma_prior)
-    chains = sample(target, HmcConfig(step_size=args.hmc_step_size,
-                                      leapfrog_steps=args.hmc_leapfrog_steps,
-                                      n_samples=args.hmc_samples,
-                                      n_warmup=args.hmc_warmup,
-                                      n_chains=args.hmc_chains,
-                                      rng_seed=args.seed))
+    # Validated with the flag's own value, so an error quotes it.
+    config = HmcConfig(step_size=args.hmc_step_size,
+                       leapfrog_steps=args.hmc_leapfrog_steps,
+                       n_samples=args.hmc_samples, n_warmup=args.hmc_warmup,
+                       n_chains=args.hmc_chains, rng_seed=args.seed)
+    view = target.whitened()
+    step = args.hmc_step_size / view.s_min
+    try:
+        chains = sample(view, replace(config, step_size=step))
+    except DivergenceError as exc:
+        it, chain, state = exc.last_state
+        mapped = (it, chain, view.to_posterior(state))
+        head = str(exc).partition("; last divergent state ")[0]
+        raise DivergenceError(f"{head}; last divergent state {mapped}",
+                              last_state=mapped) from None
+    chains = [replace(c, draws=view.to_posterior(c.draws)) for c in chains]
     summary = summarize(chains)
     extra = ["columns: intercept=beta_1, " + ", ".join(
         f"{name}=beta_{i + 2}" for i, name in enumerate(cov_names))]
@@ -218,6 +241,8 @@ def cmd_fit(args):
     extra.append("standardized units, each column as (value - mean) / scale: "
                  + ", ".join(f"{name} mean={float(m)!r} scale={float(s)!r}"
                              for name, m, s in zip(["y", *cov_names], means, scales)))
+    extra.append(f"sampled in whitened coordinates: s_min(A) = {view.s_min!r}, "
+                 f"step = hmc_step_size / s_min(A) = {step!r}")
     if args.hmc_leapfrog_steps is None:
         extra.append(f"warmup leapfrog steps after the pilot = "
                      f"{chains[0].warmup_leapfrog_steps} (chosen from the pilot)")
@@ -253,7 +278,15 @@ def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, tol):
     return res.mean, res.sd
 
 
+def _check_quad_tol(args):
+    # Checked whatever is computed: a value no run reads is still an error.
+    if not (np.isfinite(args.quad_tol) and args.quad_tol > 0):
+        raise ConfigError(f"--quad-tol must be positive and finite, "
+                          f"got {args.quad_tol}")
+
+
 def cmd_sweep(args):
+    _check_quad_tol(args)
     families = [f.strip().lower() for f in args.families.split(",") if f.strip()]
     for f in families:
         if f not in SWEEP_FAMILIES:
@@ -295,7 +328,7 @@ def cmd_sweep(args):
     comments = _config_comments(args, extra=[
         f"grid = {','.join(repr(g) for g in grid)}",
         "prior inverse-scale includes the sqrt(n) factor of the reduced "
-        "study: lambda_eff = lambda2 * sqrt(n)"])
+        "study: lambda_eff = lambda2 * sqrt(n)"], resolved=("grid",))
 
     rows = []
     for family_tag in families:
@@ -368,6 +401,7 @@ def _check_claims(args):
 
 
 def cmd_check(args):
+    _check_quad_tol(args)
     rows = []
     series = []
     any_fail = False

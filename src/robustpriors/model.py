@@ -580,10 +580,80 @@ class PosteriorTarget:
         """
         return self._evaluate(*self._packed(q), grad=True)
 
+    def whitened(self):
+        """This target seen through the affine map ``q = q_hat + A w``.
+
+        ``q_hat`` is `start_point` and ``A = blockdiag(sigma_hat R^{-1},
+        c_nu / sqrt(2n))``, with ``sigma_hat = exp(nu_hat)`` and ``X^T X =
+        R^T R`` (Cholesky).  A comes from the likelihood alone: at
+        ``sigma_hat`` the likelihood of w has unit curvature in every
+        coefficient direction.  A prior plays no part, because a
+        conflicting one can be far narrower at q_hat than it is where the
+        posterior lies.  Only when ``X^T X`` is singular, which needs
+        collinear columns with located priors, is ``lam_j^2`` added to the
+        diagonal of each located column before factoring.
+
+        The likelihood's curvature in nu is ``2n exp(-2 (nu - nu_hat))``:
+        it stiffens below the mode.  ``c_nu = exp(-3 / sqrt(2n))`` sizes the
+        nu scale for the curvature three sd below the mode, so a step that
+        is stable at the mode stays stable in the lower tail.
+
+        The map is affine, so its Jacobian is a constant that the returned
+        view leaves out; sampling w is HMC on q with the mass matrix
+        ``(A A^T)^{-1}``.  The view has ``dim``, ``start_point`` (zeros),
+        ``logpdf``, ``grad_logpdf`` (``grad(q) A``), ``logpdf_and_grad``,
+        ``to_posterior`` (w rows to q rows) and ``s_min``, A's smallest
+        singular value: the scale in q of the map's tightest direction, so
+        a raw step ``h`` along it is the step ``h / s_min`` in w.
+        """
+        return _WhitenedTarget(self)
+
     def __repr__(self):
         fams = [pr.family.name if pr is not None else "flat" for pr in self.priors]
         return (f"PosteriorTarget(n={self.n}, p={self.p}, priors={fams}, "
                 f"sigma={self.sigma_prior!r}, error={self.error_family!r})")
+
+
+class _WhitenedTarget:
+    """A `PosteriorTarget` over ``w``, with ``q = q_hat + A w``; see `whitened`."""
+
+    def __init__(self, target):
+        p, n = target.p, target.n
+        self.target = target
+        self.q_hat = target.start_point
+        gram = target._XtX
+        if not target._full_rank:
+            gram = gram.copy()
+            gram[target._cols, target._cols] += target._lam ** 2
+        A = np.zeros((p + 1, p + 1))
+        # sigma_hat R^{-1}, with R the transpose of the Cholesky factor.
+        A[:p, :p] = (math.exp(self.q_hat[p])
+                     * np.linalg.inv(np.linalg.cholesky(gram)).T)
+        A[p, p] = math.exp(-3.0 / math.sqrt(2 * n)) / math.sqrt(2 * n)
+        self.A = A
+        self.s_min = float(np.linalg.svd(A, compute_uv=False).min())
+
+    @property
+    def dim(self):
+        return self.target.dim
+
+    @property
+    def start_point(self):
+        return np.zeros(self.dim)
+
+    def to_posterior(self, w):
+        """The ``(beta, nu)`` rows ``q_hat + A w`` of rows (or a row) `w`."""
+        return self.q_hat + np.asarray(w, dtype=float) @ self.A.T
+
+    def logpdf(self, w):
+        return self.target.logpdf(self.to_posterior(w))
+
+    def grad_logpdf(self, w):
+        return self.target.grad_logpdf(self.to_posterior(w)) @ self.A
+
+    def logpdf_and_grad(self, w):
+        value, grad = self.target.logpdf_and_grad(self.to_posterior(w))
+        return value, grad @ self.A
 
 
 def _standardized_pattern(n):

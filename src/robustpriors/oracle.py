@@ -472,10 +472,13 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     result reports the error reached (``error``) and the panels evaluated
     on the way (``panels_evaluated``) beside the final ``n_panels``.
     Raises `NumericalError` if the budget of ``max_panels`` cannot meet
-    ``tol`` or if box expansion fails to terminate.
+    ``tol`` or if box expansion fails to terminate, and `ValueError` if
+    ``tol`` is not positive and finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     # Mode candidates: least-squares point, prior locations, and a blend.
     # Each is evaluated at the centre of the first grid a search from it

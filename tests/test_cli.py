@@ -227,6 +227,31 @@ class TestFit:
         assert code == EXIT_NUMERICAL
         assert "of warmup trajectories diverged" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:warmup draws have no positive")
+    def test_divergent_state_is_reported_in_posterior_coordinates(
+            self, tmp_path, capsys):
+        # fit samples w with q = q_hat + A w; the state it reports is q.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-step-size", "5",
+                     "--hmc-warmup", "20", "--hmc-samples", "2000",
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+
+        from robustpriors.model import PosteriorTarget, load_csv, standardize
+        from robustpriors.sampler import DivergenceError, HmcConfig, sample
+        data, _ = standardize(load_csv(data_path)[0])
+        view = PosteriorTarget(data, [None, None, None]).whitened()
+        with pytest.raises(DivergenceError) as raised:
+            sample(view, HmcConfig(step_size=5 / view.s_min, n_warmup=20,
+                                   n_samples=2000))
+        it, chain, w = raised.value.last_state
+        head = str(raised.value).partition("; last divergent state ")[0]
+        mapped = (it, chain, view.to_posterior(w))
+        assert err == f"numerical failure: {head}; last divergent state {mapped}\n"
+        assert str((it, chain, w)) not in err
+
     def test_prior_count_mismatch(self, tmp_path):
         data_path = tmp_path / "d.csv"
         write_dataset(data_path)
@@ -283,6 +308,31 @@ class TestFit:
             assert len(units) == 1 and units[0].startswith(line)
             assert units[0].endswith(f"x2 mean={float(x2.mean())!r} "
                                      f"scale={float(x2.std())!r}")
+
+    def test_whitening_comment(self, tmp_path):
+        # Both files record the map's scale and the step the sampler ran at;
+        # a rerun writes the same bytes.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        argv = ["fit", "--data", str(data_path), "--prior", "jeffreys",
+                "--prior", "normal:mu=1", "--hmc-samples", "100",
+                "--hmc-warmup", "20", "--hmc-chains", "2",
+                "--hmc-step-size", "0.1"]
+        out, rerun = tmp_path / "fit.csv", tmp_path / "rerun.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert main(argv + ["--out", str(rerun)]) == EXIT_OK
+        from robustpriors.model import PosteriorTarget, load_csv, standardize
+        data, _ = standardize(load_csv(data_path)[0])
+        target = PosteriorTarget(data, [None, None, parse_prior_spec("normal:mu=1")])
+        s_min = target.whitened().s_min
+        line = (f"# sampled in whitened coordinates: s_min(A) = {s_min!r}, "
+                f"step = hmc_step_size / s_min(A) = {0.1 / s_min!r}")
+        for path in (out, tmp_path / "fit_chains.csv"):
+            assert [c for c in read_csv(path)[0]
+                    if c.startswith("# sampled in")] == [line]
+        assert rerun.read_bytes() == out.read_bytes()
+        assert ((tmp_path / "rerun_chains.csv").read_bytes()
+                == (tmp_path / "fit_chains.csv").read_bytes())
 
     def test_invalid_hmc_settings(self, tmp_path):
         data_path = tmp_path / "d.csv"
@@ -425,6 +475,28 @@ class TestSweep:
         assert f"--{flag} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("families", ["student", "normal", "jeffreys"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_quad_tol(self, tmp_path, capsys, families, tol):
+        # An error whether or not a swept family reads the tolerance.
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "mu2", "--families", families,
+                     "--grid", "0.5", f"--quad-tol={tol}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--quad-tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [None, "0.0,0.5"])
+    def test_one_grid_line(self, tmp_path, grid):
+        # The resolved grid is recorded once, in place of the raw option.
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", "mu2", "--families", "normal",
+                "--out", str(out)]
+        assert main(argv + ([] if grid is None else ["--grid", grid])) == EXIT_OK
+        expected = ",".join(map(repr, default_mu2_grid())) if grid is None else grid
+        grids = [c for c in read_csv(out)[0] if c.startswith("# grid")]
+        assert grids == [f"# grid = {expected}"]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--axis", "mu2", "--families", "normal,student",
                 "--grid", "0.0,1.0", "--quad-tol", "1e-8"]
@@ -446,6 +518,15 @@ class TestCheck:
         assert {"student_location_limit", "lptn_location_invariance",
                 "lptn_scaling_trace_slow", "ctn_exact_attainment"} <= claims
         assert (tmp_path / "check_series.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["-1e-10", "nan"])
+    def test_bad_quad_tol(self, tmp_path, capsys, tol):
+        # --fast reads no tolerance; the value is still checked.
+        out = tmp_path / "check.csv"
+        assert main(["check", "--fast", f"--quad-tol={tol}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--quad-tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptionGroups:

@@ -467,3 +467,58 @@ class TestPosteriorTarget:
         assert max(offsets) - min(offsets) < 1e-10
         with pytest.raises(ValueError):
             t.log_posterior_sigma(np.array([0.0]), -1.0)
+
+
+class TestWhitened:
+    # PosteriorTarget.whitened: the target over w, with q = q_hat + A w.
+    def test_map_whitens_the_likelihood(self):
+        data = random_data(n=40, p=4, seed=3)
+        prior = CoefficientPrior(2.0, 50.0, Student(4))
+        t = PosteriorTarget(data, [None, prior, None, prior])
+        view = t.whitened()
+        A, p, n = view.A, data.p, data.n
+        sigma_hat = np.exp(t.start_point[p])
+        # The prior plays no part: at sigma_hat the likelihood has unit
+        # curvature in every coefficient direction of w.
+        np.testing.assert_allclose(A[:p, :p].T @ data.X.T @ data.X @ A[:p, :p],
+                                   sigma_hat ** 2 * np.eye(p), atol=1e-12)
+        assert np.array_equal(A[:p, :p], np.triu(A[:p, :p]))
+        assert not A[p, :p].any() and not A[:p, p].any()
+        assert A[p, p] == np.exp(-3 / np.sqrt(2 * n)) / np.sqrt(2 * n)
+        assert view.s_min == pytest.approx(np.linalg.svd(A)[1].min(), rel=1e-14)
+        assert view.dim == t.dim and np.array_equal(view.start_point,
+                                                    np.zeros(p + 1))
+        assert np.array_equal(view.to_posterior(view.start_point), t.start_point)
+
+    def test_values_and_gradients(self):
+        data = random_data(n=30, p=3, seed=8)
+        t = PosteriorTarget(data, [None, CoefficientPrior(1.0, 3.0, LPTN(0.95)),
+                                   None])
+        view = t.whitened()
+        w = np.random.default_rng(2).normal(size=(5, 4))
+        q = view.to_posterior(w)
+        np.testing.assert_array_equal(q, t.start_point + w @ view.A.T)
+        np.testing.assert_array_equal(view.logpdf(w), t.logpdf(q))
+        grad = view.grad_logpdf(w)
+        np.testing.assert_array_equal(grad, t.grad_logpdf(q) @ view.A)
+        value, fused = view.logpdf_and_grad(w)
+        np.testing.assert_array_equal(value, view.logpdf(w))
+        np.testing.assert_array_equal(fused, grad)
+        h = 1e-6
+        for k in range(4):
+            e = h * np.eye(4)[k]
+            fd = (view.logpdf(w + e) - view.logpdf(w - e)) / (2 * h)
+            np.testing.assert_allclose(grad[:, k], fd, rtol=1e-5, atol=1e-5)
+
+    def test_rank_deficient_design_adds_prior_scales(self):
+        # A duplicated column has X^T X singular; only there the located
+        # columns' lam^2 joins the diagonal before factoring.
+        data = random_data(seed=6)
+        dup = RegressionData(y=data.y, X=np.column_stack([data.X, data.X[:, 2]]))
+        prior = CoefficientPrior(0.0, 2.0, Normal())
+        t = PosteriorTarget(dup, [None, None, prior, prior])
+        A = t.whitened().A[:4, :4]
+        gram = dup.X.T @ dup.X + np.diag([0.0, 0.0, 4.0, 4.0])
+        sigma_hat = np.exp(t.start_point[4])
+        np.testing.assert_allclose(A.T @ gram @ A, sigma_hat ** 2 * np.eye(4),
+                                   atol=1e-12)

@@ -158,6 +158,12 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="2-D"):
             quadrature_moments(t)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # Such a tol would spend the whole panel budget before failing.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            quadrature_moments(reduced_target(N, 0.5, 1.0, Student(4)), tol=tol)
+
     def test_integrability_guard(self):
         # sigma^(n+2) against the Jeffreys base leaves sigma^(+1) overall:
         # the density grows without bound as nu -> +inf and box expansion
