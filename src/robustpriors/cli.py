@@ -43,8 +43,8 @@ from .model import (DataError, JeffreysSigma, InverseGammaSigmaSq,
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student
-from .sampler import (DivergenceError, HmcConfig, sample, save_chains,
-                      summarize)
+from .sampler import (MIN_SUMMARY_DRAWS, DivergenceError, HmcConfig,
+                      sample, save_chains, summarize)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,6 +221,9 @@ def cmd_fit(args):
                        leapfrog_steps=args.hmc_leapfrog_steps,
                        n_samples=args.hmc_samples, n_warmup=args.hmc_warmup,
                        n_chains=args.hmc_chains, rng_seed=args.seed)
+    if args.hmc_samples < MIN_SUMMARY_DRAWS:
+        raise ConfigError(f"--hmc-samples must be at least {MIN_SUMMARY_DRAWS} "
+                          f"for the summary, got {args.hmc_samples}")
     view = target.whitened()
     step = args.hmc_step_size / view.s_min
     try:
@@ -244,6 +247,8 @@ def cmd_fit(args):
     extra.append(f"sampled in whitened coordinates: s_min(A) = {view.s_min!r}, "
                  f"step = hmc_step_size / s_min(A) = {step!r}")
     if args.hmc_leapfrog_steps is None:
+        extra.append(f"pilot leapfrog steps = {chains[0].pilot_leapfrog_steps}"
+                     " (from the curvature at the mode)")
         extra.append(f"warmup leapfrog steps after the pilot = "
                      f"{chains[0].warmup_leapfrog_steps} (chosen from the pilot)")
         extra.append(f"leapfrog steps after warmup = "

@@ -28,9 +28,11 @@ nothing and return an array; the posterior target calls them that way on
 its hot path.  The formulas themselves live in private ``_log``/``_grad``
 kernels shared by both modes.  The LPTN and CTN central branches evaluate
 the *same* standard-normal expression as ``Normal``, so matching on the
-central interval is exact by construction.  At the tail kinks the gradient
-returns the interior branch value; the kink set has null measure, which is
-all gradient-based samplers need.
+central interval is exact by construction; when every argument is
+central, their kernels return that branch without evaluating the tail,
+with the same bits.  At the tail kinks the gradient returns the interior
+branch value; the kink set has null measure, which is all gradient-based
+samplers need.
 
 The families are frozen dataclasses: immutable, equal and hashed by their
 parameter, and safe for concurrent use.  Derived constants such as ``tau``
@@ -167,6 +169,8 @@ class LPTN:
     def _log(self, z):
         az = np.abs(z)
         interior = az <= self.tau
+        if interior.all():
+            return _std_normal_log_pdf(z)
         # Mask the tail argument so log(log|z|) never sees |z| <= 1.
         az_safe = np.where(interior, self.tau + 1.0, az)
         tail = (self._log_tail - np.log(az_safe)
@@ -175,6 +179,8 @@ class LPTN:
 
     def _grad(self, z):
         interior = np.abs(z) <= self.tau
+        if interior.all():
+            return -z
         z_safe = np.where(interior, self.tau + 1.0, z)
         tail = -1.0 / z_safe - self.theta / (z_safe * np.log(np.abs(z_safe)))
         return np.where(interior, -z, tail)
@@ -205,11 +211,16 @@ class CTN:
                 _log_tail=_std_normal_log_pdf(kappa))
 
     def _log(self, z):
-        return np.where(np.abs(z) <= self.kappa,
-                        _std_normal_log_pdf(z), self._log_tail)
+        interior = np.abs(z) <= self.kappa
+        if interior.all():
+            return _std_normal_log_pdf(z)
+        return np.where(interior, _std_normal_log_pdf(z), self._log_tail)
 
     def _grad(self, z):
-        return np.where(np.abs(z) <= self.kappa, -z, 0.0)
+        interior = np.abs(z) <= self.kappa
+        if interior.all():
+            return -z
+        return np.where(interior, -z, 0.0)
 
 
 @dataclass(frozen=True)

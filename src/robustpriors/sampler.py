@@ -15,12 +15,17 @@ Tuning: a fixed step size, identity (or user supplied diagonal) mass, and a
 trajectory length ``L`` jittered uniformly over ``{ceil(0.8 L), ...,
 ceil(1.2 L)}`` to avoid resonances.  ``L`` is either given or, by default,
 chosen from the warmup in two stages.  A pilot, the first tenth of warmup
-and at least `MIN_PILOT` iterations, runs at ``L = 30``; from the second
-half of its draws the rest of warmup runs at a quarter period of the
-slowest coordinate, ``max(1, round((pi/2) max_j s_j sqrt(mass_j) /
-step_size))`` with ``s_j`` the within-chain sd averaged over chains.  From
-the second half of warmup the same rule sets the post-warmup length ``L*``.
-Both chosen lengths are jittered wider, over ``{ceil(0.5 L*), ...,
+and at least `MIN_PILOT` iterations, runs at half a period of the widest
+coordinate at the mode, ``ceil(pi max_j s_j sqrt(mass_j) / step_size)``
+with ``s_j = c_j^(-1/2)`` and ``c_j`` the curvature along coordinate ``j``
+from one finite-difference gradient call (`_pilot_steps`); it runs at
+most `WARMUP_LEAPFROG_STEPS` = 30 steps, and 30 when a curvature is not
+positive and finite.  From the second half of its draws the rest of
+warmup runs at a quarter period of the slowest coordinate, ``max(1,
+round((pi/2) max_j s_j sqrt(mass_j) / step_size))`` with ``s_j`` the
+within-chain sd averaged over chains.  From the second half of warmup
+the same rule sets the post-warmup length ``L*``.  The pilot's length is
+jittered by +-20%; the two chosen from draws are jittered wider, over ``{ceil(0.5 L*), ...,
 ceil(1.5 L*)}``: a short length that lands near a resonance stays near it
 under +-20%.  Chains are vectorized; each chain draws momenta and
 acceptance variables from its own stream derived from ``(rng_seed,
@@ -37,7 +42,8 @@ state is evaluated the same way.  The proposal's gradient is carried to
 the next iteration (the proposal's on accept, the old one on reject), so
 a run of ``N`` trajectories makes ``sum(n_steps) + 1`` gradient
 evaluations and ``N + 1`` density evaluations in all, besides those of
-the mode search.
+the mode search and, with chosen lengths, the pilot's one call on
+``dim + 1`` rows.
 
 Kinked gradients from the piecewise prior tails need no special treatment
 (the kink sets have null measure); non-finite trajectories are flagged as
@@ -67,7 +73,8 @@ class DivergenceError(RuntimeError):
         self.last_state = last_state
 
 
-# Pilot trajectory length when the lengths are chosen from warmup.
+# Longest pilot trajectory, and the pilot's length when the curvature at
+# the mode cannot size it.
 WARMUP_LEAPFROG_STEPS = 30
 # Fewest warmup iterations whose second half can estimate the scales.
 MIN_AUTO_WARMUP = 20
@@ -75,16 +82,19 @@ MIN_AUTO_WARMUP = 20
 MIN_PILOT = 10
 # Most target calls the search for the start's mode may make.
 MODE_SEARCH_CALLS = 200
+# Fewest post-warmup draws per chain that `summarize` takes.
+MIN_SUMMARY_DRAWS = 100
 
 
 @dataclass(frozen=True)
 class HmcConfig:
     """Sampler settings; the defaults are sized for the reduced 2-D targets.
 
-    ``leapfrog_steps=None`` (the default) runs a warmup pilot at
-    `WARMUP_LEAPFROG_STEPS`, chooses the length for the rest of warmup from
-    the pilot's draws and the post-warmup length from the warmup's, which
-    needs ``n_warmup >= MIN_AUTO_WARMUP``; an integer fixes the length for
+    ``leapfrog_steps=None`` (the default) runs a warmup pilot at a length
+    sized from the curvature at the mode (at most `WARMUP_LEAPFROG_STEPS`),
+    chooses the length for the rest of warmup from the pilot's draws and
+    the post-warmup length from the warmup's, which needs
+    ``n_warmup >= MIN_AUTO_WARMUP``; an integer fixes the length for
     the whole run.  Every run starts from a local mode uphill of the
     target's start point and stops at the end of warmup (or of the pilot)
     if more than 10% of its warmup trajectories so far diverged.
@@ -127,6 +137,7 @@ class Chain:
     divergences: int = 0
     leapfrog_steps: int | None = None   # post-warmup length, before jitter
     warmup_leapfrog_steps: int | None = None    # length after the pilot
+    pilot_leapfrog_steps: int | None = None     # pilot length
 
 
 def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
@@ -205,6 +216,30 @@ def _steps_from_warmup(window, mass, step_size):
             UserWarning, stacklevel=3)
         return WARMUP_LEAPFROG_STEPS
     return max(1, int(round(0.5 * np.pi * float(scale[ok].max()) / step_size)))
+
+
+def _pilot_steps(target, mode, mass, step_size):
+    """Pilot trajectory length: half a period of the widest coordinate.
+
+    One `grad_logpdf` call on `mode` and on ``mode + h_j e_j``, with
+    ``h_j = step_size / sqrt(mass_j)`` the position change of one leapfrog
+    step at unit momentum, gives the curvatures ``c_j = -(g_j(mode + h_j
+    e_j) - g_j(mode)) / h_j`` and the scales ``s_j = 1 / sqrt(c_j)``.  The
+    length is ``ceil(pi max_j s_j sqrt(mass_j) / step_size)``, between 1
+    and `WARMUP_LEAPFROG_STEPS`.  Half a period is twice what the later
+    stages choose, so the pilot still overshoots a scale underestimated at
+    the mode.  If a curvature is not positive and finite (a flat or convex
+    direction, or a failed evaluation), it is `WARMUP_LEAPFROG_STEPS`.
+    """
+    h = step_size / np.sqrt(mass)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g = target.grad_logpdf(np.vstack([mode, mode + np.diag(h)]))
+        curvature = -(np.diagonal(g[1:]) - g[0]) / h
+        if not np.all(np.isfinite(curvature) & (curvature > 0)):
+            return WARMUP_LEAPFROG_STEPS
+        widest = float(np.max(np.sqrt(mass) / np.sqrt(curvature)))
+        steps = np.ceil(np.pi * widest / step_size)
+    return int(min(WARMUP_LEAPFROG_STEPS, max(1.0, steps)))
 
 
 # Density change, in nats, below which two moves in a row end the search.
@@ -300,7 +335,8 @@ def sample(target, config):
 
     start = getattr(target, "start_point", None)
     start = np.zeros(dim) if start is None else np.asarray(start, dtype=float)
-    q = np.repeat(_climb_to_mode(target, start)[None, :], m, axis=0)
+    mode = _climb_to_mode(target, start)
+    q = np.repeat(mode[None, :], m, axis=0)
     for i in range(m):
         q[i] += 0.1 * chain_rngs[i].standard_normal(dim)
 
@@ -311,7 +347,9 @@ def sample(target, config):
             return target.logpdf(x), target.grad_logpdf(x)
 
     auto = config.leapfrog_steps is None
-    n_fixed = WARMUP_LEAPFROG_STEPS if auto else config.leapfrog_steps
+    pilot_steps = (_pilot_steps(target, mode, mass, config.step_size)
+                   if auto else None)
+    n_fixed = pilot_steps if auto else config.leapfrog_steps
     lo, hi = _jitter_range(n_fixed, 0.2)
     total = config.n_warmup + config.n_samples
     pilot = max(MIN_PILOT, config.n_warmup // 10) if auto else None
@@ -388,7 +426,8 @@ def sample(target, config):
                             seed=config.rng_seed, index=i,
                             divergences=int(divergences[i]),
                             leapfrog_steps=n_fixed,
-                            warmup_leapfrog_steps=warmup_steps))
+                            warmup_leapfrog_steps=warmup_steps,
+                            pilot_leapfrog_steps=pilot_steps))
     return chains
 
 
@@ -450,13 +489,15 @@ class PosteriorSummary:
 def summarize(chains):
     """Pool chains into a `PosteriorSummary`.
 
-    Needs at least one chain with at least 100 post-warmup draws.  ESS is
-    summed over chains (each by `ess_imse`); MCSE is SD / sqrt(ESS).
+    Needs at least one chain, each with at least `MIN_SUMMARY_DRAWS`
+    post-warmup draws.  ESS is summed over chains (each by `ess_imse`);
+    MCSE is SD / sqrt(ESS).
     """
     if not chains:
         raise ValueError("no chains to summarize")
-    if any(c.draws.shape[0] < 100 for c in chains):
-        raise ValueError("need at least 100 post-warmup draws per chain")
+    if any(c.draws.shape[0] < MIN_SUMMARY_DRAWS for c in chains):
+        raise ValueError(f"need at least {MIN_SUMMARY_DRAWS} post-warmup "
+                         "draws per chain")
     dim = chains[0].draws.shape[1]
 
     blocks = [c.draws for c in chains]
@@ -480,7 +521,11 @@ def save_chains(chains, path, comments=()):
         raise ValueError("no chains to save")
     dim = chains[0].draws.shape[1]
     header = ["chain", "iter"] + [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu"]
-    # ``tolist`` yields Python floats, whose repr is the shortest round trip.
-    rows = ([c.index, it, *map(repr, row)]
-            for c in chains for it, row in enumerate(c.draws.tolist()))
-    write_commented_csv(path, header, rows, comments)
+    write_commented_csv(path, header, (), comments)
+    # Each chain's rows are formatted as one string, with the "\r\n" line
+    # ends `csv.writer` uses; no float repr needs quoting.  ``tolist``
+    # yields Python floats, whose repr is the shortest round trip.
+    with open(path, "a", newline="") as fh:
+        for c in chains:
+            fh.write("".join(f"{c.index},{it},{','.join(map(repr, row))}\r\n"
+                             for it, row in enumerate(c.draws.tolist())))

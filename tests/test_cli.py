@@ -187,6 +187,52 @@ class TestFit:
                        for c in fixed_comments)
         assert "# hmc_leapfrog_steps = 30" in fixed_comments
 
+    def test_pilot_length_is_recorded(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        base = ["fit", "--data", str(data_path), "--prior", "jeffreys",
+                "--prior", "normal:mu=1", "--seed", "2", "--hmc-samples",
+                "100", "--hmc-warmup", "40", "--hmc-chains", "2",
+                "--hmc-step-size", "0.1"]
+        auto, rerun = tmp_path / "auto.csv", tmp_path / "rerun.csv"
+        assert main(base + ["--out", str(auto)]) == EXIT_OK
+        assert main(base + ["--out", str(rerun)]) == EXIT_OK
+        for path in (auto, tmp_path / "auto_chains.csv"):
+            pilot = [c for c in read_csv(path)[0] if c.startswith("# pilot")]
+            assert len(pilot) == 1
+            steps = int(pilot[0].split("= ")[1].split(" ")[0])
+            assert 1 <= steps <= 30
+            assert pilot[0] == (f"# pilot leapfrog steps = {steps} "
+                                "(from the curvature at the mode)")
+        assert rerun.read_bytes() == auto.read_bytes()
+        assert ((tmp_path / "rerun_chains.csv").read_bytes()
+                == (tmp_path / "auto_chains.csv").read_bytes())
+
+        fixed = tmp_path / "fixed.csv"
+        assert main(base + ["--hmc-leapfrog-steps", "30",
+                            "--out", str(fixed)]) == EXIT_OK
+        assert not any(c.startswith("# pilot") for c in read_csv(fixed)[0])
+
+    def test_too_few_samples_fail_before_sampling(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # summarize needs 100 draws per chain; a shorter run must not be
+        # sampled in full before it is refused.
+        import robustpriors.cli as cli
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sample was called")
+
+        monkeypatch.setattr(cli, "sample", no_sample)
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-samples", "50",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--hmc-samples must be at least 100" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o_chains.csv").exists()
+
     def test_too_little_warmup_to_choose_length(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
         write_dataset(data_path)

@@ -97,6 +97,16 @@ class TestLogDensity:
         np.testing.assert_array_equal(LPTN(0.95).log_density(z), normal)
         np.testing.assert_array_equal(CTN(0.98).log_density(z), normal)
 
+    @pytest.mark.parametrize("family", [LPTN(0.95), CTN(0.98)])
+    def test_all_central_batch_matches_mixed_batch(self, family):
+        # An all-central batch skips the tail branch; its values are the
+        # bits the same arguments get beside a tail argument.
+        thr = getattr(family, "tau", None) or family.kappa
+        z = np.array([-thr, -0.3, -0.0, 0.0, 0.7, thr])
+        for method in (family.log_density, family.grad_log_density):
+            mixed = method(np.append(z, 2.0 * thr), check=False)
+            assert method(z, check=False).tobytes() == mixed[:-1].tobytes()
+
     def test_lptn_center(self):
         assert LPTN(0.95).log_density(0.0) == pytest.approx(LOG_PHI_0, abs=1e-7)
 

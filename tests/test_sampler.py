@@ -1,5 +1,7 @@
 """HMC sampler: integrator properties, calibration, diagnostics."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -11,9 +13,9 @@ from robustpriors.priors import LPTN, CoefficientPrior, Normal, Student
 from robustpriors.sampler import (MIN_AUTO_WARMUP, MIN_PILOT,
                                   MODE_SEARCH_CALLS, WARMUP_LEAPFROG_STEPS,
                                   Chain, DivergenceError, HmcConfig,
-                                  _climb_to_mode, _steps_from_warmup,
-                                  ess_imse, leapfrog, sample, save_chains,
-                                  summarize)
+                                  _climb_to_mode, _pilot_steps,
+                                  _steps_from_warmup, ess_imse, leapfrog,
+                                  sample, save_chains, summarize)
 
 
 class GaussianTarget:
@@ -304,17 +306,19 @@ class TestTrajectoryLengthFromWarmup:
         assert abs(chains[0].leapfrog_steps - expected) <= 1
 
     def test_warmup_matches_explicit_warmup_length(self):
-        # Only the pilot runs at the warmup length: its proposals are those
-        # of an explicit run at that length with the same seed, and the
-        # first proposal after it is not.  The mode search makes no logpdf
-        # call here, since the origin's gradient is zero.
+        # Only the pilot runs at the pilot length, ceil(pi * 1 / 1.2) = 3 on
+        # the unit Gaussian: its proposals are those of an explicit run at
+        # that length with the same seed, and the first proposal after it
+        # is not.  The mode search makes no logpdf call here, since the
+        # origin's gradient is zero.
         kw = dict(step_size=1.2, n_samples=50, n_warmup=60, n_chains=3,
                   rng_seed=8)
         auto, fixed = RecordingTarget(2), RecordingTarget(2)
         chains = sample(auto, HmcConfig(**kw))
-        sample(fixed, HmcConfig(leapfrog_steps=WARMUP_LEAPFROG_STEPS, **kw))
-        assert chains[0].warmup_leapfrog_steps != WARMUP_LEAPFROG_STEPS
-        assert chains[0].leapfrog_steps != WARMUP_LEAPFROG_STEPS
+        assert chains[0].pilot_leapfrog_steps == 3
+        sample(fixed, HmcConfig(leapfrog_steps=3, **kw))
+        assert chains[0].warmup_leapfrog_steps != 3
+        assert chains[0].leapfrog_steps != 3
         n = 1 + MIN_PILOT               # the start, then one per iteration
         for a, b in zip(auto.logpdf_inputs[:n], fixed.logpdf_inputs[:n]):
             assert np.array_equal(a, b)
@@ -375,6 +379,74 @@ class TestTrajectoryLengthFromWarmup:
         with pytest.warns(UserWarning, match="warmup length"):
             assert _steps_from_warmup(window, np.ones(3), 0.1) == \
                 WARMUP_LEAPFROG_STEPS
+
+
+class CurvedTarget:
+    """Gradient ``-c_j q_j``: curvature ``c_j`` along coordinate ``j``."""
+
+    def __init__(self, curvature):
+        self.curvature = np.asarray(curvature, dtype=float)
+        self.dim = len(self.curvature)
+
+    def grad_logpdf(self, q):
+        return -np.atleast_2d(q) * self.curvature
+
+
+class GradRecordingTarget(ScaledGaussian):
+    """`ScaledGaussian` that keeps a copy of every `grad_logpdf` batch."""
+
+    def __init__(self, sd):
+        super().__init__(sd)
+        self.grad_inputs = []
+
+    def grad_logpdf(self, q):
+        self.grad_inputs.append(np.array(q))
+        return super().grad_logpdf(q)
+
+
+class TestPilotFromCurvature:
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    @pytest.mark.parametrize("mass, expected", [
+        (None, 11),                         # ceil(pi * 1.0 / 0.3)
+        (np.array([1.0, 4.0, 1.0]), 21)])   # ceil(pi * 1.0 * 2 / 0.3)
+    def test_half_period_of_widest_coordinate(self, mass, expected):
+        sd = np.array([0.5, 1.0, 0.8])
+        assert _pilot_steps(ScaledGaussian(sd), np.zeros(3),
+                            np.ones(3) if mass is None else mass,
+                            0.3) == expected
+        cfg = HmcConfig(step_size=0.3, n_samples=5, n_warmup=20, n_chains=2,
+                        mass=mass)
+        chains = sample(ScaledGaussian(sd), cfg)
+        assert [c.pilot_leapfrog_steps for c in chains] == [expected] * 2
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_curvature_not_positive_and_finite_keeps_the_cap(self, bad):
+        assert _pilot_steps(CurvedTarget([1.0, bad]), np.zeros(2),
+                            np.ones(2), 0.5) == WARMUP_LEAPFROG_STEPS
+
+    @pytest.mark.parametrize("step, expected", [
+        (0.11, 29), (0.1, WARMUP_LEAPFROG_STEPS), (1e-300, WARMUP_LEAPFROG_STEPS),
+        (10.0, 1)])
+    def test_between_one_and_the_cap(self, step, expected):
+        assert _pilot_steps(ScaledGaussian([1.0]), np.zeros(1), np.ones(1),
+                            step) == expected
+
+    @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
+    def test_one_call_on_the_mode_and_its_neighbours(self):
+        # One chain, so every other gradient batch has one row; the origin
+        # is the mode, where the search stops at once.
+        mass = np.array([1.0, 4.0])
+        kw = dict(step_size=0.4, n_samples=5, n_warmup=20, n_chains=1,
+                  mass=mass)
+        auto = GradRecordingTarget([1.0, 2.0])
+        sample(auto, HmcConfig(**kw))
+        probes = [x for x in auto.grad_inputs if len(x) == 3]
+        assert len(probes) == 1 and probes[0] is auto.grad_inputs[1]
+        h = 0.4 / np.sqrt(mass)
+        assert np.array_equal(probes[0], [[0.0, 0.0], [h[0], 0.0], [0.0, h[1]]])
+        fixed = GradRecordingTarget([1.0, 2.0])
+        sample(fixed, HmcConfig(leapfrog_steps=4, **kw))
+        assert all(len(x) == 1 for x in fixed.grad_inputs)
 
 
 class ShiftedGaussian(ScaledGaussian):
@@ -637,3 +709,18 @@ class TestSaveChains:
         assert lines[1] == "chain,iter,beta_1,nu"
         assert lines[2] == "0,0,0.0,1.0"
         assert lines[-1] == "1,5,110.0,111.0"
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        special = [-0.0, 1e300, 1e-20, np.nan, np.inf, -np.inf, 0.1, -2.5]
+        draws = np.array(special).reshape(4, 2)
+        chains = [Chain(draws=draws, accept_rate=0.9, seed=0, index=0),
+                  Chain(draws=draws[::-1] * 3, accept_rate=0.8, seed=0, index=1)]
+        path = tmp_path / "chains.csv"
+        save_chains(chains, path, comments=["a = 1", "b"])
+        expected = io.StringIO(newline="")
+        expected.write("# a = 1\n# b\n")
+        writer = csv.writer(expected)
+        writer.writerow(["chain", "iter", "beta_1", "nu"])
+        writer.writerows([c.index, it, *row]
+                         for c in chains for it, row in enumerate(c.draws.tolist()))
+        assert path.read_bytes() == expected.getvalue().encode()
