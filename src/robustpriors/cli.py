@@ -20,13 +20,15 @@ and ``--out``; only ``fit`` takes the sampler options (``--seed`` and
 ``--hmc-*``), and ``sweep`` and ``check`` take ``--quad-tol``.  A flag
 or config-file key that a command does not take is an error.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.  All output CSVs are UTF-8, comma-delimited, with ``#``-prefixed
-comment lines recording the fully resolved configuration, so identical
-configurations and seeds produce byte-identical files.
+Exit codes: 0 success, 2 configuration error (an output file that cannot
+be written among them), 3 data error, 4 numerical failure.  All output
+CSVs are UTF-8, comma-delimited, with ``#``-prefixed comment lines
+recording the fully resolved configuration, so identical configurations
+and seeds produce byte-identical files.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -262,10 +264,10 @@ def cmd_fit(args):
 
 
 def _derive_path(path, suffix):
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + suffix
-    return f"{stem}{suffix}.{ext}"
+    # The suffix goes before the file name's extension, never into a
+    # directory name with a dot.
+    stem, ext = os.path.splitext(path)
+    return stem + suffix + ext
 
 
 def _sweep_point(family_tag, family, axis_mu2, axis_lambda2, n, tol):
@@ -473,7 +475,9 @@ def _build_parsers(exit_on_error=True):
     p_fit.add_argument("--data", help="CSV with a 'y' column (required)")
     p_fit.add_argument("--prior", action="append",
                        help="prior spec per covariate, e.g. "
-                            "'student:gamma=4,mu=1,lambda=2' or 'jeffreys'")
+                            "'student:gamma=4,mu=1,lambda=2' or 'jeffreys'; "
+                            "mu and lambda are read on the standardized "
+                            "scale of y and the covariate")
     p_fit.add_argument("--sigma-prior", default="jeffreys",
                        help="'jeffreys', 'invgamma:shape=..,scale=..', "
                             "optionally '*sigma^K'")
@@ -573,6 +577,11 @@ def main(argv=None):
     except ValueError as exc:
         # ConfigError plus invalid constructor arguments reached via flags
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # An output path that cannot be written; inputs that cannot be
+        # read are reported as data or configuration errors.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,7 +1,7 @@
 """Linear-regression data handling and the joint log-posterior.
 
-The model is ``y_i = x_i . beta + sigma * eps_i`` with standardized errors
-``eps_i ~ f`` and the product prior
+The model is ``y_i = x_i . beta + sigma * eps_i`` with standard normal
+errors ``eps_i ~ N(0, 1)`` and the product prior
 
     pi(beta | sigma) = prod_j (lam_j / sigma) g_j((lam_j / sigma)(beta_j - mu_j)),
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import CTN, CoefficientPrior, Normal
+from .priors import CTN, CoefficientPrior
 from .specfun import LOG_INV_SQRT_2PI
 
 __all__ = [
@@ -144,16 +144,27 @@ def ols_fit(data):
 def load_csv(path):
     """Read a regression dataset from CSV.
 
-    Expects a header row containing a ``y`` column; every other column is a
-    numeric covariate.  An intercept column is prepended automatically.
+    Expects a header row of distinct, non-empty names containing ``y``;
+    every other column is a numeric covariate.  An intercept column is
+    prepended automatically.  A file that cannot be opened is a
+    `DataError`.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read data file: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, h in enumerate(header):
+            if not h:
+                raise DataError(f"{path}: header column {i + 1} has no name")
+            if h in header[:i]:
+                raise DataError(f"{path}: header names column {h!r} twice")
         if "y" not in header:
             raise DataError(f"{path}: no column named 'y' in header {header}")
         y_idx = header.index("y")
@@ -212,8 +223,8 @@ class InverseGammaSigmaSq:
     """Prior under which sigma^2 is inverse-gamma(shape, scale)."""
 
     def __init__(self, shape, scale):
-        if not (shape > 0 and scale > 0):
-            raise ValueError("shape and scale must be positive")
+        if not (0 < shape < math.inf and 0 < scale < math.inf):
+            raise ValueError("shape and scale must be positive and finite")
         self.shape = float(shape)
         self.scale = float(scale)
 
@@ -264,23 +275,23 @@ class PosteriorTarget:
     """Joint unnormalized log-posterior of (beta, nu) and its gradient.
 
     ``priors`` is one entry per design column: a `CoefficientPrior`, or
-    ``None`` for the improper flat prior (the benchmark choice).  The error
-    family defaults to standard normal, in which case the likelihood is
-    evaluated through the Gram-matrix sufficient statistics; any other
-    family goes through per-observation residuals.  Coefficient and error
-    families are called with ``check=False`` (see `robustpriors.priors`),
-    and only on rows already found finite.
+    ``None`` for the improper flat prior (the benchmark choice).  The
+    errors are standard normal, so the likelihood depends on the data only
+    through the Gram statistics ``X^T X``, ``X^T y`` and ``y^T y``: a batch
+    of m rows costs one (m, p) by (p, p) product, whatever n is.
+    Coefficient families are called with ``check=False`` (see
+    `robustpriors.priors`), and only on rows already found finite.
 
     Instances are immutable after construction and evaluation has no side
-    effects, so a single target can serve many chains concurrently.  On the
-    Gram path with more than one column, a row's value and gradient can
-    differ in the last bits with the number of rows evaluated together
-    (BLAS picks another kernel for one row than for several; about 3e-14
-    on a value of -142), so bit-for-bit reproducibility holds at a fixed
-    batch size, as in `sample`.
+    effects, so a single target can serve many chains concurrently.  With
+    more than one column, a row's value and gradient can differ in the
+    last bits with the number of rows evaluated together (BLAS picks
+    another kernel for one row than for several; about 3e-14 on a value of
+    -142), so bit-for-bit reproducibility holds at a fixed batch size, as
+    in `sample`.
     """
 
-    def __init__(self, data, priors, sigma_prior=None, error_family=None):
+    def __init__(self, data, priors, sigma_prior=None):
         self.data = data
         self.priors = list(priors)
         if len(self.priors) != data.p:
@@ -290,8 +301,6 @@ class PosteriorTarget:
             if pr is not None and not isinstance(pr, CoefficientPrior):
                 raise TypeError(f"bad prior entry {pr!r}")
         self.sigma_prior = sigma_prior if sigma_prior is not None else JeffreysSigma()
-        self.error_family = error_family if error_family is not None else Normal()
-        self._use_gram = isinstance(self.error_family, Normal)
 
         self._XtX = data.X.T @ data.X
         self._Xty = data.X.T @ data.y
@@ -427,9 +436,9 @@ class PosteriorTarget:
 
         Returns ``(value, gradient)``, with None in place of the one not
         asked for.  Both share the prefix (``exp(-nu)``, prior arguments,
-        finite checks and the likelihood's residual terms), and each is
-        computed by the same operations whether or not the other is, so a
-        fused call gives the bits of two separate ones.
+        finite checks and `_gram`), and each is computed by the same
+        operations whether or not the other is, so a fused call gives the
+        bits of two separate ones.
 
         A row with a non-finite coordinate or prior argument gives -inf and
         a zero gradient.  One reduction decides whether any row can be bad;
@@ -455,17 +464,21 @@ class PosteriorTarget:
                     v = np.where(ok, v, 0.0)
                     inv_sigma = np.exp(-v)
                     Z = self._prior_args(B, inv_sigma)
-            terms = g = val = None
+            gram = g = val = None
             if grad:
-                terms = self._likelihood_terms(B, inv_sigma)
-                g = self._gradient(v, inv_sigma, Z, terms, ok)
+                gram = self._gram(B)
+                g = self._gradient(v, inv_sigma, Z, gram, ok)
             if value:
-                val = self._value(B, v, inv_sigma, Z, terms, ok)
+                val = self._value(B, v, inv_sigma, Z, gram, ok)
         return val, g
 
-    def _value(self, B, v, inv_sigma, Z, terms, ok):
+    def _value(self, B, v, inv_sigma, Z, gram, ok):
         out = v + self.sigma_prior.log_density_nu(v)
-        out = out + self._log_likelihood(B, v, inv_sigma, terms)
+        # Without `gram` only S is kept: a value-only call on a large batch
+        # frees ``B @ XtX`` at once.
+        S = (self._gram(B) if gram is None else gram)[1]
+        out = out + (-self._n * v - 0.5 * S * inv_sigma * inv_sigma
+                     + self._n * LOG_INV_SQRT_2PI)
         if self._located:
             prior = ((self._log_lam - v[:, None])
                      + self._per_prior(Z, grad=False))
@@ -477,8 +490,12 @@ class PosteriorTarget:
             out = np.where(np.isnan(out), -np.inf, out)
         return out
 
-    def _gradient(self, v, inv_sigma, Z, terms, ok):
-        gB, gv = self._grad_likelihood(v, inv_sigma, terms)
+    def _gradient(self, v, inv_sigma, Z, gram, ok):
+        # Log pi(sigma), the Jacobian and the likelihood first.
+        BX, S = gram
+        inv2 = inv_sigma * inv_sigma
+        gB = (self._Xty[None, :] - BX) * inv2[:, None]
+        gv = 1.0 + self.sigma_prior.dlog_dnu(v) - self._n + S * inv2
         if self._located:
             G = self._per_prior(Z, grad=True)
             gB[:, self._cols] += G * self._lam * inv_sigma[:, None]
@@ -507,41 +524,6 @@ class PosteriorTarget:
             return BX, self._yty - (2.0 * b) * self._Xty[0] + BX[:, 0] * b
         BX = B @ self._XtX
         return BX, self._yty - 2.0 * B @ self._Xty + (BX * B).sum(axis=1)
-
-    def _likelihood_terms(self, B, inv_sigma):
-        # What the likelihood's value and gradient share: `_gram` on the
-        # Gram path, the scaled residuals (m, n) otherwise.
-        if self._use_gram:
-            return self._gram(B)
-        return (self.data.y[None, :] - B @ self.data.X.T) * inv_sigma[:, None]
-
-    def _log_likelihood(self, B, v, inv_sigma, terms=None):
-        # Without `terms` they are computed here and freed on return: a
-        # value-only call on a large batch keeps no more arrays alive than
-        # it needs.
-        if self._use_gram:
-            S = (self._gram(B) if terms is None else terms)[1]
-            return (-self._n * v - 0.5 * S * inv_sigma * inv_sigma
-                    + self._n * LOG_INV_SQRT_2PI)
-        R = self._likelihood_terms(B, inv_sigma) if terms is None else terms
-        rbad = ~np.all(np.isfinite(R), axis=1)
-        if np.any(rbad):
-            R = np.where(rbad[:, None], 0.0, R)
-        ll = -self._n * v + self.error_family.log_density(R, check=False).sum(axis=1)
-        return np.where(rbad, -np.inf, ll) if np.any(rbad) else ll
-
-    def _grad_likelihood(self, v, inv_sigma, terms):
-        # Gradient of log pi(sigma) + Jacobian + log-likelihood: (gB, gv).
-        gv = 1.0 + self.sigma_prior.dlog_dnu(v)
-        if self._use_gram:
-            inv2 = inv_sigma * inv_sigma
-            BX, S = terms
-            gB = (self._Xty[None, :] - BX) * inv2[:, None]
-            return gB, gv - self._n + S * inv2
-        R = np.where(np.isfinite(terms), terms, 0.0)
-        fg = self.error_family.grad_log_density(R, check=False)
-        gB = -(fg @ self.data.X) * inv_sigma[:, None]
-        return gB, gv - self._n - (R * fg).sum(axis=1)
 
     def log_posterior_sigma(self, beta, sigma):
         """Joint log density in the original (beta, sigma) coordinates.
@@ -611,7 +593,7 @@ class PosteriorTarget:
     def __repr__(self):
         fams = [pr.family.name if pr is not None else "flat" for pr in self.priors]
         return (f"PosteriorTarget(n={self.n}, p={self.p}, priors={fams}, "
-                f"sigma={self.sigma_prior!r}, error={self.error_family!r})")
+                f"sigma={self.sigma_prior!r})")
 
 
 class _WhitenedTarget:

@@ -190,8 +190,7 @@ def limiting_target_resolved(target, conflict_indices, sigma_prior=None):
     for j in conflict_indices:
         priors[j] = None
     sp = sigma_prior if sigma_prior is not None else target.sigma_prior
-    return PosteriorTarget(target.data, priors, sigma_prior=sp,
-                           error_family=target.error_family)
+    return PosteriorTarget(target.data, priors, sigma_prior=sp)
 
 
 def limiting_target_ctn(target, conflict_indices):

@@ -11,27 +11,29 @@ local mode by gradient ascent (`_climb_to_mode`, at most
 least-squares point sits deep in that prior's tail, where a step size that
 suits the posterior diverges.
 
-Tuning: a fixed step size, identity (or user supplied diagonal) mass, and a
-trajectory length ``L`` jittered uniformly over ``{ceil(0.8 L), ...,
-ceil(1.2 L)}`` to avoid resonances.  ``L`` is either given or, by default,
-chosen from the warmup in two stages.  A pilot, the first tenth of warmup
-and at least `MIN_PILOT` iterations, runs at half a period of the widest
-coordinate at the mode, ``ceil(pi max_j s_j sqrt(mass_j) / step_size)``
-with ``s_j = c_j^(-1/2)`` and ``c_j`` the curvature along coordinate ``j``
-from one finite-difference gradient call (`_pilot_steps`); it runs at
-most `WARMUP_LEAPFROG_STEPS` = 30 steps, and 30 when a curvature is not
-positive and finite.  From the second half of its draws the rest of
-warmup runs at a quarter period of the slowest coordinate, ``max(1,
-round((pi/2) max_j s_j sqrt(mass_j) / step_size))`` with ``s_j`` the
-within-chain sd averaged over chains.  From the second half of warmup
-the same rule sets the post-warmup length ``L*``.  The pilot's length is
-jittered by +-20%; the two chosen from draws are jittered wider, over ``{ceil(0.5 L*), ...,
-ceil(1.5 L*)}``: a short length that lands near a resonance stays near it
-under +-20%.  Chains are vectorized; each chain draws momenta and
-acceptance variables from its own stream derived from ``(rng_seed,
-chain_index)``, while the jittered lengths come from one extra derived
-stream shared by all chains (a common deterministic schedule, so the batch
-stays in lockstep).  Everything is reproducible bit for bit from the seed.
+Tuning: a fixed step size, standard normal momenta (the identity metric)
+and a trajectory length ``L`` jittered uniformly over ``{ceil(0.8 L), ...,
+ceil(1.2 L)}`` to avoid resonances.  A target that needs another metric
+gets it from a change of coordinates, as `PosteriorTarget.whitened` gives.
+``L`` is either given or, by default, chosen from the warmup in two
+stages.  A pilot, the first tenth of warmup and at least `MIN_PILOT`
+iterations, runs at half a period of the widest coordinate at the mode,
+``ceil(pi max_j s_j / step_size)`` with ``s_j = c_j^(-1/2)`` and ``c_j``
+the curvature along coordinate ``j`` from one finite-difference gradient
+call (`_pilot_steps`); it runs at most `WARMUP_LEAPFROG_STEPS` = 30
+steps, and 30 when a curvature is not positive and finite.  From the
+second half of its draws the rest of warmup runs at a quarter period of
+the slowest coordinate, ``max(1, round((pi/2) max_j s_j / step_size))``
+with ``s_j`` the within-chain sd averaged over chains.  From the second
+half of warmup the same rule sets the post-warmup length ``L*``.  The
+pilot's length is jittered by +-20%; the two chosen from draws are
+jittered wider, over ``{ceil(0.5 L*), ..., ceil(1.5 L*)}``: a short length
+that lands near a resonance stays near it under +-20%.  Chains are
+vectorized; each chain draws momenta and acceptance variables from its
+own stream derived from ``(rng_seed, chain_index)``, while the jittered
+lengths come from one extra derived stream shared by all chains (a common
+deterministic schedule, so the batch stays in lockstep).  Everything is
+reproducible bit for bit from the seed.
 
 Each trajectory costs ``n_steps`` target calls.  The first ``n_steps - 1``
 ask for the gradient; the last, at the proposal, asks for the density and
@@ -90,6 +92,7 @@ MIN_SUMMARY_DRAWS = 100
 class HmcConfig:
     """Sampler settings; the defaults are sized for the reduced 2-D targets.
 
+    Momenta are standard normal: the metric is the identity.
     ``leapfrog_steps=None`` (the default) runs a warmup pilot at a length
     sized from the curvature at the mode (at most `WARMUP_LEAPFROG_STEPS`),
     chooses the length for the rest of warmup from the pilot's draws and
@@ -106,7 +109,6 @@ class HmcConfig:
     n_warmup: int = 2000
     n_chains: int = 4
     rng_seed: int = 0
-    mass: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
@@ -140,7 +142,7 @@ class Chain:
     pilot_leapfrog_steps: int | None = None     # pilot length
 
 
-def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
+def leapfrog(target, position, momentum, step_size, n_steps):
     """Integrate Hamilton's equations with the position-momentum leapfrog.
 
     `position`/`momentum` are (m, dim) batches advanced ``n_steps >= 1``
@@ -152,16 +154,15 @@ def leapfrog(target, position, momentum, step_size, n_steps, mass=None):
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     q = np.array(np.atleast_2d(position), dtype=float)
     p = np.array(np.atleast_2d(momentum), dtype=float)
-    inv_mass = 1.0 / (np.ones(q.shape[1]) if mass is None else np.asarray(mass, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         grad = target.grad_logpdf(q)
         q, p, _, _, divergent = _leapfrog(
-            target, q, p, grad, step_size, n_steps, inv_mass,
+            target, q, p, grad, step_size, n_steps,
             lambda x: (None, target.grad_logpdf(x)))
     return q, p, divergent
 
 
-def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass, end):
+def _leapfrog(target, q, p, grad, step_size, n_steps, end):
     """`leapfrog` given the gradient at `q`, under the caller's errstate.
 
     The last step evaluates the target through ``end(q)``, which returns
@@ -174,9 +175,9 @@ def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass, end):
     # divergent rows, so there is no need to freeze them mid-trajectory.
     p = p + 0.5 * step_size * grad
     for _ in range(n_steps - 1):
-        q = q + step_size * p * inv_mass
+        q = q + step_size * p
         p = p + step_size * target.grad_logpdf(q)
-    q = q + step_size * p * inv_mass
+    q = q + step_size * p
     logp, grad = end(q)
     p = p + 0.5 * step_size * grad
     # Magnitudes beyond 1e50 count as divergent too: a gradient that
@@ -186,8 +187,8 @@ def _leapfrog(target, q, p, grad, step_size, n_steps, inv_mass, end):
     return q, p, logp, grad, ~(state_max <= 1e50)
 
 
-def _kinetic(p, inv_mass):
-    return 0.5 * (p * p * inv_mass).sum(axis=1)
+def _kinetic(p):
+    return 0.5 * (p * p).sum(axis=1)
 
 
 def _jitter_range(n_steps, spread):
@@ -195,7 +196,7 @@ def _jitter_range(n_steps, spread):
             int(np.ceil((1.0 + spread) * n_steps)))
 
 
-def _steps_from_warmup(window, mass, step_size):
+def _steps_from_warmup(window, step_size):
     """Trajectory length covering a quarter period of the slowest coordinate.
 
     `window` holds the (chains, draws, dim) states of the second half of
@@ -207,37 +208,36 @@ def _steps_from_warmup(window, mass, step_size):
     with np.errstate(over="ignore", invalid="ignore"):
         dev = window - window[:, :1]
         sd = np.sqrt(np.mean(np.var(dev, axis=1, ddof=1), axis=0))
-        scale = sd * np.sqrt(mass)
-    ok = np.isfinite(scale) & (scale > 0)
+    ok = np.isfinite(sd) & (sd > 0)
     if not ok.any():
         warnings.warn(
             "warmup draws have no positive finite sd to choose the trajectory "
             f"length from; keeping the warmup length {WARMUP_LEAPFROG_STEPS}",
             UserWarning, stacklevel=3)
         return WARMUP_LEAPFROG_STEPS
-    return max(1, int(round(0.5 * np.pi * float(scale[ok].max()) / step_size)))
+    return max(1, int(round(0.5 * np.pi * float(sd[ok].max()) / step_size)))
 
 
-def _pilot_steps(target, mode, mass, step_size):
+def _pilot_steps(target, mode, step_size):
     """Pilot trajectory length: half a period of the widest coordinate.
 
-    One `grad_logpdf` call on `mode` and on ``mode + h_j e_j``, with
-    ``h_j = step_size / sqrt(mass_j)`` the position change of one leapfrog
-    step at unit momentum, gives the curvatures ``c_j = -(g_j(mode + h_j
-    e_j) - g_j(mode)) / h_j`` and the scales ``s_j = 1 / sqrt(c_j)``.  The
-    length is ``ceil(pi max_j s_j sqrt(mass_j) / step_size)``, between 1
-    and `WARMUP_LEAPFROG_STEPS`.  Half a period is twice what the later
-    stages choose, so the pilot still overshoots a scale underestimated at
-    the mode.  If a curvature is not positive and finite (a flat or convex
-    direction, or a failed evaluation), it is `WARMUP_LEAPFROG_STEPS`.
+    One `grad_logpdf` call on `mode` and on ``mode + h e_j``, with ``h =
+    step_size`` the position change of one leapfrog step at unit momentum,
+    gives the curvatures ``c_j = -(g_j(mode + h e_j) - g_j(mode)) / h`` and
+    the scales ``s_j = 1 / sqrt(c_j)``.  The length is ``ceil(pi max_j s_j
+    / step_size)``, between 1 and `WARMUP_LEAPFROG_STEPS`.  Half a period
+    is twice what the later stages choose, so the pilot still overshoots a
+    scale underestimated at the mode.  If a curvature is not positive and
+    finite (a flat or convex direction, or a failed evaluation), it is
+    `WARMUP_LEAPFROG_STEPS`.
     """
-    h = step_size / np.sqrt(mass)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = target.grad_logpdf(np.vstack([mode, mode + np.diag(h)]))
-        curvature = -(np.diagonal(g[1:]) - g[0]) / h
+        probes = mode + step_size * np.eye(len(mode))
+        g = target.grad_logpdf(np.vstack([mode, probes]))
+        curvature = -(np.diagonal(g[1:]) - g[0]) / step_size
         if not np.all(np.isfinite(curvature) & (curvature > 0)):
             return WARMUP_LEAPFROG_STEPS
-        widest = float(np.max(np.sqrt(mass) / np.sqrt(curvature)))
+        widest = float(np.max(1.0 / np.sqrt(curvature)))
         steps = np.ceil(np.pi * widest / step_size)
     return int(min(WARMUP_LEAPFROG_STEPS, max(1.0, steps)))
 
@@ -323,10 +323,6 @@ def sample(target, config):
     """
     dim = target.dim
     m = config.n_chains
-    mass = np.ones(dim) if config.mass is None else np.asarray(config.mass, dtype=float)
-    if mass.shape != (dim,) or np.any(mass <= 0):
-        raise ValueError("mass must be a positive vector of length dim")
-    inv_mass = 1.0 / mass
 
     root = np.random.SeedSequence(config.rng_seed)
     streams = root.spawn(m + 1)
@@ -347,8 +343,7 @@ def sample(target, config):
             return target.logpdf(x), target.grad_logpdf(x)
 
     auto = config.leapfrog_steps is None
-    pilot_steps = (_pilot_steps(target, mode, mass, config.step_size)
-                   if auto else None)
+    pilot_steps = _pilot_steps(target, mode, config.step_size) if auto else None
     n_fixed = pilot_steps if auto else config.leapfrog_steps
     lo, hi = _jitter_range(n_fixed, 0.2)
     total = config.n_warmup + config.n_samples
@@ -361,7 +356,6 @@ def sample(target, config):
     accepted = np.zeros(m, dtype=int)
     divergences = np.zeros(m, dtype=int)
     last_divergent = None
-    sqrt_mass = np.sqrt(mass)
     p0 = np.empty((m, dim))
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,25 +367,23 @@ def sample(target, config):
                 _check_divergences(divergences, it * m, last_divergent,
                                    "warmup")
                 warmup_steps = _steps_from_warmup(warmup[:, pilot // 2:pilot],
-                                                  mass, config.step_size)
+                                                  config.step_size)
                 lo, hi = _jitter_range(warmup_steps, 0.5)
             if it == config.n_warmup and it > 0:
                 _check_divergences(divergences, it * m, last_divergent,
                                    "warmup")
                 if auto:
-                    n_fixed = _steps_from_warmup(warmup[:, it // 2:], mass,
+                    n_fixed = _steps_from_warmup(warmup[:, it // 2:],
                                                  config.step_size)
                     lo, hi = _jitter_range(n_fixed, 0.5)
             n_steps = int(traj_rng.integers(lo, hi + 1))
             for i, rng in enumerate(chain_rngs):
                 rng.standard_normal(out=p0[i])
-            p0 *= sqrt_mass
             q_new, p_new, logp_new, grad_new, div = _leapfrog(
-                target, q, p0, grad, config.step_size, n_steps, inv_mass,
-                evaluate)
+                target, q, p0, grad, config.step_size, n_steps, evaluate)
 
-            h_old = -logp + _kinetic(p0, inv_mass)
-            h_new = -logp_new + _kinetic(p_new, inv_mass)
+            h_old = -logp + _kinetic(p0)
+            h_new = -logp_new + _kinetic(p_new)
             # Energy blow-ups are divergences even when the state is finite;
             # a non-finite h_new is one, so it is never accepted.
             div |= ~np.isfinite(h_new) | (h_new - h_old > 1000.0)

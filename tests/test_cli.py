@@ -390,6 +390,41 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert not out.exists() and not (tmp_path / "o_chains.csv").exists()
 
+    def test_derived_chain_path_keeps_the_directory(self, tmp_path):
+        # The chain dump's name comes from the file name's extension, not
+        # from a dot in a directory name.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        (tmp_path / "res.v2").mkdir()
+        out = tmp_path / "res.v2" / "fit"
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--hmc-samples", "100",
+                     "--hmc-warmup", "20", "--hmc-chains", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.exists() and (tmp_path / "res.v2" / "fit_chains").exists()
+
+    def test_missing_data_file_is_data_error(self, tmp_path, capsys):
+        code = main(["fit", "--data", str(tmp_path / "nofile.csv"),
+                     "--prior", "jeffreys", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read data file")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["invgamma:shape=inf,scale=1",
+                                      "invgamma:shape=1,scale=inf"])
+    def test_infinite_sigma_prior_parameter(self, tmp_path, capsys, spec):
+        # Rejected before sampling, with no output written.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--sigma-prior", spec,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_few_rows_is_data_error(self, tmp_path):
         data_path = tmp_path / "d.csv"
         data_path.write_text("y,x1,x2\n1.0,2.0,3.0\n2.0,3.0,4.0\n")
@@ -564,6 +599,19 @@ class TestCheck:
         assert {"student_location_limit", "lptn_location_invariance",
                 "lptn_scaling_trace_slow", "ctn_exact_attainment"} <= claims
         assert (tmp_path / "check_series.csv").exists()
+
+    def test_derived_series_path_keeps_the_directory(self, tmp_path):
+        (tmp_path / "res.v2").mkdir()
+        out = tmp_path / "res.v2" / "report"
+        assert main(["check", "--fast", "--out", str(out)]) == EXIT_OK
+        assert out.exists() and (tmp_path / "res.v2" / "report_series").exists()
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(["check", "--fast", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:")
+        assert err.count("\n") == 1 and "nodir" in err
 
     @pytest.mark.parametrize("tol", ["-1e-10", "nan"])
     def test_bad_quad_tol(self, tmp_path, capsys, tol):

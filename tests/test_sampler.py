@@ -164,26 +164,6 @@ class TestSample:
         row = summarize(sample(target, cfg)).row("sigma")
         assert abs(row["mean"] - exact) < 4 * row["mcse"]
 
-    def test_mass_vector_keeps_target(self):
-        # Anisotropic Gaussian (sd 1 and 0.25) sampled with a matched mass
-        # vector: the stationary distribution is unchanged by the metric.
-        class Aniso:
-            dim = 2
-            def logpdf(self, q):
-                q = np.atleast_2d(q)
-                return -0.5 * (q[:, 0] ** 2 + q[:, 1] ** 2 / 0.0625)
-            def grad_logpdf(self, q):
-                q = np.atleast_2d(q)
-                return np.column_stack([-q[:, 0], -q[:, 1] / 0.0625])
-
-        cfg = HmcConfig(step_size=0.2, leapfrog_steps=8, n_samples=8000,
-                        n_warmup=500, n_chains=2, rng_seed=12,
-                        mass=np.array([1.0, 16.0]))
-        draws = np.concatenate([c.draws for c in sample(Aniso(), cfg)])
-        assert np.max(np.abs(draws.mean(axis=0))) < 0.03
-        assert draws[:, 0].std() == pytest.approx(1.0, rel=0.05)
-        assert draws[:, 1].std() == pytest.approx(0.25, rel=0.05)
-
     def test_gradient_carry_matches_reference_loop(self):
         # `sample` reuses the end-of-trajectory gradient instead of
         # recomputing it; the chains must not change by a single bit.  The
@@ -244,8 +224,6 @@ class TestSample:
             HmcConfig(step_size=0.0)
         with pytest.raises(ValueError):
             HmcConfig(n_chains=0)
-        with pytest.raises(ValueError):
-            sample(GaussianTarget(2), HmcConfig(mass=np.array([1.0, -1.0])))
 
 
 class ScaledGaussian:
@@ -293,14 +271,12 @@ class StuckTarget(GaussianTarget):
 
 
 class TestTrajectoryLengthFromWarmup:
-    @pytest.mark.parametrize("mass", [None, np.array([1.0, 4.0, 1.0])])
-    def test_quarter_period_of_slowest_coordinate(self, mass):
+    def test_quarter_period_of_slowest_coordinate(self):
         sd = np.array([0.1, 1.0, 0.8])
         step = 0.15
         cfg = HmcConfig(step_size=step, n_samples=200, n_warmup=1000,
-                        n_chains=4, rng_seed=3, mass=mass)
-        scale = sd * np.sqrt(np.ones(3) if mass is None else mass)
-        expected = round(0.5 * np.pi * scale.max() / step)
+                        n_chains=4, rng_seed=3)
+        expected = round(0.5 * np.pi * sd.max() / step)
         chains = sample(ScaledGaussian(sd), cfg)
         assert {c.leapfrog_steps for c in chains} == {chains[0].leapfrog_steps}
         assert abs(chains[0].leapfrog_steps - expected) <= 1
@@ -377,7 +353,7 @@ class TestTrajectoryLengthFromWarmup:
     def test_no_finite_positive_sd_keeps_warmup_length(self, fill):
         window = np.full((2, 10, 3), fill)
         with pytest.warns(UserWarning, match="warmup length"):
-            assert _steps_from_warmup(window, np.ones(3), 0.1) == \
+            assert _steps_from_warmup(window, 0.1) == \
                 WARMUP_LEAPFROG_STEPS
 
 
@@ -406,44 +382,37 @@ class GradRecordingTarget(ScaledGaussian):
 
 class TestPilotFromCurvature:
     @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
-    @pytest.mark.parametrize("mass, expected", [
-        (None, 11),                         # ceil(pi * 1.0 / 0.3)
-        (np.array([1.0, 4.0, 1.0]), 21)])   # ceil(pi * 1.0 * 2 / 0.3)
-    def test_half_period_of_widest_coordinate(self, mass, expected):
+    def test_half_period_of_widest_coordinate(self):
         sd = np.array([0.5, 1.0, 0.8])
-        assert _pilot_steps(ScaledGaussian(sd), np.zeros(3),
-                            np.ones(3) if mass is None else mass,
-                            0.3) == expected
-        cfg = HmcConfig(step_size=0.3, n_samples=5, n_warmup=20, n_chains=2,
-                        mass=mass)
+        expected = 11                       # ceil(pi * 1.0 / 0.3)
+        assert _pilot_steps(ScaledGaussian(sd), np.zeros(3), 0.3) == expected
+        cfg = HmcConfig(step_size=0.3, n_samples=5, n_warmup=20, n_chains=2)
         chains = sample(ScaledGaussian(sd), cfg)
         assert [c.pilot_leapfrog_steps for c in chains] == [expected] * 2
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_curvature_not_positive_and_finite_keeps_the_cap(self, bad):
         assert _pilot_steps(CurvedTarget([1.0, bad]), np.zeros(2),
-                            np.ones(2), 0.5) == WARMUP_LEAPFROG_STEPS
+                            0.5) == WARMUP_LEAPFROG_STEPS
 
     @pytest.mark.parametrize("step, expected", [
         (0.11, 29), (0.1, WARMUP_LEAPFROG_STEPS), (1e-300, WARMUP_LEAPFROG_STEPS),
         (10.0, 1)])
     def test_between_one_and_the_cap(self, step, expected):
-        assert _pilot_steps(ScaledGaussian([1.0]), np.zeros(1), np.ones(1),
+        assert _pilot_steps(ScaledGaussian([1.0]), np.zeros(1),
                             step) == expected
 
     @pytest.mark.filterwarnings("ignore:chain . acceptance rate")
     def test_one_call_on_the_mode_and_its_neighbours(self):
         # One chain, so every other gradient batch has one row; the origin
         # is the mode, where the search stops at once.
-        mass = np.array([1.0, 4.0])
-        kw = dict(step_size=0.4, n_samples=5, n_warmup=20, n_chains=1,
-                  mass=mass)
+        kw = dict(step_size=0.4, n_samples=5, n_warmup=20, n_chains=1)
         auto = GradRecordingTarget([1.0, 2.0])
         sample(auto, HmcConfig(**kw))
         probes = [x for x in auto.grad_inputs if len(x) == 3]
         assert len(probes) == 1 and probes[0] is auto.grad_inputs[1]
-        h = 0.4 / np.sqrt(mass)
-        assert np.array_equal(probes[0], [[0.0, 0.0], [h[0], 0.0], [0.0, h[1]]])
+        h = 0.4
+        assert np.array_equal(probes[0], [[0.0, 0.0], [h, 0.0], [0.0, h]])
         fixed = GradRecordingTarget([1.0, 2.0])
         sample(fixed, HmcConfig(leapfrog_steps=4, **kw))
         assert all(len(x) == 1 for x in fixed.grad_inputs)
@@ -606,14 +575,13 @@ class CountingPosterior(PosteriorTarget):
 
 
 class TestFusedTrajectoryEnd:
-    @pytest.mark.parametrize("error_family", [None, Student(4)])
-    def test_fused_and_two_call_paths_draw_the_same_bits(self, error_family):
+    def test_fused_and_two_call_paths_draw_the_same_bits(self):
         # Auto trajectory lengths, so the pilot and both chosen lengths run
         # on both paths; the step rejects about a fifth of the proposals.
         data = orthogonal_regression(n=60, p=3, seed=2)
         priors = [None, CoefficientPrior(1.0, 2.0, LPTN(0.95)),
                   CoefficientPrior(-0.5, 1.0, Student(4)), None]
-        t = CountingPosterior(data, priors, error_family=error_family)
+        t = CountingPosterior(data, priors)
         cfg = HmcConfig(step_size=0.05, n_samples=200, n_warmup=100,
                         n_chains=3, rng_seed=8)
         fused = sample(t, cfg)
