@@ -226,6 +226,13 @@ def cmd_fit(args):
     if args.hmc_samples < MIN_SUMMARY_DRAWS:
         raise ConfigError(f"--hmc-samples must be at least {MIN_SUMMARY_DRAWS} "
                           f"for the summary, got {args.hmc_samples}")
+    chains_out = args.chains_out or _derive_path(args.out, "_chains")
+    # Checked before sampling, so a path that cannot be written costs no run.
+    for flag, path in (("--out", args.out), ("--chains-out", chains_out)):
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"{flag} {path!r}: directory {folder!r} does "
+                              "not exist")
     view = target.whitened()
     step = args.hmc_step_size / view.s_min
     try:
@@ -257,7 +264,6 @@ def cmd_fit(args):
                      f"{chains[0].leapfrog_steps} (chosen from warmup)")
     comments = _config_comments(args, extra=extra)
     summary.write_csv(args.out, comments=comments)
-    chains_out = args.chains_out or _derive_path(args.out, "_chains")
     save_chains(chains, chains_out, comments=comments)
     print(f"wrote {args.out} and {chains_out}")
     return EXIT_OK

@@ -59,6 +59,12 @@ def _std_normal_log_pdf(z):
     return LOG_INV_SQRT_2PI - 0.5 * z * z
 
 
+def _all_within(az, bound):
+    # Whether every entry of ``az = |z|`` is at most `bound`: one reduction
+    # instead of a mask and ``all``.  True for an empty array; a NaN fails.
+    return np.maximum.reduce(az, axis=None, initial=0.0) <= bound
+
+
 def _derive(family, **values):
     # A frozen dataclass sets the attributes derived from its fields here.
     for key, value in values.items():
@@ -168,9 +174,9 @@ class LPTN:
 
     def _log(self, z):
         az = np.abs(z)
-        interior = az <= self.tau
-        if interior.all():
+        if _all_within(az, self.tau):
             return _std_normal_log_pdf(z)
+        interior = az <= self.tau
         # Mask the tail argument so log(log|z|) never sees |z| <= 1.
         az_safe = np.where(interior, self.tau + 1.0, az)
         tail = (self._log_tail - np.log(az_safe)
@@ -178,9 +184,10 @@ class LPTN:
         return np.where(interior, _std_normal_log_pdf(z), tail)
 
     def _grad(self, z):
-        interior = np.abs(z) <= self.tau
-        if interior.all():
+        az = np.abs(z)
+        if _all_within(az, self.tau):
             return -z
+        interior = az <= self.tau
         z_safe = np.where(interior, self.tau + 1.0, z)
         tail = -1.0 / z_safe - self.theta / (z_safe * np.log(np.abs(z_safe)))
         return np.where(interior, -z, tail)
@@ -211,16 +218,17 @@ class CTN:
                 _log_tail=_std_normal_log_pdf(kappa))
 
     def _log(self, z):
-        interior = np.abs(z) <= self.kappa
-        if interior.all():
+        az = np.abs(z)
+        if _all_within(az, self.kappa):
             return _std_normal_log_pdf(z)
-        return np.where(interior, _std_normal_log_pdf(z), self._log_tail)
+        return np.where(az <= self.kappa, _std_normal_log_pdf(z),
+                        self._log_tail)
 
     def _grad(self, z):
-        interior = np.abs(z) <= self.kappa
-        if interior.all():
+        az = np.abs(z)
+        if _all_within(az, self.kappa):
             return -z
-        return np.where(interior, -z, 0.0)
+        return np.where(az <= self.kappa, -z, 0.0)
 
 
 @dataclass(frozen=True)

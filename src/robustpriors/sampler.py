@@ -101,6 +101,7 @@ class HmcConfig:
     the whole run.  Every run starts from a local mode uphill of the
     target's start point and stops at the end of warmup (or of the pilot)
     if more than 10% of its warmup trajectories so far diverged.
+    ``rng_seed`` must be a non-negative integer.
     """
 
     step_size: float = 0.05
@@ -111,6 +112,11 @@ class HmcConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        seed = self.rng_seed
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise ValueError(
+                f"rng_seed must be a non-negative integer, got {seed!r}")
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         for name in ("n_samples", "n_chains"):
@@ -183,12 +189,12 @@ def _leapfrog(target, q, p, grad, step_size, n_steps, end):
     # Magnitudes beyond 1e50 count as divergent too: a gradient that
     # overflowed mid-trajectory can leave a huge but still-finite state.
     # A NaN fails the comparison, so it is flagged with the infinities.
-    state_max = np.maximum(np.abs(q).max(axis=1), np.abs(p).max(axis=1))
+    state_max = np.maximum.reduce(np.maximum(np.abs(q), np.abs(p)), axis=1)
     return q, p, logp, grad, ~(state_max <= 1e50)
 
 
 def _kinetic(p):
-    return 0.5 * (p * p).sum(axis=1)
+    return 0.5 * np.add.reduce(p * p, axis=1)
 
 
 def _jitter_range(n_steps, spread):
@@ -357,6 +363,7 @@ def sample(target, config):
     divergences = np.zeros(m, dtype=int)
     last_divergent = None
     p0 = np.empty((m, dim))
+    u = np.empty(m)
 
     with np.errstate(over="ignore", invalid="ignore"):
         logp, grad = evaluate(q)
@@ -377,20 +384,24 @@ def sample(target, config):
                                                  config.step_size)
                     lo, hi = _jitter_range(n_fixed, 0.5)
             n_steps = int(traj_rng.integers(lo, hi + 1))
+            # Each chain's stream gives its momenta, then its acceptance
+            # variable.
             for i, rng in enumerate(chain_rngs):
                 rng.standard_normal(out=p0[i])
+                u[i] = rng.random()
             q_new, p_new, logp_new, grad_new, div = _leapfrog(
                 target, q, p0, grad, config.step_size, n_steps, evaluate)
 
-            h_old = -logp + _kinetic(p0)
-            h_new = -logp_new + _kinetic(p_new)
+            h_old = _kinetic(p0) - logp
+            h_new = _kinetic(p_new) - logp_new
             # Energy blow-ups are divergences even when the state is finite;
             # a non-finite h_new is one, so it is never accepted.
             div |= ~np.isfinite(h_new) | (h_new - h_old > 1000.0)
-            u = np.array([rng.random() for rng in chain_rngs])
             accept = (np.log(u) < h_old - h_new) & ~div
 
-            if accept.any():
+            if accept.all():
+                q, grad, logp = q_new, grad_new, logp_new
+            elif accept.any():
                 q = np.where(accept[:, None], q_new, q)
                 grad = np.where(accept[:, None], grad_new, grad)
                 logp = np.where(accept, logp_new, logp)

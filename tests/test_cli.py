@@ -33,6 +33,17 @@ def write_dataset(path, n=60, seed=0, constant_col=False, duplicate_col=False):
             fh.write(",".join(f"{v:.10f}" for v in row) + "\n")
 
 
+@pytest.fixture
+def no_sample(monkeypatch):
+    """Make `fit` fail the test if it reaches the sampler."""
+    import robustpriors.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample was called")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+
+
 class TestPriorSpecs:
     def test_families(self):
         assert parse_prior_spec("jeffreys") is None
@@ -232,6 +243,43 @@ class TestFit:
         assert code == EXIT_CONFIG
         assert "--hmc-samples must be at least 100" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "o_chains.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--chains-out"])
+    def test_missing_output_directory_fails_before_sampling(
+            self, tmp_path, capsys, no_sample, flag):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        paths = {"--out": tmp_path / "o.csv",
+                 "--chains-out": tmp_path / "c.csv"}
+        paths[flag] = tmp_path / "nodir" / "x.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--out", str(paths["--out"]),
+                     "--chains-out", str(paths["--chains-out"])])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "nodir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+    def test_negative_seed_fails_before_sampling(self, tmp_path, capsys,
+                                                 no_sample):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert ("rng_seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        data_path.write_bytes(b"\xff\xfey\x00\n\x001\x00\n")
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data_path}: not UTF-8 text")
 
     def test_too_little_warmup_to_choose_length(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"

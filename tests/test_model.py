@@ -135,6 +135,13 @@ class TestLoadCsv(object):
             load_csv(path)
 
 
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xff\xfey\x00,\x00x\x00\n\x001\x00,\x002\x00\n")
+        with pytest.raises(DataError, match="d.csv: not UTF-8 text"):
+            load_csv(path)
+
+
 class TestSigmaPriors:
     def test_jeffreys(self):
         sp = JeffreysSigma()
@@ -406,6 +413,68 @@ class TestPosteriorTarget:
             grad[:, 5] += -1.0 - z * g
         assert np.array_equal(t.logpdf(q), value)
         assert np.array_equal(t.grad_logpdf(q), grad)
+
+    @pytest.mark.parametrize("priors", [
+        [None, CoefficientPrior(0.3, 2.5, LPTN(0.95)),
+         CoefficientPrior(-0.2, 1.0, Student(4)),
+         CoefficientPrior(0.0, 2.0, CTN(0.98)), None],
+        [CoefficientPrior(0.1, 0.5, Normal()),
+         CoefficientPrior(0.3, 2.5, LPTN(0.95)),
+         CoefficientPrior(-0.2, 1.0, Student(4)),
+         CoefficientPrior(0.0, 2.0, CTN(0.98)),
+         CoefficientPrior(0.4, 1.2, Normal())]],
+        ids=["consecutive", "every-column"])
+    def test_fused_kernel_on_consecutive_columns(self, priors):
+        # Located priors on consecutive columns are selected as one block
+        # instead of by index; the bits are those of the per-prior sum.
+        data = random_data(n=40, p=5, seed=8)
+        t = PosteriorTarget(data, priors)
+        flat = PosteriorTarget(data, [None] * data.p)
+        q = np.random.default_rng(9).normal(0.0, 0.7, size=(6, 6))
+        B, v = q[:, :5], q[:, 5]
+        inv_sigma = np.exp(-v)
+        value, grad = flat.logpdf(q), flat.grad_logpdf(q)
+        for j, pr in enumerate(priors):
+            if pr is None:
+                continue
+            z = pr.lam * inv_sigma * (B[:, j] - pr.mu)
+            value = value + (np.log(pr.lam) - v + pr.family.log_density(z))
+            g = pr.family.grad_log_density(z)
+            grad[:, j] += g * pr.lam * inv_sigma
+            grad[:, 5] += -1.0 - z * g
+        assert np.array_equal(t.logpdf(q), value)
+        assert np.array_equal(t.grad_logpdf(q), grad)
+        fused = t.logpdf_and_grad(q)
+        assert np.array_equal(fused[0], value)
+        assert np.array_equal(fused[1], grad)
+
+    @pytest.mark.parametrize("case", ["gram", "reduced"])
+    def test_zero_row_batch(self, case):
+        if case == "reduced":
+            t = reduced_target(N, 0.5, 1.0, LPTN(0.95))
+        else:
+            t = PosteriorTarget(random_data(n=30, p=4, seed=3),
+                                [None, CoefficientPrior(0.2, 1.0, LPTN(0.95)),
+                                 None, CoefficientPrior(0.0, 2.0, CTN(0.98))])
+        q = np.empty((0, t.dim))
+        assert t.logpdf(q).shape == (0,)
+        assert t.grad_logpdf(q).shape == (0, t.dim)
+        value, grad = t.logpdf_and_grad(q)
+        assert value.shape == (0,) and grad.shape == (0, t.dim)
+
+    @pytest.mark.parametrize("family", [None, LPTN(0.95), CTN(0.98)])
+    def test_wide_batch_matches_narrow_batches(self, family):
+        # A wide batch and a narrow one sum their terms by different
+        # numpy calls, in the same order and so to the same bits.  With
+        # one column the likelihood takes no BLAS product.
+        t = reduced_target(N, 0.5, 1.0, family)
+        q = np.random.default_rng(5).normal(0.0, 0.5, size=(200, 2))
+        wide = t.logpdf_and_grad(q)
+        narrow = [t.logpdf_and_grad(q[i:i + 4]) for i in range(0, 200, 4)]
+        assert wide[0].tobytes() == np.concatenate(
+            [value for value, _ in narrow]).tobytes()
+        assert wide[1].tobytes() == np.concatenate(
+            [grad for _, grad in narrow]).tobytes()
 
     @pytest.mark.parametrize("case", ["gram", "reduced", "flat"])
     def test_logpdf_and_grad_matches_separate_calls(self, case):

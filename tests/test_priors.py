@@ -158,6 +158,12 @@ class TestLogDensity:
                     with pytest.raises(ValueError, match="finite"):
                         method(np.array([0.5, bad, 3.0]))
 
+    @pytest.mark.parametrize("family", [LPTN(0.95), CTN(0.98)])
+    def test_empty_argument(self, family):
+        for method in (family.log_density, family.grad_log_density):
+            for check in (True, False):
+                assert method(np.empty(0), check=check).shape == (0,)
+
     def test_unchecked_matches_checked(self):
         z = np.array([-40.0, -2.5, -0.3, 0.0, 0.7, 1.9, 3.0, 1e6])
         for family in (Normal(), Student(4), LPTN(0.95), CTN(0.98)):

@@ -225,6 +225,15 @@ class TestSample:
         with pytest.raises(ValueError):
             HmcConfig(n_chains=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+    def test_rng_seed_validation(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be a "
+                           f"non-negative integer, got {seed!r}"):
+            HmcConfig(rng_seed=seed)
+
+    def test_rng_seed_accepts_numpy_integers(self):
+        assert HmcConfig(rng_seed=np.int64(7)).rng_seed == 7
+
 
 class ScaledGaussian:
     """Independent normal coordinates with the given sds."""
