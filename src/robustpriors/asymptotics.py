@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import reduced_target
+from .model import _open_csv, reduced_target, write_commented_csv
 from .oracle import limiting_reduced_target, quadrature_moments
 from .priors import CTN, LPTN, Student
 from .specfun import normal_pdf
@@ -325,11 +325,10 @@ def write_series_csv(series_list, path, comments=()):
     Each series is introduced by a ``# series = <label>`` comment line, so
     several series share one file without extra data columns.
     """
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
+    write_commented_csv(path, ["omega", "ratio", "target", "abs_err"], (),
+                        comments)
+    with _open_csv(path, "a") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["omega", "ratio", "target", "abs_err"])
         for series in series_list:
             fh.write(f"# series = {series.label or series.family}\n")
             for w, r, e in zip(series.omega, series.ratio, series.abs_err):

@@ -172,7 +172,7 @@ def read_config_file(path):
     """
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -183,6 +183,8 @@ def read_config_file(path):
                 values[key.strip().replace("-", "_")] = (lineno, val.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     return values
 
 
@@ -239,10 +241,8 @@ def cmd_fit(args):
         chains = sample(view, replace(config, step_size=step))
     except DivergenceError as exc:
         it, chain, state = exc.last_state
-        mapped = (it, chain, view.to_posterior(state))
-        head = str(exc).partition("; last divergent state ")[0]
-        raise DivergenceError(f"{head}; last divergent state {mapped}",
-                              last_state=mapped) from None
+        raise DivergenceError(exc.summary,
+                              (it, chain, view.to_posterior(state))) from None
     chains = [replace(c, draws=view.to_posterior(c.draws)) for c in chains]
     summary = summarize(chains)
     extra = ["columns: intercept=beta_1, " + ", ".join(
@@ -320,7 +320,9 @@ def cmd_sweep(args):
                               f"positive, got {args.grid!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("--grid must be a strictly increasing list")
-    if getattr(args, args.axis) != _FIXED_AXIS[args.axis]:
+    # Identity, not equality: a value given by flag or config key is a new
+    # float even when it equals the default object argparse leaves.
+    if getattr(args, args.axis) is not _FIXED_AXIS[args.axis]:
         raise ConfigError(f"--{args.axis} fixes {args.axis} while the other "
                           f"axis is swept, but the swept axis is {args.axis}")
     if not np.isfinite(args.mu2):

@@ -10,10 +10,11 @@ happens in the unconstrained coordinates ``(beta, nu)`` with
 ``nu = log(sigma)``; the Jacobian ``e^nu`` of that substitution is included,
 and sigma-space densities are only ever produced by transforming draws.
 
-`PosteriorTarget` is the single formula source: the two-parameter simulation
-target (orthogonal standardized covariates, zero least-squares estimate) is
-built through `reduced_target` as an intercept-only instance of exactly the
-same code path.
+`PosteriorTarget` is the single formula source, and its packed-row methods
+`logpdf`, `grad_logpdf` and `logpdf_and_grad` the one way to evaluate it.
+The two-parameter simulation target (orthogonal standardized covariates,
+zero least-squares estimate) is built through `reduced_target` as an
+intercept-only instance of exactly the same code path.
 
 A note on scale conventions: in `reduced_target` the user-facing ``lam2``
 follows the simulation-study convention where the prior inverse-scale is
@@ -192,9 +193,19 @@ def load_csv(path):
     return data, names
 
 
+def _open_csv(path, mode="w"):
+    # UTF-8 whatever the locale; a surrogate-escaped argument (a non-ASCII
+    # path under an ASCII locale) is written back as its own bytes.
+    return open(path, mode, newline="", encoding="utf-8",
+                errors="surrogateescape")
+
+
 def write_commented_csv(path, header, rows, comments=()):
-    """Write ``#``-prefixed comment lines, then a header row and the rows."""
-    with open(path, "w", newline="") as fh:
+    """Write ``#``-prefixed comment lines, then a header row and the rows.
+
+    Every output file starts here; longer ones append through `_open_csv`.
+    """
+    with _open_csv(path) as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
@@ -302,17 +313,19 @@ def _is_jeffreys_like(sigma_prior):
 class PosteriorTarget:
     """Joint unnormalized log-posterior of (beta, nu) and its gradient.
 
-    ``priors`` is one entry per design column: a `CoefficientPrior`, or
-    ``None`` for the improper flat prior (the benchmark choice).  The
-    errors are standard normal, so the likelihood depends on the data only
-    through the Gram statistics ``X^T X``, ``X^T y`` and ``y^T y``: a batch
-    of m rows costs one (m, p) by (p, p) product, whatever n is.
-    Coefficient families are called with ``check=False`` (see
-    `robustpriors.priors`), and only on rows already found finite.  The
-    columns of the located priors are chosen once, at construction: by a
-    slice when they are consecutive, so a batch's prior arguments start
-    from a view of it and the prior scores are added into one block of the
-    gradient, and by an index array otherwise.
+    It is evaluated at packed rows ``q = (beta_1..beta_p, nu)`` by
+    `logpdf`, `grad_logpdf` and `logpdf_and_grad` alone.  ``priors`` is one
+    entry per design column: a `CoefficientPrior`, or ``None`` for the
+    improper flat prior (the benchmark choice).  The errors are standard
+    normal, so the likelihood depends on the data only through the Gram
+    statistics ``X^T X``, ``X^T y`` and ``y^T y``: a batch of m rows costs
+    one (m, p) by (p, p) product, whatever n is.  Coefficient families are
+    called with ``check=False`` (see `robustpriors.priors`), and only on
+    rows already found finite.  The columns of the located priors are
+    chosen once, at construction: by a slice when they are consecutive, so
+    a batch's prior arguments start from a view of it and the prior scores
+    are added into one block of the gradient, and by an index array
+    otherwise.
 
     Instances are immutable after construction and evaluation has no side
     effects, so a single target can serve many chains concurrently.  With
@@ -337,12 +350,11 @@ class PosteriorTarget:
         self._XtX = data.X.T @ data.X
         self._Xty = data.X.T @ data.y
         self._yty = float(data.y @ data.y)
-        self._n = data.n
-        self._p = data.p
+        self.n, self.p, self.dim = data.n, data.p, data.p + 1
         # Along a null direction of the flat-prior columns the likelihood is
         # constant and nothing else bounds the density.  Such a direction
         # needs a rank-deficient design.
-        self._full_rank = np.linalg.matrix_rank(self._XtX) == self._p
+        self._full_rank = np.linalg.matrix_rank(self._XtX) == self.p
         flat = [j for j, pr in enumerate(self.priors) if pr is None]
         if (not self._full_rank
                 and np.linalg.matrix_rank(self._XtX[np.ix_(flat, flat)]) < len(flat)):
@@ -369,18 +381,6 @@ class PosteriorTarget:
                                     for _, pr in active]
 
         self._check_properness()
-
-    @property
-    def n(self):
-        return self.data.n
-
-    @property
-    def p(self):
-        return self.data.p
-
-    @property
-    def dim(self):
-        return self.data.p + 1
 
     @property
     def start_point(self):
@@ -416,42 +416,29 @@ class PosteriorTarget:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _split(self, beta, nu):
-        B = np.atleast_2d(np.asarray(beta, dtype=float))
-        v = np.atleast_1d(np.asarray(nu, dtype=float))
-        if B.shape[0] != v.shape[0]:
-            if B.shape[0] == 1:
-                B = np.broadcast_to(B, (v.shape[0], B.shape[1]))
-            elif v.shape[0] == 1:
-                v = np.broadcast_to(v, (B.shape[0],))
-            else:
-                raise ValueError("beta and nu batch sizes do not match")
-        if B.shape[1] != self.p:
-            raise ValueError(f"beta must have length {self.p}")
-        return B, v
+    def logpdf(self, q):
+        """Log density (m,) at rows ``q = (beta_1..beta_p, nu)``, or one row.
 
-    def log_posterior(self, beta, nu):
-        """Unnormalized log joint density of (beta, nu), Jacobian included.
-
-        Rows with non-finite coordinates (or overflowing intermediates)
-        evaluate to -inf rather than raising, so trajectory integrators can
-        treat them as divergences.
+        Non-finite rows (or overflowing intermediates) give -inf, not an
+        error, so trajectory integrators can treat them as divergences.
         """
-        B, v = self._split(beta, nu)
-        scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._evaluate(B, v)[0]
-        return float(out[0]) if scalar and B.shape[0] == 1 else out
+        return self._evaluate(q)[0]
 
-    def grad_log_posterior(self, beta, nu):
-        """Analytic gradient of `log_posterior` with respect to (beta, nu).
+    def grad_logpdf(self, q):
+        """Gradient of `logpdf`, one row of ``(d/d beta, d/d nu)`` per row of q.
 
         At prior kinks the interior branch value is used (the kink set has
         null measure).  Non-finite rows yield a zero gradient.
         """
-        B, v = self._split(beta, nu)
-        scalar = np.ndim(nu) == 0 and np.ndim(beta) == 1
-        out = self._evaluate(B, v, value=False, grad=True)[1]
-        return out[0] if scalar and B.shape[0] == 1 else out
+        return self._evaluate(q, value=False, grad=True)[1]
+
+    def logpdf_and_grad(self, q):
+        """``(logpdf(q), grad_logpdf(q))`` from one pass, bit for bit.
+
+        The two share their prefix, so a caller that needs both at the same
+        rows (a sampler at a trajectory's end) pays for it once.
+        """
+        return self._evaluate(q, grad=True)
 
     def _prior_args(self, B, inv_sigma):
         # Z[i] = lam_i / sigma * (beta_{cols[i]} - mu_i) over the batch, one
@@ -469,8 +456,8 @@ class PosteriorTarget:
             out[i] = method(Z[i], check=False)
         return out
 
-    def _evaluate(self, B, v, value=True, grad=False, rows=None):
-        """Log density (m,) and/or its gradient (m, p+1) at rows (B, v).
+    def _evaluate(self, q, value=True, grad=False):
+        """Log density (m,) and/or its gradient (m, p+1) at packed rows q.
 
         Returns ``(value, gradient)``, with None in place of the one not
         asked for.  Both share the prefix (``exp(-nu)``, prior arguments,
@@ -479,22 +466,21 @@ class PosteriorTarget:
         bits of two separate ones.
 
         A row with a non-finite coordinate or prior argument gives -inf and
-        a zero gradient.  One sum over the coordinates (`rows`, the packed
-        array B and v were cut from, when there is one) and one over the
-        prior arguments decide whether any row can be bad; the exact row
-        mask is only built when they say so, and bad rows are evaluated at
-        zero so the family methods only ever see finite arguments.
-        Afterwards a NaN value becomes -inf and non-finite gradient entries
-        become zero.
+        a zero gradient.  One sum over the rows and one over the prior
+        arguments decide whether any row can be bad; the exact row mask is
+        only built when they say so, and bad rows are evaluated at zero so
+        the family methods only ever see finite arguments.  Afterwards a
+        NaN value becomes -inf and non-finite gradient entries become zero.
         """
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            q = q[None, :]
+        B, v = q[:, :self.p], q[:, self.p]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inv_sigma = np.exp(-v)
             Z = self._prior_args(B, inv_sigma)
             ok = None
-            if rows is None:
-                total = _sum(B) + _sum(v)
-            else:
-                total = _sum(rows)
+            total = _sum(q)
             if self._located:
                 total += _sum(Z)
             if not math.isfinite(total):
@@ -524,8 +510,8 @@ class PosteriorTarget:
         # Without `gram` only S is kept: a value-only call on a large batch
         # frees ``B @ XtX`` at once.
         S = (self._gram(B) if gram is None else gram)[1]
-        out += (-self._n * v - 0.5 * S * inv_sigma * inv_sigma
-                + self._n * LOG_INV_SQRT_2PI)
+        out += (-self.n * v - 0.5 * S * inv_sigma * inv_sigma
+                + self.n * LOG_INV_SQRT_2PI)
         if self._located:
             prior = self._per_prior(Z, self._log_densities, terms[1:])
             prior += self._log_lam - v
@@ -542,19 +528,19 @@ class PosteriorTarget:
         # `terms`, with row i + 1 for located prior i, added in that order.
         BX, S = gram
         inv2 = inv_sigma * inv_sigma
-        out = np.empty((len(v), self._p + 1))
-        gB = out[:, :self._p]
+        out = np.empty((len(v), self.p + 1))
+        gB = out[:, :self.p]
         np.subtract(self._Xty, BX, out=gB)
         gB *= inv2[:, None]
         terms = np.empty((1 + len(Z), len(v)))
-        np.add(1.0 + self.sigma_prior.dlog_dnu(v) - self._n, S * inv2,
+        np.add(1.0 + self.sigma_prior.dlog_dnu(v) - self.n, S * inv2,
                out=terms[0])
         if self._located:
             G = self._per_prior(Z, self._grad_log_densities,
                                 np.empty(Z.shape))
             gB[:, self._sel] += (G * self._lam * inv_sigma).T
             np.subtract(-1.0, Z * G, out=terms[1:])
-        out[:, self._p] = _sum_rows(terms)
+        out[:, self.p] = _sum_rows(terms)
         if ok is not None:
             out = np.where(ok[:, None], out, 0.0)
         if not math.isfinite(_sum(out)):
@@ -568,51 +554,13 @@ class PosteriorTarget:
         so to the same bits: a BLAS product on a one-column batch costs
         about ten times the arithmetic.
         """
-        if self._p == 1:
+        if self.p == 1:
             b = B[:, 0]
             BX = B * self._XtX[0, 0]
             return BX, self._yty - (2.0 * b) * self._Xty[0] + BX[:, 0] * b
         BX = B @ self._XtX
         return BX, (self._yty - 2.0 * B @ self._Xty
                     + np.add.reduce(BX * B, axis=1))
-
-    def log_posterior_sigma(self, beta, sigma):
-        """Joint log density in the original (beta, sigma) coordinates.
-
-        Everything internal works in nu = log(sigma); this helper removes
-        the change-of-variables Jacobian again for callers who want the
-        sigma-space density.
-        """
-        sig = np.asarray(sigma, dtype=float)
-        if np.any(sig <= 0) or not np.all(np.isfinite(sig)):
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        nu = np.log(sig)
-        return self.log_posterior(beta, nu) - nu
-
-    # -- flat coordinate interface for samplers and quadrature --------------
-
-    def _evaluate_packed(self, q, value=True, grad=False):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            q = q[None, :]
-        return self._evaluate(q[:, :self._p], q[:, self._p], value, grad,
-                              rows=q)
-
-    def logpdf(self, q):
-        """Log density over packed coordinates ``q = (beta_1..beta_p, nu)``."""
-        return self._evaluate_packed(q)[0]
-
-    def grad_logpdf(self, q):
-        """Gradient of `logpdf`, one row of ``(d/d beta, d/d nu)`` per row of q."""
-        return self._evaluate_packed(q, value=False, grad=True)[1]
-
-    def logpdf_and_grad(self, q):
-        """``(logpdf(q), grad_logpdf(q))`` from one pass, bit for bit.
-
-        The two share their prefix, so a caller that needs both at the same
-        rows (a sampler at a trajectory's end) pays for it once.
-        """
-        return self._evaluate_packed(q, grad=True)
 
     def whitened(self):
         """This target seen through the affine map ``q = q_hat + A w``.
@@ -654,6 +602,7 @@ class _WhitenedTarget:
     def __init__(self, target):
         p, n = target.p, target.n
         self.target = target
+        self.dim = target.dim
         self.q_hat = target.start_point
         gram = target._XtX
         if not target._full_rank:
@@ -666,10 +615,6 @@ class _WhitenedTarget:
         A[p, p] = math.exp(-3.0 / math.sqrt(2 * n)) / math.sqrt(2 * n)
         self.A = A
         self.s_min = float(np.linalg.svd(A, compute_uv=False).min())
-
-    @property
-    def dim(self):
-        return self.target.dim
 
     @property
     def start_point(self):

@@ -238,7 +238,8 @@ class CoefficientPrior:
     Realizes one factor of the product prior: the coefficient density is
     ``(lam / sigma) * g((lam / sigma) * (beta - mu))``, so ``mu`` plays the
     role of location and ``sigma / lam`` of scale.  Both ``mu`` and ``lam``
-    are fixed, user-chosen hyperparameters.
+    are fixed, user-chosen hyperparameters.  The class is a validated
+    record: `robustpriors.model.PosteriorTarget` evaluates the density.
     """
 
     mu: float
@@ -250,16 +251,3 @@ class CoefficientPrior:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
-
-    def log_density(self, beta, sigma):
-        """Log of the scaled prior density at ``beta`` given ``sigma``."""
-        sig = np.asarray(sigma, dtype=float)
-        if np.any(sig <= 0) or not np.all(np.isfinite(sig)):
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
-        return self.log_density_nu(beta, np.log(sig))
-
-    def log_density_nu(self, beta, nu):
-        """Same density parameterized by ``nu = log(sigma)``."""
-        scale = self.lam * np.exp(-np.asarray(nu, dtype=float))
-        z = scale * (np.asarray(beta, dtype=float) - self.mu)
-        return np.log(self.lam) - nu + self.family.log_density(z)

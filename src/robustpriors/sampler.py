@@ -61,18 +61,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import write_commented_csv
+from .model import _open_csv, write_commented_csv
 
 __all__ = ["HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
            "leapfrog", "sample", "summarize", "ess_imse", "save_chains"]
 
 
 class DivergenceError(RuntimeError):
-    """Raised when more than 10% of warmup, or of all, trajectories diverge."""
+    """Raised when more than 10% of warmup, or of all, trajectories diverge.
 
-    def __init__(self, msg, last_state=None):
-        super().__init__(msg)
-        self.last_state = last_state
+    ``summary`` gives the rate, ``last_state`` the last divergent
+    ``(iteration, chain, state)``; the message joins the two.
+    """
+
+    def __init__(self, summary, last_state):
+        super().__init__(summary, last_state)
+        self.summary, self.last_state = summary, last_state
+
+    def __str__(self):
+        return f"{self.summary}; last divergent state {self.last_state}"
 
 
 # Longest pilot trajectory, and the pilot's length when the curvature at
@@ -309,9 +316,8 @@ def _climb_to_mode(target, q0):
 def _check_divergences(divergences, n_trajectories, last_divergent, what):
     rate = divergences.sum() / n_trajectories
     if rate > 0.10:
-        raise DivergenceError(
-            f"{rate:.1%} of {what} trajectories diverged; last divergent "
-            f"state {last_divergent}", last_state=last_divergent)
+        raise DivergenceError(f"{rate:.1%} of {what} trajectories diverged",
+                              last_divergent)
 
 
 def sample(target, config):
@@ -528,7 +534,7 @@ def save_chains(chains, path, comments=()):
     # Each chain's rows are formatted as one string, with the "\r\n" line
     # ends `csv.writer` uses; no float repr needs quoting.  ``tolist``
     # yields Python floats, whose repr is the shortest round trip.
-    with open(path, "a", newline="") as fh:
+    with _open_csv(path, "a") as fh:
         for c in chains:
             fh.write("".join(f"{c.index},{it},{','.join(map(repr, row))}\r\n"
                              for it, row in enumerate(c.draws.tolist())))

@@ -308,11 +308,11 @@ def test_criterion_8_gradient_suite():
             z = 1.3 * np.sqrt(N) * np.exp(-nu) * (b - 0.7)
             if thr is not None and abs(abs(z) - thr) < 1e-4:
                 continue
-            g = target.grad_log_posterior(np.array([b]), nu)
-            fd_b = (target.log_posterior(np.array([b + h]), nu)
-                    - target.log_posterior(np.array([b - h]), nu)) / (2 * h)
-            fd_nu = (target.log_posterior(np.array([b]), nu + h)
-                     - target.log_posterior(np.array([b]), nu - h)) / (2 * h)
+            g = target.grad_logpdf([b, nu])[0]
+            fd_b = (target.logpdf([b + h, nu])[0]
+                    - target.logpdf([b - h, nu])[0]) / (2 * h)
+            fd_nu = (target.logpdf([b, nu + h])[0]
+                     - target.logpdf([b, nu - h])[0]) / (2 * h)
             worst = max(worst,
                         abs(g[0] - fd_b) / max(abs(fd_b), 1.0),
                         abs(g[1] - fd_nu) / max(abs(fd_nu), 1.0))

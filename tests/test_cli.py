@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import robustpriors
 from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                               default_lambda2_grid, default_mu2_grid, main,
                               parse_prior_spec, parse_sigma_prior_spec)
@@ -341,9 +345,9 @@ class TestFit:
             sample(view, HmcConfig(step_size=5 / view.s_min, n_warmup=20,
                                    n_samples=2000))
         it, chain, w = raised.value.last_state
-        head = str(raised.value).partition("; last divergent state ")[0]
         mapped = (it, chain, view.to_posterior(w))
-        assert err == f"numerical failure: {head}; last divergent state {mapped}\n"
+        assert err == (f"numerical failure: {raised.value.summary}; "
+                       f"last divergent state {mapped}\n")
         assert str((it, chain, w)) not in err
 
     def test_prior_count_mismatch(self, tmp_path):
@@ -555,6 +559,34 @@ class TestSweep:
         assert f"--{axis}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("axis, default", [("mu2", "0.5"),
+                                               ("lambda2", "1.0")])
+    def test_default_value_for_swept_axis(self, tmp_path, capsys, axis,
+                                          default, source):
+        # Given at the value the swept axis fixes by default, the flag is
+        # still ignored, so still an error.
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--axis", axis, "--families", "normal", "--grid",
+                "0.5", "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{axis}", default]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{axis} = {default}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"--{axis} fixes {axis}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["mu2", "lambda2"])
+    def test_fixed_axes_recorded_without_flags(self, tmp_path, axis):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", axis, "--families", "normal",
+                     "--grid", "0.5", "--out", str(out)]) == EXIT_OK
+        comments = read_csv(out)[0]
+        assert "# mu2 = 0.5" in comments and "# lambda2 = 1.0" in comments
+
     def test_unknown_family(self, tmp_path):
         code = main(["sweep", "--axis", "mu2", "--families", "gauss",
                      "--out", str(tmp_path / "x.csv")])
@@ -765,6 +797,16 @@ class TestConfigFile:
         assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG
         assert f"{cfg}:2: fast: expected one of" in capsys.readouterr().err
 
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# café\nfamilies = normal\n".encode("latin-1"))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--axis", "mu2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: not UTF-8 text")
+        assert not out.exists()
+
     def test_key_of_another_command(self, tmp_path):
         # "fast" belongs to check; sweep must not drop it silently.
         cfg = tmp_path / "run.cfg"
@@ -772,3 +814,38 @@ class TestConfigFile:
         code = main(["sweep", "--config", str(cfg), "--axis", "mu2",
                      "--families", "normal", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
+
+
+class TestAsciiLocale:
+    """The CLI in a subprocess under the C locale with UTF-8 mode off, so
+    the locale's encoding is ASCII and non-ASCII command-line arguments
+    arrive as surrogate escapes."""
+
+    @staticmethod
+    def run_cli(argv, cwd):
+        src = os.path.dirname(os.path.dirname(robustpriors.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8="0", PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "robustpriors.cli", *argv],
+                              cwd=cwd, env=env, capture_output=True, timeout=120)
+
+    def test_fit_writes_a_non_ascii_path_as_utf8(self, tmp_path):
+        name = "donnée.csv".encode("utf-8")
+        write_dataset(tmp_path / os.fsdecode(name))
+        proc = self.run_cli(["fit", "--data", os.fsdecode(name),
+                             "--prior", "normal", "--prior", "jeffreys",
+                             "--hmc-samples", "100", "--hmc-warmup", "20",
+                             "--out", "fit.csv"], tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for out in ("fit.csv", "fit_chains.csv"):
+            lines = (tmp_path / out).read_bytes().split(b"\n")
+            assert b"# data = " + name in lines
+
+    def test_config_file_is_read_as_utf8(self, tmp_path):
+        (tmp_path / "run.cfg").write_bytes(
+            "# café\nfamilies = normal\ngrid = 0.5\n".encode("utf-8"))
+        proc = self.run_cli(["sweep", "--config", "run.cfg", "--axis", "mu2",
+                             "--out", "x.csv"], tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert len(read_csv(tmp_path / "x.csv")[2]) == 1

@@ -179,7 +179,7 @@ class TestReducedTarget:
     def test_appendix_difference_identity(self):
         # log pi(0, 0) - log pi(0.1, 0) = (n/2)(1 + lambda2^2)(0.1)^2 = 1
         t = reduced_target(N, 0.0, 1.0, Normal())
-        d = t.log_posterior(np.array([0.0]), 0.0) - t.log_posterior(np.array([0.1]), 0.0)
+        d = t.logpdf([0.0, 0.0])[0] - t.logpdf([0.1, 0.0])[0]
         assert d == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_reduced_formula(self):
@@ -196,14 +196,13 @@ class TestReducedTarget:
                     + np.log(lam_eff) + fam.log_density(z))
 
         pts = [(0.0, 0.0), (0.4, -0.2), (-1.0, 0.5)]
-        vals = [t.log_posterior(np.array([b]), nu) - manual(b, nu)
-                for b, nu in pts]
+        vals = [t.logpdf([b, nu])[0] - manual(b, nu) for b, nu in pts]
         assert max(vals) - min(vals) < 1e-10  # constant offset only
 
     def test_flat_prior_nu_gradient(self):
         t = reduced_target(N, family=None)
         b, nu = 0.3, 0.2
-        g = t.grad_log_posterior(np.array([b]), nu)
+        g = t.grad_logpdf([b, nu])[0]
         assert g[1] == pytest.approx(-N + N * (1 + b * b) * np.exp(-2 * nu),
                                      rel=1e-12)
 
@@ -214,7 +213,7 @@ class TestReducedTarget:
         e2v = np.exp(2 * nu)
         quad = lam2 ** 2 * N * (b - mu2)
         denom = gam * e2v + lam2 ** 2 * N * (b - mu2) ** 2
-        g = t.grad_log_posterior(np.array([b]), nu)
+        g = t.grad_logpdf([b, nu])[0]
         assert g[0] == pytest.approx(-(N / e2v) * b - (gam + 1) * quad / denom,
                                      rel=1e-12)
         assert g[1] == pytest.approx(
@@ -225,17 +224,17 @@ class TestReducedTarget:
         fam = CTN(0.98)
         t = reduced_target(N, 5.0, 1.0, fam)
         tf = reduced_target(N, family=None)
-        b, nu = np.array([0.0]), 0.0
+        q = [0.0, 0.0]
         # (lam sqrt(n)/sigma)|b - mu| = 50 > kappa: both partials reduce to
         # the flat-prior values plus constants / the -1 scale term.
-        g = t.grad_log_posterior(b, nu)
-        gf = tf.grad_log_posterior(b, nu)
+        g = t.grad_logpdf(q)[0]
+        gf = tf.grad_logpdf(q)[0]
         assert g[0] == pytest.approx(gf[0], abs=1e-12)
         assert g[1] == pytest.approx(gf[1] - 1.0, abs=1e-12)
 
     def test_normal_symmetry_zero_gradient(self):
         t = reduced_target(N, 0.0, 1.0, Normal())
-        g = t.grad_log_posterior(np.array([0.0]), 0.3)
+        g = t.grad_logpdf([0.0, 0.3])[0]
         assert g[0] == 0.0
 
     def test_location_enters_through_prior_only(self):
@@ -247,10 +246,9 @@ class TestReducedTarget:
         t2 = reduced_target(N, 1.9, 1.0, Normal())
         nu = 0.1
         for delta in (-0.2, 0.0, 0.4):
-            p1 = (t1.log_posterior(np.array([0.7 + delta]), nu)
-                  - flat.log_posterior(np.array([0.7 + delta]), nu))
-            p2 = (t2.log_posterior(np.array([1.9 + delta]), nu)
-                  - flat.log_posterior(np.array([1.9 + delta]), nu))
+            q1, q2 = [0.7 + delta, nu], [1.9 + delta, nu]
+            p1 = t1.logpdf(q1)[0] - flat.logpdf(q1)[0]
+            p2 = t2.logpdf(q2)[0] - flat.logpdf(q2)[0]
             assert p1 == pytest.approx(p2, abs=1e-10)
 
     def test_needs_minimum_n(self):
@@ -277,11 +275,11 @@ class TestPosteriorTarget:
             z = 13.0 * np.exp(-nu) * (b - 0.7)
             if thr is not None and abs(abs(z) - thr) < 1e-4:
                 continue
-            g = t.grad_log_posterior(np.array([b]), nu)
-            fdb = (t.log_posterior(np.array([b + h]), nu)
-                   - t.log_posterior(np.array([b - h]), nu)) / (2 * h)
-            fdv = (t.log_posterior(np.array([b]), nu + h)
-                   - t.log_posterior(np.array([b]), nu - h)) / (2 * h)
+            g = t.grad_logpdf([b, nu])[0]
+            fdb = (t.logpdf([b + h, nu])[0]
+                   - t.logpdf([b - h, nu])[0]) / (2 * h)
+            fdv = (t.logpdf([b, nu + h])[0]
+                   - t.logpdf([b, nu - h])[0]) / (2 * h)
             assert g[0] == pytest.approx(fdb, rel=1e-5, abs=1e-5)
             assert g[1] == pytest.approx(fdv, rel=1e-5, abs=1e-5)
             checked += 1
@@ -542,21 +540,6 @@ class TestPosteriorTarget:
                                    atol=1e-10)
         with pytest.raises(DataError, match="beta_3, beta_4.*improper"):
             PosteriorTarget(dup, [None] * 4)
-
-    def test_sigma_space_density(self):
-        # Removing the Jacobian recovers the explicit sigma-space kernel
-        # sigma^-(n+1) exp(-n (1 + b^2) / (2 sigma^2)) of the flat case.
-        t = reduced_target(N, family=None)
-
-        def manual(b, sigma):
-            return -(N + 1) * np.log(sigma) - N * (1 + b * b) / (2 * sigma ** 2)
-
-        pts = [(0.0, 1.0), (0.3, 0.8), (-0.5, 1.7)]
-        offsets = [t.log_posterior_sigma(np.array([b]), s) - manual(b, s)
-                   for b, s in pts]
-        assert max(offsets) - min(offsets) < 1e-10
-        with pytest.raises(ValueError):
-            t.log_posterior_sigma(np.array([0.0]), -1.0)
 
 
 class TestWhitened:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from robustpriors.model import reduced_target
 from robustpriors.priors import (CTN, LPTN, LPTN_RHO_LOWER, CoefficientPrior,
                                  Normal, Student)
 from robustpriors.specfun import normal_pdf
@@ -248,36 +249,35 @@ class TestGradient:
         assert np.max(np.abs(grad - fd) / denom) < 1e-5
 
 
+def prior_share(mu, lambda2, family, beta=0.0, nu=0.0):
+    # One coefficient prior's term in the posterior at (beta, nu): the
+    # reduced target minus its flat-prior twin.  With n = 4 the prior
+    # inverse-scale is lambda2 * sqrt(4) = 2 lambda2, exactly.
+    q = [beta, nu]
+    return (reduced_target(4, mu, lambda2, family).logpdf(q)[0]
+            - reduced_target(4, family=None).logpdf(q)[0])
+
+
 class TestCoefficientPrior:
     def test_reduces_to_standard_normal(self):
-        pr = CoefficientPrior(mu=0.0, lam=1.0, family=Normal())
-        assert pr.log_density(0.0, 1.0) == pytest.approx(LOG_PHI_0, abs=1e-7)
+        assert prior_share(0.0, 0.5, Normal()) == pytest.approx(LOG_PHI_0,
+                                                                abs=1e-7)
 
     def test_scale_jacobian(self):
-        pr = CoefficientPrior(mu=0.0, lam=2.0, family=Normal())
-        assert pr.log_density(0.0, 1.0) == pytest.approx(
+        # log(lam / sigma) with lam = 2, at sigma = 1 and at sigma = e^0.3.
+        assert prior_share(0.0, 1.0, Normal()) == pytest.approx(
             math.log(2.0) + LOG_PHI_0, abs=1e-7)
+        assert prior_share(0.0, 1.0, Normal(), nu=0.3) == pytest.approx(
+            math.log(2.0) - 0.3 + LOG_PHI_0, abs=1e-7)
 
     def test_lptn_tail_through_scaling(self):
         fam = LPTN(0.95)
-        pr = CoefficientPrior(mu=10.0, lam=1.0, family=fam)
-        # z = -10 lands in the tail branch
-        assert pr.log_density(0.0, 1.0) == pytest.approx(
+        # lam = 1 and z = -10 lands in the tail branch
+        assert prior_share(10.0, 0.5, fam) == pytest.approx(
             fam.log_density(-10.0), abs=1e-12)
 
     def test_domain_errors(self):
-        pr = CoefficientPrior(mu=0.0, lam=1.0, family=Normal())
-        with pytest.raises(ValueError):
-            pr.log_density(0.0, 0.0)
-        with pytest.raises(ValueError):
-            pr.log_density(0.0, -1.0)
         with pytest.raises(ValueError):
             CoefficientPrior(mu=0.0, lam=0.0, family=Normal())
         with pytest.raises(ValueError):
             CoefficientPrior(mu=np.inf, lam=1.0, family=Normal())
-
-    def test_nu_parameterization_consistent(self):
-        pr = CoefficientPrior(mu=1.0, lam=0.7, family=Student(4))
-        sigma = 1.9
-        assert pr.log_density(0.3, sigma) == pytest.approx(
-            float(pr.log_density_nu(0.3, math.log(sigma))), abs=1e-12)
