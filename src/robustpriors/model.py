@@ -10,8 +10,10 @@ happens in the unconstrained coordinates ``(beta, nu)`` with
 ``nu = log(sigma)``; the Jacobian ``e^nu`` of that substitution is included,
 and sigma-space densities are only ever produced by transforming draws.
 
-`PosteriorTarget` is the single formula source, and its packed-row methods
-`logpdf`, `grad_logpdf` and `logpdf_and_grad` the one way to evaluate it.
+`PosteriorTarget` holds the posterior's formula, and its packed-row methods
+`logpdf`, `grad_logpdf` and `logpdf_and_grad` are the one way to evaluate
+it.  The quadrature oracle reuses the family and sigma-prior kernels in a
+factorized form, and its tests check that form against `logpdf`.
 The two-parameter simulation target (orthogonal standardized covariates,
 zero least-squares estimate) is built through `reduced_target` as an
 intercept-only instance of exactly the same code path.

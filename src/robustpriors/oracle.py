@@ -7,56 +7,26 @@ Three oracle routes live here:
   far-conflict regime;
 * limiting-target constructors realizing the dropped-prior posteriors that
   the convergence theorems identify;
-* `quadrature_moments`, a deterministic adaptive 2-D Gauss-Kronrod
+* `quadrature_moments`, a deterministic nested adaptive Gauss-Kronrod
   integrator over (beta, nu) used to cross-check everything else, an order
   of magnitude tighter than Monte-Carlo error.
 
-Integration happens in nu = log(sigma) so there is no boundary at zero: for
-proper targets the integrand decays super-exponentially in both directions.
-The search before the first panel is batched.  The mode search evaluates a
-7 x 7 grid of spacing h around its best point in one `logpdf` call, moves to
-the grid's best point if that beats the centre, keeps h while the best point
-is on the outer ring (the maximum is not yet bracketed) and divides it by 3
-otherwise, until h < 1e-6: about 11 calls, the first holding the grids around
-all mode candidates.  The bounding box comes from one call holding the whole
-doubling search (24 probe levels, two probes each, up to 1e6 widths, in four
-directions from the mode and from every candidate that carries
-non-negligible density); its edge along each direction is the first level
-whose probes fall below ``peak * 1e-12``.  A 2-D target's row value does not
-depend on how many rows are evaluated with it, so this finds the same mode
-and box as evaluating one point at a time.
-
-The integration domain is cut into at most three regions along the prior's
-kinks.  The LPTN and CTN densities switch from the normal to their heavier
-tails at |z| = tau (kappa), which in (beta, nu) are the curves
-beta = mu +/- tau e^nu / lambda.  A rectangle in (beta, nu) would cross them
-obliquely, and a Kronrod rule on a panel holding a kink both converges slowly
-and misjudges its own error.  So the central band is integrated in
-t = (beta - mu) e^{-nu} and each tail in u, a translation of beta along its
-kink curve; in those coordinates the kinks are straight panel edges.  A
-prior without a kink keeps the single region beta itself.
-
-A panel is a rectangle in its region's coordinates (s, nu).  Its 15 x 15
-Kronrod nodes are mapped to (beta, nu) and evaluated in one batch with all
-other panels of a round, and the panel is contracted axis by axis: nu first,
-as matrix products with the Kronrod and Gauss weights times eight columns
-(the region's Jacobian times the powers of its map and of e^{2nu}); then s,
-with both weights times 1, s and s^2.  That gives the five moment integrals
-under four tensor rules at once.  Refinement bisects the panels with the
-largest embedded Gauss-7 error estimate, each along the axis its error comes
-from: the Gauss rule applied in s alone and in nu alone gives one error
-estimate per axis (as in Genz & Malik 1980 and DCUHRE), and the panel is
-halved along the axis with the larger one.  Results are accumulated in
-panel-creation order, so the result is independent of evaluation scheduling.
+Integration happens in nu = log(sigma), so there is no boundary at zero.
+With one coefficient the likelihood is Gaussian in beta at each nu, so the
+integral nests: nu outside, and beta inside in the likelihood's
+standardized variable (see `_Factors`), where the likelihood factor is
+e^{-x^2/2} at every nu and the prior's bump and kinks sit at known places.
+So no search is needed: the inner range is fixed and cut at both bumps and
+at the kinks, and only the nu range is searched, on a bound in closed form.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PosteriorTarget, PowerAdjustedSigma, reduced_target
 from .priors import CTN, LPTN, Student
+from .specfun import LOG_INV_SQRT_2PI
 
 __all__ = [
     "NumericalError", "ConjugateResult", "conjugate_posterior",
@@ -201,47 +171,56 @@ def limiting_target_ctn(target, conflict_indices):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive 2-D quadrature
+# Nested 1-D quadrature
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 7-15 pair on [-1, 1]; the 7 Gauss nodes sit at the odd
-# positions of the sorted Kronrod abscissas.
-_K15_NODES = np.array([
-    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
-    -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
-    -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
-    0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
-    0.9491079123427585, 0.9914553711208126])
-_K15_WEIGHTS = np.array([
-    0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278, 0.2044329400752989,
-    0.1903505780647854, 0.1690047266392679, 0.1406532597155259,
-    0.1047900103222502, 0.06309209262997855, 0.02293532201052922])
-_G7_IDX = np.arange(1, 15, 2)
-_G7_WEIGHTS = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-    0.1294849661688697])
+# Gauss-Kronrod 7-15 pair on [-1, 1], from the centre out: the Kronrod
+# nodes and weights, and the weights of the Gauss nodes among them.
+_K = np.array([0.0, 0.2077849550078985, 0.4058451513773972,
+               0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
+               0.9491079123427585, 0.9914553711208126])
+_KW = np.array([0.2094821410847278, 0.2044329400752989, 0.1903505780647854,
+                0.1690047266392679, 0.1406532597155259, 0.1047900103222502,
+                0.06309209262997855, 0.02293532201052922])
+_GW = np.array([0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
+                0.1294849661688697])
+_K15_NODES = np.concatenate([-_K[:0:-1], _K])
+_K15_WEIGHTS = np.concatenate([_KW[:0:-1], _KW])
+# Columns: the K15 weights, and K15 minus G7 (at every other Kronrod
+# node), so one product gives a rule's estimate and its error estimate.
+_RULES = np.column_stack([_K15_WEIGHTS, _K15_WEIGHTS])
+_RULES[1::2, 1] -= np.concatenate([_GW[:0:-1], _GW])
 
 _LOG_DROP = np.log(1e12)
 _INTEGRALS = ("f", "beta f", "beta^2 f", "e^{2nu} f (sigma^2)",
               "e^{4nu} f (sigma^4)")
-_MAX_WIDTH = 1e6
-_EPS = 2.0 ** -52       # bounds the relative rounding error of one float op
-_SPLITS_PER_ROUND = 24  # panels bisected per refinement round
+# Integral i is inner integral COLS i times e^{NU i nu} / sqrt(a)^{A i}.
+_COLS = [0, 1, 2, 0, 0]
+_NU_POWERS = np.array([0.0, 1.0, 2.0, 2.0, 4.0])
+_A_POWERS = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_X_RANGE = 13.0         # e^{-x^2/2} holds under 1e-37 of its mass beyond
+_X_CUTS = np.array([-_X_RANGE, -3.0, 0.0, 3.0, _X_RANGE])
+_T_CUTS = 3.0 * 4.0 ** np.arange(40)    # with 0 and their negatives
+_ROUNDOFF = 50 * 2.0 ** -52    # relative error at rounding level
+_INNER_INTERVALS = 256  # inner intervals at a node before giving up
+_SPLITS_PER_ROUND = 24  # nu panels bisected per refinement round
+_FIRST_PANELS = 200     # at most, each 2 widths wide if the range allows
+_FLOOR_NODES = 3.0 ** np.arange(5)     # widths from the bound's peak
+# The doubling search's probes at level j sit 0.1 (2^j - 1) plus one and two
+# steps of 0.1 * 2^j away, up to the level whose offset first passes 1e6.
+_LEVELS = 2.0 ** np.arange(24)
+_NEAR, _FAR = 0.1 * (2.0 * _LEVELS - 1.0), 0.1 * (3.0 * _LEVELS - 1.0)
 
 
 @dataclass
 class QuadratureResult:
     """Posterior moments of the reduced target from deterministic quadrature.
 
-    ``error`` is the summed Kronrod-Gauss error estimate of the final panels
-    that the stop rule accepted; ``panels_evaluated`` counts every panel whose
-    nodes were evaluated, including those later split (``n_panels`` counts
-    only the final ones).  ``mode`` is the search's best point, an anchor for
-    the box, panels and shift; on an LPTN or CTN kink ridge it need not be
-    the exact maximizer.
+    ``error`` is the summed Kronrod-Gauss error estimate of the final nu
+    panels, the inner integrals' own estimates included;
+    ``panels_evaluated`` counts every nu panel evaluated, including those
+    later split (``n_panels`` counts only the final ones).
     """
 
     mean: float
@@ -250,8 +229,6 @@ class QuadratureResult:
     sigma_sq_mean: float
     sigma_sq_sd: float
     n_panels: int
-    box: tuple
-    mode: tuple
     error: float
     panels_evaluated: int
 
@@ -260,326 +237,291 @@ class QuadratureResult:
         return self.sd ** 2
 
 
-# The mode search's grid, in units of its spacing: row 24 is the centre.
-_GRID = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], float)
-_RING = np.abs(_GRID).max(axis=1) == 3.0
-_GRID_STEP, _MIN_STEP = 0.05, 1e-6
+def _bisect(split, lo, hi):
+    # The halves of the intervals picked by `split`: lower ones, then upper.
+    mid = 0.5 * (lo[split] + hi[split])
+    return np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
 
 
-def _grid_search(target, grid, vals, maxiter=300):
-    """Best point and value of a grid-contraction search from the evaluated
-    first grid ``grid``/``vals``, centre + _GRID_STEP * _GRID.
+class _Factors:
+    """The reduced target as a factor in nu times an integral over x.
+
+    With a = X^T X, beta_hat = X^T y / a and RSS = y^T y - a beta_hat^2, the
+    likelihood's standardized variable x = sqrt(a) (beta - beta_hat) e^{-nu}
+    makes the prior argument t = m + s x, with m = lam e^{-nu}
+    (beta_hat - mu) and s = lam / sqrt(a), and
+
+        f(beta, nu) dbeta = e^{L(nu)} s e^{-x^2/2} g(t) dx,
+        L(nu) = nu + log pi(sigma) - n nu - RSS e^{-2nu}/2 - n log sqrt(2 pi),
+
+    where s g(t) is e^nu / sqrt(a) under the flat prior.  The kernels are
+    the target's own sigma prior and family.
     """
-    mode, f0, h = grid[24], vals[24], _GRID_STEP
-    for _ in range(maxiter):
-        i = int(np.argmax(vals))
-        moved = vals[i] > f0
-        if moved:
-            mode, f0 = grid[i], vals[i]
-        h /= 1.0 if moved and _RING[i] else 3.0
-        if h < _MIN_STEP:
-            break
-        grid = mode + h * _GRID
-        vals = target.logpdf(grid)
-    return mode, f0
 
+    def __init__(self, target):
+        x, y = target.data.X[:, 0], target.data.y
+        self.a = float(x @ x)
+        self.beta_hat = float(x @ y) / self.a
+        self.rss = max(float(y @ y) - self.a * self.beta_hat ** 2, 0.0)
+        self.log_sqrt_a = 0.5 * np.log(self.a)
+        self.n, self.sigma_prior = target.n, target.sigma_prior
+        self.prior = target.priors[0]
+        self.log_g0 = 0.0
+        if self.prior is not None:
+            family = self.prior.family
+            self.s = self.prior.lam / np.sqrt(self.a)
+            self.log_g0 = float(family.log_density(0.0))
+            kink = (getattr(family, "tau", None)
+                    or getattr(family, "kappa", None))
+            self.t_kinks = [] if kink is None else [-kink, kink]
 
-def _probe_offsets():
-    # The doubling search's probe levels: at level (total, step) the probes
-    # sit at total + step and total + 2 step, and the last level is the one
-    # whose total first would pass _MAX_WIDTH.
-    totals, steps = [], []
-    total, step = 0.0, 0.1
-    while total <= _MAX_WIDTH:
-        totals.append(total)
-        steps.append(step)
-        total += step
-        step *= 2.0
-    totals, steps = np.array(totals), np.array(steps)
-    return totals + steps, totals + 2 * steps
+    def log_nu_factor(self, nu):
+        """L(nu) plus log s, or plus nu - log sqrt(a) under the flat prior."""
+        with np.errstate(over="ignore"):
+            out = (nu + self.sigma_prior.log_density_nu(nu) - self.n * nu
+                   - 0.5 * self.rss * np.exp(-2.0 * nu)
+                   + self.n * LOG_INV_SQRT_2PI)
+        if self.prior is None:
+            return out + nu - self.log_sqrt_a
+        return out + np.log(self.s)
 
+    def m(self, nu):
+        return self.prior.lam * np.exp(-nu) * (self.beta_hat - self.prior.mu)
 
-_NEAR, _FAR = _probe_offsets()
+    def log_inner(self, x, t):
+        """log(e^{-x^2/2} g(t)), the integrand over x."""
+        return self.prior.family.log_density(t, check=False) - 0.5 * x * x
 
+    def inner(self, nu, log_f, log_weights, budget):
+        """Integrals of e^{-x^2/2} g(m + s x) x^j dx, j = 0, 1, 2, at each nu.
 
-def _box_distances(target, points, f0):
-    """Distance from each point along -beta, +beta, -nu, +nu: (k, 2, 2).
+        Returns their log scale c (k,), then the (k, 3) integrals and their
+        (k, 3) error estimates, both over e^c.  One adaptive K15/G7 pass
+        covers every node, over x in [-13, 13] and 13 widths around
+        x = -m s / (1 + s^2), where a normal prior and the likelihood
+        compromise, 1 / sqrt(1 + s^2) wide, possibly past |x| = 13.  The
+        first cuts are that point, x = 0, +/-3 and +/-13, the kinks and
+        t = 0, +/-3 * 4^j: the prior's bump is 1/s wide in x, and no
+        interval next to either bump is longer than its distance from it.
 
-    At the first probe level where both probes lie more than _LOG_DROP below
-    ``f0`` the distance is that level's near offset.  All probes of all
-    points and directions are evaluated in one `logpdf` call.
-    """
-    k = len(points)
-    offsets = np.stack([_NEAR, _FAR])                     # (2 probes, L)
-    signed = np.array([-1.0, 1.0])[:, None, None] * offsets
-    # Indexed by point, axis, sign, probe, level and coordinate.
-    probes = np.empty((k, 2, 2, 2, len(_NEAR), 2))
-    probes[...] = points[:, None, None, None, None, :]
-    for axis in (0, 1):
-        probes[:, axis, ..., axis] += signed
-    logf = target.logpdf(probes.reshape(-1, 2)).reshape(probes.shape[:-1])
-    below = logf.max(axis=3) < f0 - _LOG_DROP             # (k, axis, sign, L)
-    if not below.any(axis=-1).all():
-        raise NumericalError(
-            "bounding-box expansion exceeded 1e6 widths; target does not "
-            "appear integrable")
-    return _NEAR[below.argmax(axis=-1)]
+        While a node's errors times ``exp(log_weights + c)`` sum above
+        ``budget``, its intervals whose error is above their share of it,
+        and above the noise rounding leaves, are bisected.  ``log_f + c``
+        is the log of each node's factor on f; where f, so scaled, exceeds
+        1 (the caller's shift is below the largest node) the weights are
+        scaled by its largest value instead, as the next shift will be.
+        """
+        k = len(nu)
+        if self.prior is None:
+            ints = np.tile([_SQRT_2PI, 0.0, _SQRT_2PI], (k, 1))
+            return np.zeros(k), ints, np.zeros((k, 3))
+        m, s = self.m(nu), self.s
+        steps = _T_CUTS[:np.searchsorted(
+            _T_CUTS, np.max(np.abs(m)) + _X_RANGE * s) + 1]
+        t_cuts = np.concatenate([-steps, [0.0], steps, self.t_kinks])
+        # The compromise point, and beyond |x| = 13 the likelihood's cuts
+        # scaled to its width around it.
+        mid = (-m * s / (1.0 + s * s))[:, None]
+        around = (np.abs(mid) > _X_RANGE) * _X_CUTS / np.sqrt(1.0 + s * s)
+        lo = np.minimum(-_X_RANGE, mid - _X_RANGE / np.sqrt(1.0 + s * s))
+        hi = np.maximum(_X_RANGE, mid + _X_RANGE / np.sqrt(1.0 + s * s))
+        edges = np.sort(np.column_stack(
+            [lo, np.tile(_X_CUTS, (k, 1)), mid + around, hi,
+             np.clip((t_cuts - m[:, None]) / s, lo, hi)]), axis=1)
+        new_lo, new_hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        keep = new_hi > new_lo
+        new_lo, new_hi = new_lo[keep], new_hi[keep]
+        new_ids = np.repeat(np.arange(k), edges.shape[1] - 1)[keep]
+        ids, a, b = new_ids[:0], new_lo[:0], new_hi[:0]
+        est, err, e, size = np.empty((0, 3)), np.empty((0, 3)), a, a
+        c = weights = None
+        while True:
+            half = 0.5 * (new_hi - new_lo)
+            x = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _K15_NODES
+            h = self.log_inner(x, m[new_ids, None] + s * x)
+            if c is None:
+                # Each node's scale is its largest first value.
+                firsts = np.flatnonzero(np.r_[True, np.diff(new_ids) != 0])
+                c = np.maximum.reduceat(h.max(axis=1), firsts)
+            # One product with both rules per power of x; a value more than
+            # e^600 above a node's first ones is clipped and, unresolvable,
+            # ends in the interval limit.
+            f = np.exp(np.minimum(h - c[new_ids, None], 600.0))
+            fx = f * x
+            rules = np.stack([f @ _RULES, fx @ _RULES, (fx * x) @ _RULES],
+                             axis=1) * half[:, None, None]
+            new_est, new_err = rules[..., 0], np.abs(rules[..., 1])
+            if weights is None:
+                with np.errstate(divide="ignore"):
+                    top = np.max(log_f + c + np.log(np.bincount(
+                        new_ids, new_est[:, 0], minlength=k)))
+                # Capped short of overflow: so heavy a node is refined down
+                # to rounding anyway.
+                weights = np.exp(np.minimum(
+                    log_weights + (c - max(top, 0.0))[:, None], 600.0))
+            wt = weights[new_ids]
+            ids, a, b, est, err, e, size = (np.concatenate(p) for p in (
+                (ids, new_ids), (a, new_lo), (b, new_hi), (est, new_est),
+                (err, new_err), (e, np.einsum("ij,ij->i", new_err, wt)),
+                (size, np.einsum("ij,ij->i", np.abs(new_est), wt))))
+            # Rounding in h, up to |c| in size, leaves each value that much
+            # relative noise, which no bisection removes.
+            count = np.bincount(ids, minlength=k)
+            noise = _ROUNDOFF * np.maximum(1.0, np.abs(c))[ids] * size
+            share = np.maximum((budget / count)[ids], noise)
+            split = ((np.bincount(ids, e, minlength=k) > budget)[ids]
+                     & (e > share))
+            if not split.any():
+                sums = [np.bincount(ids, col, minlength=k)
+                        for col in np.concatenate([est, err], axis=1).T]
+                return c, np.column_stack(sums[:3]), np.column_stack(sums[3:])
+            count += np.bincount(ids[split], minlength=k)
+            if np.max(count) > _INNER_INTERVALS:
+                raise NumericalError(
+                    f"the integral over beta needs more than "
+                    f"{_INNER_INTERVALS} intervals at a nu node")
+            new_ids = np.tile(ids[split], 2)
+            new_lo, new_hi = _bisect(split, a, b)
+            ids, a, b, est, err, e, size = (
+                v[~split] for v in (ids, a, b, est, err, e, size))
 
+    def nu_values(self, nu, shift, budget=np.inf):
+        """The log of f's nu integrand (k,); and the five nu integrands and
+        their inner error estimates, each (k, 5), as a log scale times a
+        factor.  The inner budget is in units of e^shift."""
+        log_cols = (self.log_nu_factor(nu)[:, None] + _NU_POWERS * nu[:, None]
+                    - _A_POWERS * self.log_sqrt_a)
+        # The inner integral of x^0 feeds integrals 0, 3 and 4.
+        log_weights = log_cols[:, :3] - shift
+        log_weights[:, 0] = np.logaddexp.reduce(log_cols[:, [0, 3, 4]],
+                                                axis=1) - shift
+        c, ints, errs = self.inner(nu, log_cols[:, 0] - shift, log_weights,
+                                   budget)
+        log_cols += c[:, None]
+        with np.errstate(divide="ignore"):
+            log_f = log_cols[:, 0] + np.log(ints[:, 0])
+        return log_f, log_cols, ints[:, _COLS], errs[:, _COLS]
 
-# The K15 and G7 weights on the 15 Kronrod nodes, G7 zero off its own.
-_RULE_WEIGHTS = np.zeros((15, 2))
-_RULE_WEIGHTS[:, 0] = _K15_WEIGHTS
-_RULE_WEIGHTS[_G7_IDX, 1] = _G7_WEIGHTS
+    def nu_panels(self):
+        """Initial nu panel edges, and a lower bound of log f's peak.
 
+        A width is the radius of curvature of an upper bound of f's nu
+        integrand (inner integral at most sqrt(2 pi) g(0)) at its peak.
+        The ends are where all five integrands are negligible: a doubling
+        search from that peak on their bounds, against each one's largest
+        value, less log 1e12, at exact nodes 0, 1, 3, ..., 81 widths from
+        it.  Given beta, nu's posterior has about that same curvature at its
+        mode wherever it lies (a prior adds a few units to the likelihood's
+        2n), so no bump of the nu marginal is narrower; the first panels
+        split the range evenly into panels 2 widths wide.
+        """
+        def upper(nu):
+            return ((self.log_nu_factor(nu) + np.log(_SQRT_2PI)
+                     + self.log_g0)[..., None] + _NU_POWERS * nu[..., None])
 
-def _rule_weights(cols):
-    """(k, 15, 2c) node weights: K15 times each of the c columns, then G7."""
-    k, _, c = cols.shape
-    weights = _RULE_WEIGHTS[:, :, None] * cols[:, :, None, :]     # (k, 15, 2, c)
-    return weights.reshape(k, 15, 2 * c)
-
-
-def _panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
-    """Tensor K15/G7 estimates of the five moment integrands on panels.
-
-    A panel is the rectangle [s_lo, s_hi] x [v_lo, v_hi] of its region's
-    coordinates, mapped to beta = a0 + a1 e^nu + s (b0 + b1 e^nu) by the
-    row (a0, a1, b0, b1) of ``maps``, (k, 4); the other panel arrays are
-    (k,).  Returns the (k, 5) K15 x K15 estimates of the integrals of f,
-    beta f, beta^2 f, e^{2nu} f and e^{4nu} f, their (k, 5) error estimates
-    |K15 x K15 - G7 x G7|, and a (k,) bool that is True where the panel's
-    error comes more from s than from nu: there the G7 rule in s alone (K15
-    in nu) moves the estimate at least as much as the G7 rule in nu alone.
-    """
-    k = len(s_lo)
-    hs = 0.5 * (s_hi - s_lo)
-    hv = 0.5 * (v_hi - v_lo)
-    sx = 0.5 * (s_hi + s_lo)[:, None] + hs[:, None] * _K15_NODES[None, :]
-    vx = 0.5 * (v_hi + v_lo)[:, None] + hv[:, None] * _K15_NODES[None, :]
-    with np.errstate(over="ignore", under="ignore"):
-        ev = np.exp(vx)
-        e2v = np.exp(2.0 * vx)
-    a0, a1, b0, b1 = (m[:, None] for m in maps.T)
-    a = a0 + a1 * ev                                          # (k, 15)
-    b = b0 + b1 * ev                                          # also the Jacobian
-    q = np.empty((k, 15, 15, 2))
-    q[..., 0] = a[:, None, :] + sx[:, :, None] * b[:, None, :]
-    q[..., 1] = vx[:, None, :]
-    logf = target.logpdf(q.reshape(-1, 2)).reshape(k, 15, 15)
-    with np.errstate(over="ignore", under="ignore"):
-        f = np.exp(logf - shift)
-
-    # beta^j = (a + s b)^j, so the five integrands are s-powers 1, s, s^2
-    # times the nu-columns below, Jacobian b included.  Contract nu first
-    # with the K15 and G7 weights times the eight columns, then s with both
-    # weights times 1, s and s^2, so one pass over the nodes gives four
-    # tensor rules.
-    ab = a * b
-    cols = np.stack([b, b * a, ab * a, b * e2v, b * (e2v * e2v),
-                     b * b, 2.0 * ab * b, b * b * b], axis=-1)
-    powers = np.stack([np.ones_like(sx), sx, sx * sx], axis=-1)
-    rules = _rule_weights(powers).transpose(0, 2, 1) @ (f @ _rule_weights(cols))
-    rules *= (hs * hv)[:, None, None]
-    # Indexed by panel, s rule, s power, nu rule and nu column.
-    r = rules.reshape(k, 2, 3, 2, 8)
-    comps = np.stack([r[:, :, 0, :, 0], r[:, :, 0, :, 1] + r[:, :, 1, :, 5],
-                      r[:, :, 0, :, 2] + r[:, :, 1, :, 6] + r[:, :, 2, :, 7],
-                      r[:, :, 0, :, 3], r[:, :, 0, :, 4]], axis=1)
-    # kk: K15 x K15, gk: G7 in s only, kg: G7 in nu only, gg: G7 x G7.
-    kk, gk, kg, gg = (comps[:, :, rs, rv]
-                      for rs, rv in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    err = np.abs(kk - gg)
-    split_s = np.abs(kk - gk).sum(axis=1) >= np.abs(kk - kg).sum(axis=1)
-    return kk, err, split_s
-
-
-def _regions(prior, box, mode):
-    """Each region's map (a0, a1, b0, b1), beta = a0 + a1 e^nu + s (b0 + b1 e^nu),
-    and its s-range: the image of the (beta, nu) box, cut at the kinks.
-
-    Without a kink, beta = s.  With kinks on beta = mu -/+ w e^nu
-    (w = tau / lambda), the lower tail, the band and the upper tail are
-    beta = u - w (e^nu - e^{nu0}), beta = mu + t e^nu with |t| <= w, and
-    beta = u + w (e^nu - e^{nu0}), nu0 the mode's nu; a tail's kink is then
-    the line u = mu -/+ w e^{nu0}, and u stays close to beta however far the
-    conflict.  Regions that miss the box are left out.
-    """
-    b_lo, b_hi, v_lo, v_hi = box
-    thr = None if prior is None else (getattr(prior.family, "tau", None)
-                                      or getattr(prior.family, "kappa", None))
-    if thr is None:
-        return [((0.0, 0.0, 1.0, 0.0), b_lo, b_hi)]
-    mu, w = prior.mu, thr / prior.lam
-    e0, e_lo, e_hi = np.exp([mode[1], v_lo, v_hi])
-    t_corners = [(b - mu) / e for b in (b_lo, b_hi) for e in (e_lo, e_hi)]
-    regions = [
-        ((w * e0, -w, 1.0, 0.0),
-         b_lo + w * (e_lo - e0), min(b_hi + w * (e_hi - e0), mu - w * e0)),
-        ((mu, 0.0, 0.0, 1.0), max(min(t_corners), -w), min(max(t_corners), w)),
-        ((-w * e0, w, 1.0, 0.0),
-         max(b_lo - w * (e_hi - e0), mu + w * e0), b_hi - w * (e_lo - e0)),
-    ]
-    return [(m, lo, hi) for m, lo, hi in regions if lo < hi]
-
-
-def _initial_panels(prior, box, mode):
-    """Initial panels (s_lo, s_hi, v_lo, v_hi, region) and the (R, 4) maps.
-
-    The beta edges are uniform splits of the box plus the mode's beta; each
-    is mapped at the mode's nu into the region that holds it, and every
-    region adds its own ends, so the kink loci are panel edges.  The nu
-    edges are uniform splits plus the mode's nu, shared by all regions.
-    """
-    b_lo, b_hi, v_lo, v_hi = box
-    b_edges = set(np.linspace(b_lo, b_hi, 7))
-    b_edges.add(min(max(mode[0], b_lo), b_hi))
-    v_edges = set(np.linspace(v_lo, v_hi, 5))
-    v_edges.add(min(max(mode[1], v_lo), v_hi))
-    v_edges = sorted(v_edges)
-    regions = _regions(prior, box, mode)
-    e0 = np.exp(mode[1])
-    panels = []
-    for r, ((a0, a1, b0, b1), lo, hi) in enumerate(regions):
-        s_edges = {lo, hi}
-        for x in b_edges:
-            s = (x - a0 - a1 * e0) / (b0 + b1 * e0)
-            if lo < s < hi:
-                s_edges.add(float(s))
-        s_edges = sorted(s_edges)
-        for i in range(len(s_edges) - 1):
-            for j in range(len(v_edges) - 1):
-                panels.append((s_edges[i], s_edges[i + 1],
-                               v_edges[j], v_edges[j + 1], r))
-    return panels, np.array([m for m, _, _ in regions])
+        nu0 = 0.5 * np.log(self.rss / self.n) if self.rss > 0 else 0.0
+        probes = nu0 + np.concatenate([[0.0], -_NEAR, _NEAR])
+        with np.errstate(invalid="ignore"):
+            peak = probes[np.nanargmax(upper(probes)[:, 0])]
+        u = upper(peak + np.array([-1e-3, 0.0, 1e-3]))[:, 0]
+        curv = (2.0 * u[1] - u[0] - u[2]) / 1e-6
+        width = 1.0 / np.sqrt(curv) if curv > 0 else 1.0
+        nodes = peak + width * np.concatenate(
+            [-_FLOOR_NODES, [0.0], _FLOOR_NODES])
+        log_f = self.nu_values(nodes, 0.0)[0]
+        floor = (np.max(log_f[:, None] + _NU_POWERS * nodes[:, None], axis=0)
+                 - _LOG_DROP)
+        ends = []
+        for sign in (-1.0, 1.0):
+            # Each end is the first probe level past the last one that is
+            # not below the floor; none may be left at the last level.
+            with np.errstate(invalid="ignore"):
+                above = ~(np.maximum(upper(peak + sign * _NEAR),
+                                     upper(peak + sign * _FAR)) < floor)
+            if above[-1].any():
+                raise NumericalError(
+                    f"the integral of {_INTEGRALS[np.argmax(above[-1])]} "
+                    f"carries mass more than 1e6 from the peak in nu: it "
+                    f"diverges, or the target does not appear integrable")
+            last = len(_NEAR) - np.argmax(above[::-1], axis=0)
+            ends.append(peak + sign * _NEAR[np.max(last * above.any(0))])
+        count = min(np.ceil((ends[1] - ends[0]) / (2 * width)), _FIRST_PANELS)
+        return np.linspace(ends[0], ends[1], int(count) + 1), np.max(log_f)
 
 
 def quadrature_moments(target, tol=1e-10, max_panels=60000):
-    """Posterior mean/sd of the coefficient and of sigma^2 by 2-D quadrature.
+    """Posterior mean/sd of the coefficient and of sigma^2 by quadrature.
 
     Only two-parameter targets are supported (higher-dimensional posteriors
-    are the sampler's job).  The mode is found by a grid-contraction search
-    from the best of a few candidates (least squares, the prior location and
-    two blends), and the bounding box by a doubling search from the mode and
-    every candidate within 1e12 of its density; both searches batch their
-    `logpdf` calls (see the module docstring).  ``tol`` is the absolute
-    tolerance on the summed error estimate of the mode-normalized integrals.
-    The prior's kink loci become initial panel edges: the box is integrated
-    over the regions between the kinks, each in coordinates where its kinks
-    are straight edges, so no panel ever holds a kink.  Each round evaluates
-    the nodes of all its new panels in one call and bisects the 24 panels
-    with the largest error, each along the axis its error comes from.  The
-    result reports the error reached (``error``) and the panels evaluated
-    on the way (``panels_evaluated``) beside the final ``n_panels``.
-    Raises `NumericalError` if the budget of ``max_panels`` cannot meet
-    ``tol`` or if box expansion fails to terminate, and `ValueError` if
-    ``tol`` is not positive and finite.
+    are the sampler's job).  The integral is nested: nu outside and, at each
+    nu node, beta inside, in the likelihood's standardized variable (see
+    `_Factors`), so no mode or box is searched for and the prior's kinks
+    are inner cuts.  The outer rule is adaptive K15/G7 on nu panels: each
+    round evaluates its new panels' nodes in one inner pass and bisects up
+    to 24 panels of largest error, of those above their share of ``tol``.
+    ``tol`` bounds the summed error estimate of the five integrals, each
+    divided by the largest value of f's nu integrand at a node; the inner
+    integrals may spend a tenth of it.  Raises `NumericalError`, naming the
+    integral at fault, if an integrand is not negligible 1e6 from the peak
+    in nu or if ``max_panels`` panels cannot meet ``tol``, and `ValueError`
+    if ``tol`` is not positive and finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-    # Mode candidates: least-squares point, prior locations, and a blend.
-    # Each is evaluated at the centre of the first grid a search from it
-    # would use, so the best one's grid needs no second call.
-    ols = float(target.start_point[0])
-    cand_b = [ols]
-    prior = target.priors[0]
-    if prior is not None:
-        cand_b += [prior.mu, 0.5 * (ols + prior.mu)]
-        shrink = prior.lam ** 2 / (target.n + prior.lam ** 2)
-        cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
-    cands = np.array([[b, 0.0] for b in cand_b])
-    grids = cands[:, None, :] + _GRID_STEP * _GRID            # (k, 49, 2)
-    vals = target.logpdf(grids.reshape(-1, 2)).reshape(len(cands), -1)
-    best = int(np.argmax(vals[:, 24]))
-    mode, f0 = _grid_search(target, grids[best], vals[best])
-
-    # Box = union of per-candidate expansions over all candidates that carry
-    # non-negligible density (catches secondary bumps at prior locations).
-    keep = np.vstack([mode, cands[vals[:, 24] > f0 - _LOG_DROP]])
-    dist = _box_distances(target, keep, f0)
-    b_lo = np.min(keep[:, 0] - dist[:, 0, 0])
-    b_hi = np.max(keep[:, 0] + dist[:, 0, 1])
-    v_lo = np.min(keep[:, 1] - dist[:, 1, 0])
-    v_hi = np.max(keep[:, 1] + dist[:, 1, 1])
-
-    box = (b_lo, b_hi, v_lo, v_hi)
-    panels, maps = _initial_panels(prior, box, mode)
-
-    store = {}      # id -> (panel, estimate (5,), err, split along s, errs)
-    heap = []       # (-err, id), one entry per stored panel
-    next_id = 0
-    # Running total of the panel errors, and a bound on its rounding drift.
-    # The exact in-order sum, which alone decides stopping and is the one
-    # reported, is only taken when the running total cannot rule out that
-    # sum meeting tol (the slack adds a bound on the in-order sum's own
-    # rounding), or is not finite.  This avoids re-summing every panel on
-    # every round.
-    running = 0.0
-    drift = 0.0
-
-    def add_panels(batch):
-        nonlocal next_id, running, drift
-        arr = np.asarray(batch)
-        k_est, errs, split_s = _panel_values(
-            target, maps[arr[:, 4].astype(int)], arr[:, 0], arr[:, 1],
-            arr[:, 2], arr[:, 3], f0)
-        for row, est, e, ss, es in zip(batch, k_est, errs.sum(axis=1),
-                                       split_s, errs):
-            store[next_id] = (row, est, float(e), bool(ss), es)
-            heapq.heappush(heap, (-float(e), next_id))
-            next_id += 1
-            running += float(e)
-            drift += _EPS * abs(running)
-
-    add_panels(panels)
-
+    factors = _Factors(target)
+    edges, shift = factors.nu_panels()
+    budget = 0.1 * tol / (edges[-1] - edges[0])
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo, hi = new_lo[:0], new_hi[:0]
+    est, err = np.empty((0, 5)), np.empty((0, 5))
+    evaluated = 0
     while True:
-        slack = drift + len(store) * _EPS * running
-        if not running - slack > tol or len(store) > max_panels:
-            total_err = sum(e for _, _, e, _, _ in store.values())
-            if total_err <= tol:
-                break
-            if len(store) > max_panels:
-                errs = np.sum([es for *_, es in store.values()], axis=0)
-                raise NumericalError(
-                    f"quadrature needs more than {max_panels} panels to reach "
-                    f"tol={tol:g}; the integral of {_INTEGRALS[errs.argmax()]} "
-                    f"carries the largest part, {errs.max():g}, and no budget "
-                    f"meets tol if it is infinite (error {total_err:g})")
-            running, drift = total_err, len(store) * _EPS * total_err
-        # Split the worst panels; ties broken by id so runs are reproducible.
-        children = []
-        for _ in range(min(_SPLITS_PER_ROUND, len(heap))):
-            (slo, shi, vlo, vhi, r), _, e, split_s, _ = store.pop(
-                heapq.heappop(heap)[1])
-            running -= e
-            drift += _EPS * abs(running)
-            if split_s:
-                mid = 0.5 * (slo + shi)
-                children += [(slo, mid, vlo, vhi, r), (mid, shi, vlo, vhi, r)]
-            else:
-                mid = 0.5 * (vlo + vhi)
-                children += [(slo, shi, vlo, mid, r), (slo, shi, mid, vhi, r)]
-        add_panels(children)
+        half = 0.5 * (new_hi - new_lo)
+        nu = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _K15_NODES
+        log_f, log_cols, ints, inner_err = factors.nu_values(nu.ravel(), shift,
+                                                             budget)
+        if np.max(log_f) > shift:
+            # The shift is the largest node value so far.
+            est, err = (v * np.exp(shift - np.max(log_f)) for v in (est, err))
+            shift = np.max(log_f)
+        scale = np.exp(log_cols - shift)
+        vals, inner_err = scale * ints, scale * inner_err
+        rules = np.einsum("knj,nr->kjr", vals.reshape(-1, 15, 5), _RULES)
+        inner = np.einsum("knj,n->kj", inner_err.reshape(-1, 15, 5),
+                          _K15_WEIGHTS)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        est = np.concatenate([est, rules[..., 0] * half[:, None]])
+        err = np.concatenate(
+            [err, (np.abs(rules[..., 1]) + inner) * half[:, None]])
+        evaluated += len(new_lo)
+        total_err = float(err.sum())
+        if total_err <= tol:
+            break
+        if len(lo) > max_panels:
+            errs = err.sum(axis=0)
+            raise NumericalError(
+                f"quadrature needs more than {max_panels} panels to reach "
+                f"tol={tol:g}; the integral of {_INTEGRALS[errs.argmax()]} "
+                f"carries the largest part, {errs.max():g}, and no budget "
+                f"meets tol if it is infinite (error {total_err:g})")
+        e = err.sum(axis=1)
+        # Ties go to the older panel.
+        worst = np.argsort(-e, kind="stable")[:_SPLITS_PER_ROUND]
+        split = np.zeros(len(e), bool)
+        split[worst[e[worst] > tol / len(e)]] = True
+        new_lo, new_hi = _bisect(split, lo, hi)
+        lo, hi, est, err = lo[~split], hi[~split], est[~split], err[~split]
 
-    # Fixed summation order (panel id) so results do not depend on the heap.
-    est = np.zeros(5)
-    for pid in sorted(store):
-        est += store[pid][1]
-    mass, m1, m2, s2, s4 = est
+    mass, m1, m2, s2, s4 = est.sum(axis=0)
     if not (np.isfinite(mass) and mass > 0):
         raise NumericalError("quadrature mass is not positive; bad target?")
-    mean = m1 / mass
-    var = m2 / mass - mean ** 2
+    mean = m1 / mass            # about beta_hat
     s2_mean = s2 / mass
-    s2_var = s4 / mass - s2_mean ** 2
     return QuadratureResult(
-        mean=float(mean), sd=float(np.sqrt(max(var, 0.0))),
-        log_norm=float(np.log(mass) + f0),
-        sigma_sq_mean=float(s2_mean),
-        sigma_sq_sd=float(np.sqrt(max(s2_var, 0.0))),
-        n_panels=len(store), box=box,
-        mode=(float(mode[0]), float(mode[1])),
-        error=float(total_err), panels_evaluated=next_id)
+        mean=float(factors.beta_hat + mean),
+        sd=float(np.sqrt(max(m2 / mass - mean ** 2, 0.0))),
+        log_norm=float(np.log(mass) + shift), sigma_sq_mean=float(s2_mean),
+        sigma_sq_sd=float(np.sqrt(max(s4 / mass - s2_mean ** 2, 0.0))),
+        n_panels=len(lo), error=total_err, panels_evaluated=evaluated)

@@ -474,6 +474,26 @@ class TestPosteriorTarget:
         assert wide[1].tobytes() == np.concatenate(
             [grad for _, grad in narrow]).tobytes()
 
+    @pytest.mark.parametrize("family", [Student(4), LPTN(0.95), CTN(0.98), None])
+    def test_row_value_independent_of_batch(self, family):
+        # For a 2-D target a row's value is the same bits alone as inside
+        # any batch.  (The Gram path with p > 1 does not have this
+        # property: there B @ XtX takes another BLAS kernel for one row
+        # than for several.)
+        t = reduced_target(N, 0.5, 1.0, family)
+        rng = np.random.default_rng(1)
+        q = np.column_stack([rng.uniform(-2.0, 3.0, 1000),
+                             rng.uniform(-1.0, 1.0, 1000)])
+        # Rows far beyond the posterior's bulk, in beta and in nu.
+        far = np.geomspace(0.1, 2e6, 24)
+        q[:48:2, 0] += far
+        q[1:48:2, 1] -= far
+        full = t.logpdf(q)
+        for m in (3, 225):
+            np.testing.assert_array_equal(t.logpdf(q[:m]), full[:m])
+        for i in range(225):
+            assert t.logpdf(q[i])[0] == full[i]
+
     @pytest.mark.parametrize("case", ["gram", "reduced", "flat"])
     def test_logpdf_and_grad_matches_separate_calls(self, case):
         # Finite rows, non-finite rows and rows whose intermediates

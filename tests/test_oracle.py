@@ -1,10 +1,11 @@
-"""Closed forms and the adaptive quadrature engine."""
+"""Closed forms and the nested adaptive quadrature engine."""
 
 import numpy as np
 import pytest
 
 from robustpriors import oracle
-from robustpriors.model import PowerAdjustedSigma, reduced_target
+from robustpriors.model import (InverseGammaSigmaSq, PosteriorTarget,
+                                PowerAdjustedSigma, reduced_target)
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
                                  inverse_gamma_mean, inverse_gamma_sd,
                                  jeffreys_benchmark, limiting_reduced_target,
@@ -137,7 +138,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("lam2", [10.0, 100.0])
     def test_concentrated_prior(self, lam2):
         # The posterior collapses to a sliver around the conjugate mean;
-        # mode-centered panel edges keep the refinement honest.
+        # the inner cuts are graded in the prior's own argument.
         res = quadrature_moments(reduced_target(N, 0.5, lam2, Normal()))
         ref = conjugate_posterior(N, 0.5, lam2)
         assert abs(res.mean - ref.beta_mean) < 1e-6
@@ -166,33 +167,51 @@ class TestQuadrature:
 
     def test_integrability_guard(self):
         # sigma^(n+2) against the Jeffreys base leaves sigma^(+1) overall:
-        # the density grows without bound as nu -> +inf and box expansion
-        # must give up.
+        # the density grows without bound as nu -> +inf and the range
+        # search must give up.
         t = reduced_target(N, family=None, sigma_power=N + 2)
         with pytest.raises(NumericalError, match="integrable"):
             quadrature_moments(t)
 
-    @pytest.mark.parametrize("family, sigma_power, integral", [
-        (LPTN(0.95), 100, "e^{4nu} f (sigma^4)"),
-        (LPTN(0.95), 97, "e^{4nu} f (sigma^4)"), (Student(4), 0, "f")])
-    def test_panel_budget_names_integral(self, family, sigma_power, integral):
-        # sigma^100 against the Jeffreys base leaves both sigma^2 moments
-        # infinite and sigma^97 its variance, while beta's mean and sd exist;
-        # the budget error names the integral that cannot converge.  A
-        # finite target stopped early names the one with most error left.
-        t = reduced_target(N, 0.5, 1.0, family, sigma_power=sigma_power)
+    @pytest.mark.parametrize("mu2, lam2, sigma_power, integral", [
+        (0.5, 1.0, 100, "f"), (0.5, 1.0, 97, "e^{4nu} f (sigma^4)"),
+        (2.0, 0.1, 0, "f")])
+    def test_panel_budget_names_integral(self, mu2, lam2, sigma_power,
+                                         integral):
+        # sigma^100 against the Jeffreys base leaves the nu marginal flat,
+        # so the posterior is improper; sigma^97 leaves sigma^2's variance
+        # infinite.  The range search names the integral that diverges, at
+        # once.  A finite target stopped early by the budget names the one
+        # with most error left.
+        t = reduced_target(N, mu2, lam2, LPTN(0.95), sigma_power=sigma_power)
         with pytest.raises(NumericalError) as exc:
-            quadrature_moments(t, max_panels=300 if sigma_power else 40)
+            quadrature_moments(t, max_panels=5)
         assert f"the integral of {integral} carries" in str(exc.value)
+
+    def test_divergent_moment_fails_fast(self):
+        # sigma^2 ~ IG(1.5, 2) has a mean but no variance.
+        with pytest.raises(NumericalError,
+                           match=r"integral of e\^\{4nu\} f \(sigma\^4\)"):
+            quadrature_moments(reduced_target(4, family=None))
 
     def test_panel_budget(self):
         # The budget check runs every round, whatever the running error
         # total says, and reports the summed error of the live panels.
-        t = reduced_target(N, 0.5, 3.0, LPTN(0.95))
-        with pytest.raises(NumericalError, match="more than 40 panels") as exc:
-            quadrature_moments(t, max_panels=40)
+        t = reduced_target(N, 2.0, 0.1, LPTN(0.95))
+        with pytest.raises(NumericalError, match="more than 5 panels") as exc:
+            quadrature_moments(t, max_panels=5)
         err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
         assert err > 1e-10
+
+    def test_heavy_tailed_independent_value(self):
+        # Nested scipy.integrate.quad: nu over [-6, 40] in pieces, beta
+        # inside, epsrel 1e-12 outer and 1e-13 inner.  The mass sits far
+        # out in sigma; a beta box probed at the mode's nu once cut it off
+        # (mean 0.662298, sd 1.085655) with a reported error of 4.7e-11.
+        res = quadrature_moments(reduced_target(5, 3.0, 2.0, Student(1.0)))
+        assert abs(res.mean - 0.663074228326) < 1e-9
+        assert abs(res.sd - 1.091106300719) < 1e-9
+        assert abs(res.log_norm - -11.243077323539) < 1e-9
 
     @pytest.mark.parametrize("family, mu2, lam2", [
         (Student(4), 1.0, 1.0), (LPTN(0.95), 0.5, 1.5)])
@@ -203,234 +222,69 @@ class TestQuadrature:
         assert res.panels_evaluated >= res.n_panels
 
 
-# Sequential reference versions of the mode and box search, one point per
-# `logpdf` call.  The oracle's batched search must find exactly what they find.
-
-def _reference_grid_search(logf, centre, h=0.05, maxiter=300):
-    # Returns the maximizer, its value and the grids it evaluated.
-    offsets = [np.array([i, j], dtype=float)
-               for i in range(-3, 4) for j in range(-3, 4)]
-    mode, f0 = centre, logf(centre)
-    grid = [mode + h * o for o in offsets]
-    vals = [logf(q) for q in grid]
-    grids = 1
-    for _ in range(maxiter):
-        i = int(np.argmax(vals))
-        moved = vals[i] > f0
-        if moved:
-            mode, f0 = grid[i], vals[i]
-        if not (moved and np.max(np.abs(offsets[i])) == 3):
-            h /= 3.0
-            if h < 1e-6:
-                break
-        grid = [mode + h * o for o in offsets]
-        vals = [logf(q) for q in grid]
-        grids += 1
-    return mode, f0, grids
+def _factor_targets():
+    base = reduced_target(N, 0.5, 1.0, Student(4))
+    cases = [reduced_target(N, 0.5, 1.0, family)
+             for family in (Normal(), Student(4), LPTN(0.95), CTN(0.98), None)]
+    cases += [reduced_target(N, 0.5, 1.0, LPTN(0.95), sigma_power=p)
+              for p in (1, -1)]
+    cases.append(PosteriorTarget(base.data, base.priors,
+                                 InverseGammaSigmaSq(2.0, 3.0)))
+    return cases
 
 
-def _reference_expand_axis(logf, point, f0, axis, sign):
-    step = 0.1
-    total = 0.0
-    while True:
-        probe1 = point.copy()
-        probe1[axis] += sign * (total + step)
-        probe2 = point.copy()
-        probe2[axis] += sign * (total + 2 * step)
-        if max(logf(probe1), logf(probe2)) < f0 - oracle._LOG_DROP:
-            return total + step
-        total += step
-        step *= 2.0
-        if total > oracle._MAX_WIDTH:
-            raise NumericalError("bounding-box expansion exceeded 1e6 widths; "
-                                 "target does not appear integrable")
-
-
-def _reference_search(target):
-    """(mode, box, grids of the mode search) found one point at a time."""
-    def logf(pt):
-        return float(target.logpdf(pt[None, :])[0])
-
-    ols = float(np.linalg.solve(target._XtX, target._Xty)[0])
-    cand_b = [ols]
-    prior = target.priors[0]
-    if prior is not None:
-        cand_b += [prior.mu, 0.5 * (ols + prior.mu)]
-        shrink = prior.lam ** 2 / (target.n + prior.lam ** 2)
-        cand_b.append(ols * (1 - shrink) + prior.mu * shrink)
-    cands = [np.array([b, 0.0]) for b in cand_b]
-    vals = [logf(c) for c in cands]
-    mode, f0, grids = _reference_grid_search(logf, cands[int(np.argmax(vals))])
-    keep = [mode] + [c for c in cands if logf(c) > f0 - oracle._LOG_DROP]
-    box = (min(c[0] - _reference_expand_axis(logf, c, f0, 0, -1.0) for c in keep),
-           max(c[0] + _reference_expand_axis(logf, c, f0, 0, +1.0) for c in keep),
-           min(c[1] - _reference_expand_axis(logf, c, f0, 1, -1.0) for c in keep),
-           max(c[1] + _reference_expand_axis(logf, c, f0, 1, +1.0) for c in keep))
-    return (float(mode[0]), float(mode[1])), box, grids
-
-
-SEARCH_TARGETS = [
-    ("student", dict(mu2=0.0, lambda2=1.0, family=Student(4))),
-    ("student", dict(mu2=2.0, lambda2=1.0, family=Student(4))),
-    ("lptn", dict(mu2=0.5, lambda2=1.5, family=LPTN(0.95))),
-    ("lptn", dict(mu2=2.0, lambda2=1.0, family=LPTN(0.95))),
-    ("ctn", dict(mu2=0.5, lambda2=1.0, family=CTN(0.98))),
-    ("ctn", dict(mu2=0.5, lambda2=101.0, family=CTN(0.98))),
-    ("ctn_corrected", dict(mu2=0.5, lambda2=0.3, family=CTN(0.98),
-                           sigma_power=1)),
-    ("ctn_corrected", dict(mu2=0.5, lambda2=2.0, family=CTN(0.98),
-                           sigma_power=1)),
-    ("normal", dict(mu2=0.5, lambda2=10.0, family=Normal())),
-    ("flat", dict(family=None)),
-]
-
-
-class TestBatchedSearch:
-    @pytest.mark.parametrize("family", [Student(4), LPTN(0.95), CTN(0.98), None])
-    def test_row_value_independent_of_batch(self, family):
-        # The batched search relies on this: for a 2-D target a row's value
-        # is the same bits alone as inside any batch.  (The Gram path with
-        # p > 1 does not have this property: there B @ XtX takes another
-        # BLAS kernel for one row than for several.)
-        t = reduced_target(N, 0.5, 1.0, family)
-        rng = np.random.default_rng(1)
-        q = np.column_stack([rng.uniform(-2.0, 3.0, 1000),
-                             rng.uniform(-1.0, 1.0, 1000)])
-        # Box-search probes reach far beyond the posterior's bulk.
-        q[:48:2, 0] += oracle._NEAR
-        q[1:48:2, 1] -= oracle._FAR
-        full = t.logpdf(q)
-        for m in (3, 225):
-            np.testing.assert_array_equal(t.logpdf(q[:m]), full[:m])
-        for i in range(225):
-            assert t.logpdf(q[i])[0] == full[i]
-
-    @pytest.mark.parametrize("tag, kwargs", SEARCH_TARGETS)
-    def test_mode_and_box_match_sequential_search(self, tag, kwargs):
-        t = reduced_target(N, **kwargs)
-        mode, box, _ = _reference_search(t)
-        res = quadrature_moments(t)
-        assert res.mode == mode
-        assert res.box == box
-
-    @pytest.mark.parametrize("tag, kwargs", SEARCH_TARGETS[::2])
-    def test_logpdf_calls_before_first_panel(self, tag, kwargs):
-        # One call for the candidates' grids, one per further grid (about
-        # ten) and one for the box.
-        t = reduced_target(N, **kwargs)
-        _, _, grids = _reference_search(t)
-        rows = []
-        logpdf = t.logpdf
-        t.logpdf = lambda q: rows.append(len(q)) or logpdf(q)
-        quadrature_moments(t)
-        assert 1 not in rows
-        first_panels = next(i for i, m in enumerate(rows) if m % 225 == 0)
-        assert first_panels == grids + 1
-        assert first_panels <= 16
-
-    def test_mode_on_lptn_kink_ridge(self):
-        # The posterior's ridge follows a kink curve here.  Nelder-Mead
-        # stalled on it at log density -146.3613; the grid reaches -146.3409.
-        t = reduced_target(N, 0.5, 0.94, LPTN(0.95))
-        res = quadrature_moments(t)
-        assert t.logpdf(np.array(res.mode))[0] > -146.35
-
-
-def _brute_force_panel_values(target, maps, s_lo, s_hi, v_lo, v_hi, shift):
-    # The five integrands f, beta f, beta^2 f, e^{2nu} f and e^{4nu} f, each
-    # times the Jacobian b, summed node by node in the region's coordinates
-    # (beta = a + s b, a = a0 + a1 e^nu, b = b0 + b1 e^nu) under the
-    # K15 x K15, G7 x G7 and mixed rules; also returns the K15 x K15 rule
-    # of their absolute values, the scale for comparisons.
-    wk, wg, g = oracle._K15_WEIGHTS, oracle._G7_WEIGHTS, oracle._G7_IDX
-    out = []
-    for (a0, a1, b0, b1), sl, sh, vl, vh in zip(maps, s_lo, s_hi, v_lo, v_hi):
-        hs, hv = 0.5 * (sh - sl), 0.5 * (vh - vl)
-        s = 0.5 * (sh + sl) + hs * oracle._K15_NODES
-        v = 0.5 * (vh + vl) + hv * oracle._K15_NODES
-        S, V = np.meshgrid(s, v, indexing="ij")
-        jac = b0 + b1 * np.exp(V)
-        B = a0 + a1 * np.exp(V) + S * jac
-        f = np.exp(target.logpdf(np.column_stack([B.ravel(), V.ravel()]))
-                   .reshape(15, 15) - shift) * jac
-        comps = [f, B * f, B * B * f, np.exp(2 * V) * f, np.exp(4 * V) * f]
-
-        def rule(ws, i_s, wv, iv, c):
-            return hs * hv * np.sum(np.outer(ws, wv) * c[np.ix_(i_s, iv)])
-
-        k = np.arange(15)
-        kk = np.array([rule(wk, k, wk, k, c) for c in comps])
-        gg = np.array([rule(wg, g, wg, g, c) for c in comps])
-        gk = np.array([rule(wg, g, wk, k, c) for c in comps])
-        kg = np.array([rule(wk, k, wg, g, c) for c in comps])
-        scale = np.array([rule(wk, k, wk, k, np.abs(c)) for c in comps])
-        out.append((kk, np.abs(kk - gg), np.abs(kk - gk).sum(),
-                    np.abs(kk - kg).sum(), scale))
-    return [np.array(x) for x in zip(*out)]
-
-
-class TestPanelValues:
-    def test_matches_five_integrand_reference(self):
-        t = reduced_target(N, 0.5, 1.5, LPTN(0.95))
-        res = quadrature_moments(t)
-        mu, w = 0.5, LPTN(0.95).tau / t.priors[0].lam
-        e0 = np.exp(res.mode[1])
-        rng = np.random.default_rng(2)
-        # Ten panels in each region kind: plain, central band, lower and
-        # upper tail, each panel on its own side of the kink.
-        maps = np.repeat([(0.0, 0.0, 1.0, 0.0), (mu, 0.0, 0.0, 1.0),
-                          (w * e0, -w, 1.0, 0.0), (-w * e0, w, 1.0, 0.0)],
-                         10, axis=0)
-        s_lo = np.concatenate([rng.uniform(-0.5, 0.6, 10),
-                               rng.uniform(-w, 0.5 * w, 10),
-                               rng.uniform(-0.5, 0.0, 10),
-                               rng.uniform(mu + w * e0, 0.9, 10)])
-        s_hi = s_lo + rng.uniform(1e-4, 0.5, 40)
-        s_hi[10:20] = np.minimum(s_hi[10:20], w)
-        s_hi[20:30] = np.minimum(s_hi[20:30], mu - w * e0)
-        v_lo = rng.uniform(-0.3, 0.2, 40)
-        v_hi = v_lo + rng.uniform(1e-4, 0.3, 40)
-        kk, err, split_s = oracle._panel_values(t, maps, s_lo, s_hi, v_lo,
-                                                v_hi, res.log_norm)
-        ref, ref_err, err_s, err_nu, scale = _brute_force_panel_values(
-            t, maps, s_lo, s_hi, v_lo, v_hi, res.log_norm)
-        assert np.all(np.abs(kk - ref) <= 1e-13 * scale)
-        assert np.all(np.abs(err - ref_err) <= 1e-13 * scale)
-        clear = np.abs(err_s - err_nu) > 1e-12 * scale.sum(axis=1)
-        assert clear.sum() > 30
-        np.testing.assert_array_equal(split_s[clear], (err_s >= err_nu)[clear])
+class TestFactorization:
+    @pytest.mark.parametrize("target", _factor_targets(), ids=[
+        "normal", "student", "lptn", "ctn", "flat", "sigma^+1", "sigma^-1",
+        "invgamma"])
+    def test_matches_target_logpdf(self, target):
+        # f(beta, nu) = e^{L(nu)} s e^{-x^2/2} g(t) / (e^nu / sqrt(a)), the
+        # oracle's factor in nu times its integrand over x, at rows on
+        # both sides of every kink.
+        fac = oracle._Factors(target)
+        rng = np.random.default_rng(3)
+        beta = rng.uniform(-2.0, 3.0, 400)
+        nu = rng.uniform(-1.0, 1.5, 400)
+        x = np.sqrt(fac.a) * (beta - fac.beta_hat) * np.exp(-nu)
+        if target.priors[0] is None:
+            inner = -0.5 * x * x            # g = 1
+        else:
+            inner = fac.log_inner(x, fac.m(nu) + fac.s * x)
+        mine = fac.log_nu_factor(nu) - nu + fac.log_sqrt_a + inner
+        ref = target.logpdf(np.column_stack([beta, nu]))
+        np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
 
 
 class TestPriorKinks:
-    # The LPTN and CTN densities kink at |z| = tau (kappa), which in
-    # (beta, nu) is the curve beta = mu +/- tau e^nu / lambda.  The oracle
-    # integrates the central band and the two tails as separate regions whose
-    # edges follow these curves, so no panel holds a kink.
+    # The LPTN and CTN densities kink at |z| = tau (kappa).  In the inner
+    # integral over beta the prior argument is t = m + s x, so the kinks sit
+    # at fixed t, and the oracle cuts its inner intervals there.
 
     @pytest.mark.parametrize("family, mu2, lam2, sigma_power", [
         (LPTN(0.95), 0.5, 1.5, 0), (CTN(0.98), 0.4, 1.0, 0),
         (CTN(0.98), 0.5, 0.3, 1), (CTN(0.98), 0.5, 101.0, 0)])
-    def test_no_panel_straddles_a_kink(self, family, mu2, lam2, sigma_power):
-        # Every 15 x 15 node block the oracle evaluates lies on one side of
-        # each kink curve.
+    def test_no_panel_straddles_a_kink(self, family, mu2, lam2,
+                                       sigma_power, monkeypatch):
+        # Every inner panel (interval over beta) has its 15 Kronrod nodes on
+        # one side of each kink; at lam2 = 101 the prior's bump is about
+        # 1/101 wide in x.
         t = reduced_target(N, mu2, lam2, family, sigma_power=sigma_power)
         blocks = []
-        logpdf = t.logpdf
+        log_density = type(family).log_density
 
-        def recording(q):
-            if len(q) % 225 == 0:
-                blocks.append(q)
-            return logpdf(q)
+        def recording(self, z, check=True):
+            if np.ndim(z) == 2:
+                blocks.append(np.array(z))
+            return log_density(self, z, check)
 
-        t.logpdf = recording
-        res = quadrature_moments(t)
-        nodes = np.concatenate(blocks).reshape(-1, 225, 2)
-        assert len(nodes) == res.panels_evaluated
+        monkeypatch.setattr(type(family), "log_density", recording)
+        quadrature_moments(t)
+        nodes = np.concatenate(blocks)
+        assert nodes.shape[1] == 15
         thr = getattr(family, "tau", None) or family.kappa
-        z = t.priors[0].lam * (nodes[..., 0] - mu2) * np.exp(-nodes[..., 1])
-        side = np.sign(z) * (np.abs(z) > thr)
+        side = np.sign(nodes) * (np.abs(nodes) > thr)
         assert np.all(side == side[:, :1])
-        assert len(np.unique(side[:, 0])) > 1
+        assert len(np.unique(side[:, 0])) == 3
 
     @pytest.mark.parametrize("family, mu2, lam2", [
         (CTN(0.98), 0.4, 1.0), (CTN(0.98), 0.5, 1.02), (LPTN(0.95), 0.5, 1.0)])
