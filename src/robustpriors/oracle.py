@@ -17,7 +17,8 @@ integral nests: nu outside, and beta inside in the likelihood's
 standardized variable (see `_Factors`), where the likelihood factor is
 e^{-x^2/2} at every nu and the prior's bump and kinks sit at known places.
 So no search is needed: the inner range is fixed and cut at both bumps and
-at the kinks, and only the nu range is searched, on a bound in closed form.
+at the kinks (a normal prior's inner integrals are closed forms), and only
+the nu range is searched, on a bound in closed form.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PosteriorTarget, PowerAdjustedSigma, reduced_target
-from .priors import CTN, LPTN, Student
+from .priors import CTN, LPTN, Normal, Student
 from .specfun import LOG_INV_SQRT_2PI
 
 __all__ = [
@@ -199,12 +200,11 @@ _COLS = [0, 1, 2, 0, 0]
 _NU_POWERS = np.array([0.0, 1.0, 2.0, 2.0, 4.0])
 _A_POWERS = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_X_RANGE = 13.0         # e^{-x^2/2} holds under 1e-37 of its mass beyond
-_X_CUTS = np.array([-_X_RANGE, -3.0, 0.0, 3.0, _X_RANGE])
+# e^{-x^2/2} holds under 1e-37 of its mass beyond |x| = 13.
+_X_CUTS = np.array([-13.0, -3.0, 0.0, 3.0, 13.0])
 _T_CUTS = 3.0 * 4.0 ** np.arange(40)    # with 0 and their negatives
 _ROUNDOFF = 50 * 2.0 ** -52    # relative error at rounding level
-_INNER_INTERVALS = 256  # inner intervals at a node before giving up
-_SPLITS_PER_ROUND = 24  # nu panels bisected per refinement round
+_INNER_INTERVALS = 256  # intervals at a nu node past which none is split
 _FIRST_PANELS = 200     # at most, each 2 widths wide if the range allows
 _FLOOR_NODES = 3.0 ** np.arange(5)     # widths from the bound's peak
 # The doubling search's probes at level j sit 0.1 (2^j - 1) plus one and two
@@ -217,10 +217,12 @@ _NEAR, _FAR = 0.1 * (2.0 * _LEVELS - 1.0), 0.1 * (3.0 * _LEVELS - 1.0)
 class QuadratureResult:
     """Posterior moments of the reduced target from deterministic quadrature.
 
-    ``error`` is the summed Kronrod-Gauss error estimate of the final nu
-    panels, the inner integrals' own estimates included;
-    ``panels_evaluated`` counts every nu panel evaluated, including those
-    later split (``n_panels`` counts only the final ones).
+    ``error`` is the summed error estimate of the five integrals over the
+    final nu panels, the Kronrod-Gauss one of the outer rule plus the inner
+    integrals' own, in units of the largest value of the density f(beta,
+    nu) found at a node; ``panels_evaluated`` counts every nu panel
+    evaluated, including those later split (``n_panels`` counts only the
+    final ones).
     """
 
     mean: float
@@ -271,6 +273,7 @@ class _Factors:
             family = self.prior.family
             self.s = self.prior.lam / np.sqrt(self.a)
             self.log_g0 = float(family.log_density(0.0))
+            self.normal = isinstance(family, Normal)
             kink = (getattr(family, "tau", None)
                     or getattr(family, "kappa", None))
             self.t_kinks = [] if kink is None else [-kink, kink]
@@ -285,6 +288,10 @@ class _Factors:
             return out + nu - self.log_sqrt_a
         return out + np.log(self.s)
 
+    def log_peak(self, nu, log_factor):
+        """log f(beta, nu) where the integrand over x is 1."""
+        return log_factor - nu + self.log_sqrt_a
+
     def m(self, nu):
         return self.prior.lam * np.exp(-nu) * (self.beta_hat - self.prior.mu)
 
@@ -292,42 +299,43 @@ class _Factors:
         """log(e^{-x^2/2} g(t)), the integrand over x."""
         return self.prior.family.log_density(t, check=False) - 0.5 * x * x
 
-    def inner(self, nu, log_f, log_weights, budget):
+    def inner(self, nu, log_weights, log_peaks, budget):
         """Integrals of e^{-x^2/2} g(m + s x) x^j dx, j = 0, 1, 2, at each nu.
 
         Returns their log scale c (k,), then the (k, 3) integrals and their
-        (k, 3) error estimates, both over e^c.  One adaptive K15/G7 pass
-        covers every node, over x in [-13, 13] and 13 widths around
-        x = -m s / (1 + s^2), where a normal prior and the likelihood
-        compromise, 1 / sqrt(1 + s^2) wide, possibly past |x| = 13.  The
-        first cuts are that point, x = 0, +/-3 and +/-13, the kinks and
+        (k, 3) error estimates, both over e^c.  They are closed forms under
+        the flat prior and the normal family (a product of two normal
+        bumps).  Otherwise one adaptive K15/G7 pass covers every node, over
+        x in [-13, 13].  The first cuts are x = 0, +/-3, the kinks and
         t = 0, +/-3 * 4^j: the prior's bump is 1/s wide in x, and no
         interval next to either bump is longer than its distance from it.
 
         While a node's errors times ``exp(log_weights + c)`` sum above
         ``budget``, its intervals whose error is above their share of it,
-        and above the noise rounding leaves, are bisected.  ``log_f + c``
-        is the log of each node's factor on f; where f, so scaled, exceeds
-        1 (the caller's shift is below the largest node) the weights are
-        scaled by its largest value instead, as the next shift will be.
+        and above the noise rounding leaves, are bisected, until the node
+        holds 256 intervals.  ``log_peaks + c`` is each node's
+        `log_peak` less the caller's shift; where it is above 0 the weights
+        are scaled by its largest value instead, as the next shift will be.
         """
         k = len(nu)
         if self.prior is None:
             ints = np.tile([_SQRT_2PI, 0.0, _SQRT_2PI], (k, 1))
             return np.zeros(k), ints, np.zeros((k, 3))
         m, s = self.m(nu), self.s
+        if self.normal:
+            # e^c times a normal density of x, mean -m s / A, variance 1/A.
+            big_a = 1.0 + s * s
+            mean = -m * s / big_a
+            ints = np.column_stack([np.ones(k), mean, mean * mean + 1 / big_a])
+            return (-0.5 * m * m / big_a - 0.5 * np.log(big_a), ints,
+                    np.zeros((k, 3)))
         steps = _T_CUTS[:np.searchsorted(
-            _T_CUTS, np.max(np.abs(m)) + _X_RANGE * s) + 1]
+            _T_CUTS, np.max(np.abs(m)) + _X_CUTS[-1] * s) + 1]
         t_cuts = np.concatenate([-steps, [0.0], steps, self.t_kinks])
-        # The compromise point, and beyond |x| = 13 the likelihood's cuts
-        # scaled to its width around it.
-        mid = (-m * s / (1.0 + s * s))[:, None]
-        around = (np.abs(mid) > _X_RANGE) * _X_CUTS / np.sqrt(1.0 + s * s)
-        lo = np.minimum(-_X_RANGE, mid - _X_RANGE / np.sqrt(1.0 + s * s))
-        hi = np.maximum(_X_RANGE, mid + _X_RANGE / np.sqrt(1.0 + s * s))
         edges = np.sort(np.column_stack(
-            [lo, np.tile(_X_CUTS, (k, 1)), mid + around, hi,
-             np.clip((t_cuts - m[:, None]) / s, lo, hi)]), axis=1)
+            [np.tile(_X_CUTS, (k, 1)), np.clip((t_cuts - m[:, None]) / s,
+                                               _X_CUTS[0], _X_CUTS[-1])]),
+            axis=1)
         new_lo, new_hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         keep = new_hi > new_lo
         new_lo, new_hi = new_lo[keep], new_hi[keep]
@@ -343,22 +351,19 @@ class _Factors:
                 # Each node's scale is its largest first value.
                 firsts = np.flatnonzero(np.r_[True, np.diff(new_ids) != 0])
                 c = np.maximum.reduceat(h.max(axis=1), firsts)
+                top = max(np.max(log_peaks + c), 0.0)
+                # Capped short of overflow: so heavy a node is refined down
+                # to rounding anyway.
+                weights = np.exp(np.minimum(
+                    log_weights + (c - top)[:, None], 600.0))
             # One product with both rules per power of x; a value more than
             # e^600 above a node's first ones is clipped and, unresolvable,
-            # ends in the interval limit.
+            # keeps its error.
             f = np.exp(np.minimum(h - c[new_ids, None], 600.0))
             fx = f * x
             rules = np.stack([f @ _RULES, fx @ _RULES, (fx * x) @ _RULES],
                              axis=1) * half[:, None, None]
             new_est, new_err = rules[..., 0], np.abs(rules[..., 1])
-            if weights is None:
-                with np.errstate(divide="ignore"):
-                    top = np.max(log_f + c + np.log(np.bincount(
-                        new_ids, new_est[:, 0], minlength=k)))
-                # Capped short of overflow: so heavy a node is refined down
-                # to rounding anyway.
-                weights = np.exp(np.minimum(
-                    log_weights + (c - max(top, 0.0))[:, None], 600.0))
             wt = weights[new_ids]
             ids, a, b, est, err, e, size = (np.concatenate(p) for p in (
                 (ids, new_ids), (a, new_lo), (b, new_hi), (est, new_est),
@@ -369,41 +374,34 @@ class _Factors:
             count = np.bincount(ids, minlength=k)
             noise = _ROUNDOFF * np.maximum(1.0, np.abs(c))[ids] * size
             share = np.maximum((budget / count)[ids], noise)
-            split = ((np.bincount(ids, e, minlength=k) > budget)[ids]
-                     & (e > share))
+            split = ((np.bincount(ids, e, minlength=k) > budget)
+                     & (count < _INNER_INTERVALS))[ids] & (e > share)
             if not split.any():
                 sums = [np.bincount(ids, col, minlength=k)
                         for col in np.concatenate([est, err], axis=1).T]
                 return c, np.column_stack(sums[:3]), np.column_stack(sums[3:])
-            count += np.bincount(ids[split], minlength=k)
-            if np.max(count) > _INNER_INTERVALS:
-                raise NumericalError(
-                    f"the integral over beta needs more than "
-                    f"{_INNER_INTERVALS} intervals at a nu node")
             new_ids = np.tile(ids[split], 2)
             new_lo, new_hi = _bisect(split, a, b)
             ids, a, b, est, err, e, size = (
                 v[~split] for v in (ids, a, b, est, err, e, size))
 
     def nu_values(self, nu, shift, budget=np.inf):
-        """The log of f's nu integrand (k,); and the five nu integrands and
-        their inner error estimates, each (k, 5), as a log scale times a
-        factor.  The inner budget is in units of e^shift."""
+        """The five nu integrands at each node as a log scale (k, 5) times a
+        factor (k, 5), and the factor's inner error estimates (k, 5).  The
+        inner budget is in units of e^shift."""
         log_cols = (self.log_nu_factor(nu)[:, None] + _NU_POWERS * nu[:, None]
                     - _A_POWERS * self.log_sqrt_a)
         # The inner integral of x^0 feeds integrals 0, 3 and 4.
         log_weights = log_cols[:, :3] - shift
         log_weights[:, 0] = np.logaddexp.reduce(log_cols[:, [0, 3, 4]],
                                                 axis=1) - shift
-        c, ints, errs = self.inner(nu, log_cols[:, 0] - shift, log_weights,
-                                   budget)
+        c, ints, errs = self.inner(
+            nu, log_weights, self.log_peak(nu, log_cols[:, 0]) - shift, budget)
         log_cols += c[:, None]
-        with np.errstate(divide="ignore"):
-            log_f = log_cols[:, 0] + np.log(ints[:, 0])
-        return log_f, log_cols, ints[:, _COLS], errs[:, _COLS]
+        return log_cols, ints[:, _COLS], errs[:, _COLS]
 
     def nu_panels(self):
-        """Initial nu panel edges, and a lower bound of log f's peak.
+        """Initial nu panel edges, and f's largest value at their nodes.
 
         A width is the radius of curvature of an upper bound of f's nu
         integrand (inner integral at most sqrt(2 pi) g(0)) at its peak.
@@ -428,7 +426,9 @@ class _Factors:
         width = 1.0 / np.sqrt(curv) if curv > 0 else 1.0
         nodes = peak + width * np.concatenate(
             [-_FLOOR_NODES, [0.0], _FLOOR_NODES])
-        log_f = self.nu_values(nodes, 0.0)[0]
+        log_cols, ints, _ = self.nu_values(nodes, 0.0)
+        with np.errstate(divide="ignore"):
+            log_f = log_cols[:, 0] + np.log(ints[:, 0])
         floor = (np.max(log_f[:, None] + _NU_POWERS * nodes[:, None], axis=0)
                  - _LOG_DROP)
         ends = []
@@ -446,7 +446,8 @@ class _Factors:
             last = len(_NEAR) - np.argmax(above[::-1], axis=0)
             ends.append(peak + sign * _NEAR[np.max(last * above.any(0))])
         count = min(np.ceil((ends[1] - ends[0]) / (2 * width)), _FIRST_PANELS)
-        return np.linspace(ends[0], ends[1], int(count) + 1), np.max(log_f)
+        return (np.linspace(ends[0], ends[1], int(count) + 1),
+                np.max(self.log_peak(nodes, log_cols[:, 0])))
 
 
 def quadrature_moments(target, tol=1e-10, max_panels=60000):
@@ -457,14 +458,16 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     nu node, beta inside, in the likelihood's standardized variable (see
     `_Factors`), so no mode or box is searched for and the prior's kinks
     are inner cuts.  The outer rule is adaptive K15/G7 on nu panels: each
-    round evaluates its new panels' nodes in one inner pass and bisects up
-    to 24 panels of largest error, of those above their share of ``tol``.
-    ``tol`` bounds the summed error estimate of the five integrals, each
-    divided by the largest value of f's nu integrand at a node; the inner
-    integrals may spend a tenth of it.  Raises `NumericalError`, naming the
-    integral at fault, if an integrand is not negligible 1e6 from the peak
-    in nu or if ``max_panels`` panels cannot meet ``tol``, and `ValueError`
-    if ``tol`` is not positive and finite.
+    round evaluates its new panels' nodes in one inner pass and bisects
+    every panel whose outer error is above its share of what the inner
+    integrals leave of ``tol``.  ``tol`` bounds the summed error estimate
+    of the five integrals, divided by the largest value of the density
+    f(beta, nu) found at a node; the inner integrals may spend a tenth of
+    it.  Raises `NumericalError`, naming the integral with most error, if
+    an integrand is not negligible 1e6 from the peak in nu, or if
+    ``max_panels`` panels, or inner integrals refined as far as they go,
+    cannot meet ``tol``; and `ValueError` if ``tol`` is not positive and
+    finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
@@ -475,44 +478,47 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     budget = 0.1 * tol / (edges[-1] - edges[0])
     new_lo, new_hi = edges[:-1], edges[1:]
     lo, hi = new_lo[:0], new_hi[:0]
-    est, err = np.empty((0, 5)), np.empty((0, 5))
+    est, err, inner_err = (np.empty((0, 5)) for _ in range(3))
     evaluated = 0
     while True:
         half = 0.5 * (new_hi - new_lo)
-        nu = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _K15_NODES
-        log_f, log_cols, ints, inner_err = factors.nu_values(nu.ravel(), shift,
-                                                             budget)
-        if np.max(log_f) > shift:
-            # The shift is the largest node value so far.
-            est, err = (v * np.exp(shift - np.max(log_f)) for v in (est, err))
-            shift = np.max(log_f)
+        nu = ((0.5 * (new_lo + new_hi))[:, None]
+              + half[:, None] * _K15_NODES).ravel()
+        log_cols, ints, node_err = factors.nu_values(nu, shift, budget)
+        peak = np.max(factors.log_peak(nu, log_cols[:, 0]))
+        if peak > shift:
+            # The shift is f's largest value at a node so far.
+            est, err, inner_err = (v * np.exp(shift - peak)
+                                   for v in (est, err, inner_err))
+            shift = peak
         scale = np.exp(log_cols - shift)
-        vals, inner_err = scale * ints, scale * inner_err
-        rules = np.einsum("knj,nr->kjr", vals.reshape(-1, 15, 5), _RULES)
-        inner = np.einsum("knj,n->kj", inner_err.reshape(-1, 15, 5),
-                          _K15_WEIGHTS)
+        rules = np.einsum("knj,nr->kjr", (scale * ints).reshape(-1, 15, 5),
+                          _RULES) * half[:, None, None]
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        est = np.concatenate([est, rules[..., 0] * half[:, None]])
-        err = np.concatenate(
-            [err, (np.abs(rules[..., 1]) + inner) * half[:, None]])
+        est = np.concatenate([est, rules[..., 0]])
+        err = np.concatenate([err, np.abs(rules[..., 1])])
+        inner_err = np.concatenate([inner_err, half[:, None] * np.einsum(
+            "knj,n->kj", (scale * node_err).reshape(-1, 15, 5), _K15_WEIGHTS)])
         evaluated += len(new_lo)
-        total_err = float(err.sum())
+        inner_total = float(inner_err.sum())
+        total_err = float(err.sum()) + inner_total
         if total_err <= tol:
             break
-        if len(lo) > max_panels:
-            errs = err.sum(axis=0)
+        # Bisection only reduces the outer rule's error.
+        share = (tol - inner_total) / len(lo)
+        split = err.sum(axis=1) > share
+        if len(lo) > max_panels or not (share > 0 and split.any()):
+            errs = (err + inner_err).sum(axis=0)
+            limit = (f"needs more than {max_panels} panels" if share > 0 else
+                     "cannot refine its inner integrals over beta enough")
             raise NumericalError(
-                f"quadrature needs more than {max_panels} panels to reach "
-                f"tol={tol:g}; the integral of {_INTEGRALS[errs.argmax()]} "
-                f"carries the largest part, {errs.max():g}, and no budget "
-                f"meets tol if it is infinite (error {total_err:g})")
-        e = err.sum(axis=1)
-        # Ties go to the older panel.
-        worst = np.argsort(-e, kind="stable")[:_SPLITS_PER_ROUND]
-        split = np.zeros(len(e), bool)
-        split[worst[e[worst] > tol / len(e)]] = True
+                f"quadrature {limit} to reach tol={tol:g}; the integral of "
+                f"{_INTEGRALS[errs.argmax()]} carries the largest part, "
+                f"{errs.max():g}, and no budget meets tol if it is infinite "
+                f"(error {total_err:g})")
         new_lo, new_hi = _bisect(split, lo, hi)
-        lo, hi, est, err = lo[~split], hi[~split], est[~split], err[~split]
+        lo, hi, est, err, inner_err = (
+            v[~split] for v in (lo, hi, est, err, inner_err))
 
     mass, m1, m2, s2, s4 = est.sum(axis=0)
     if not (np.isfinite(mass) and mass > 0):

@@ -1,5 +1,7 @@
 """Closed forms and the nested adaptive quadrature engine."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("lam2", [10.0, 100.0])
     def test_concentrated_prior(self, lam2):
         # The posterior collapses to a sliver around the conjugate mean;
-        # the inner cuts are graded in the prior's own argument.
+        # the inner integral over beta is the normal product's closed form.
         res = quadrature_moments(reduced_target(N, 0.5, lam2, Normal()))
         ref = conjugate_posterior(N, 0.5, lam2)
         assert abs(res.mean - ref.beta_mean) < 1e-6
@@ -182,10 +184,11 @@ class TestQuadrature:
         # so the posterior is improper; sigma^97 leaves sigma^2's variance
         # infinite.  The range search names the integral that diverges, at
         # once.  A finite target stopped early by the budget names the one
-        # with most error left.
+        # with most error left; at tol 1e-13 this one starts from 16 nu
+        # panels.
         t = reduced_target(N, mu2, lam2, LPTN(0.95), sigma_power=sigma_power)
         with pytest.raises(NumericalError) as exc:
-            quadrature_moments(t, max_panels=5)
+            quadrature_moments(t, tol=1e-13, max_panels=5)
         assert f"the integral of {integral} carries" in str(exc.value)
 
     def test_divergent_moment_fails_fast(self):
@@ -195,13 +198,51 @@ class TestQuadrature:
             quadrature_moments(reduced_target(4, family=None))
 
     def test_panel_budget(self):
-        # The budget check runs every round, whatever the running error
-        # total says, and reports the summed error of the live panels.
-        t = reduced_target(N, 2.0, 0.1, LPTN(0.95))
-        with pytest.raises(NumericalError, match="more than 5 panels") as exc:
-            quadrature_moments(t, max_panels=5)
+        # The budget check runs after every round and reports the summed
+        # error of the live panels.  At tol 1e-12 this target starts from
+        # 84 nu panels and needs 102, so one refinement round runs first.
+        tol = 1e-12
+        t = reduced_target(5, 3.0, 2.0, Student(1.0))
+        with pytest.raises(NumericalError, match="more than 90 panels") as exc:
+            quadrature_moments(t, tol=tol, max_panels=90)
         err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
-        assert err > 1e-10
+        assert err > tol
+
+    def test_inner_limit_names_integral(self, monkeypatch):
+        # Inner integrals refined as far as they go end in the budget's
+        # error, naming the integral with most error left.  At tol 1e-13
+        # this diffuse target needs them below the noise of rounding; with
+        # at most 8 intervals at a nu node, the default tol is out of reach.
+        with pytest.raises(NumericalError, match=(
+                r"cannot refine its inner integrals over beta enough to reach"
+                r" tol=1e-13; the integral of beta\^2 f carries")):
+            quadrature_moments(reduced_target(5, 3.0, 2.0, Student(1.0)),
+                               tol=1e-13)
+        monkeypatch.setattr(oracle, "_INNER_INTERVALS", 8)
+        with pytest.raises(NumericalError, match=(
+                r"inner integrals over beta enough to reach tol=1e-10; the "
+                r"integral of e\^\{4nu\} f \(sigma\^4\) carries")):
+            quadrature_moments(reduced_target(N, 0.5, 1.0, LPTN(0.95)))
+
+    @pytest.mark.parametrize("n, mu2, lam2", [
+        (1000, 10.0, 1.0), (1000, 10.0, 3.0), (1000, 10.0, 10.0),
+        (1000, 30.0, 0.3), (100, 30.0, 0.3)])
+    def test_large_sigma_conflict(self, n, mu2, lam2):
+        # The normal prior does not resolve the conflict: sigma^2 is 51 to
+        # 101, and the sigma^4 integral is thousands of times f's.  Against
+        # the peak of f's nu integrand rather than of f, tol would ask it
+        # for an accuracy near rounding, out of reach in 30 s.
+        start = time.perf_counter()
+        res = quadrature_moments(reduced_target(n, mu2, lam2, Normal()))
+        assert time.perf_counter() - start < 2.0
+        ref = conjugate_posterior(n, mu2, lam2)
+        shape, scale = ref.sigma_sq_shape, ref.sigma_sq_scale
+        assert abs(res.mean - ref.beta_mean) < 1e-9
+        assert res.sd == pytest.approx(np.sqrt(ref.beta_variance), rel=1e-7)
+        assert res.sigma_sq_mean == pytest.approx(
+            inverse_gamma_mean(shape, scale), rel=1e-7)
+        assert res.sigma_sq_sd == pytest.approx(
+            inverse_gamma_sd(shape, scale), rel=1e-7)
 
     def test_heavy_tailed_independent_value(self):
         # Nested scipy.integrate.quad: nu over [-6, 40] in pieces, beta
