@@ -16,14 +16,18 @@ With one coefficient the likelihood is Gaussian in beta at each nu, so the
 integral nests: nu outside, and beta inside in the likelihood's
 standardized variable (see `_Factors`), where the likelihood factor is
 e^{-x^2/2} at every nu and the prior's bump and kinks sit at known places.
-So no search is needed: the inner range is fixed and cut at both bumps and
-at the kinks (a normal prior's inner integrals are closed forms), and only
-the nu range is searched, on a bound in closed form.
+So no search is needed: wherever the prior's density is the normal one or
+a constant (the normal family; LPTN between its kinks; CTN everywhere) the
+inner integral is a truncated-normal moment in closed form; the rest
+(LPTN's log-Pareto tails, the Student family) is cut at both bumps and at
+the kinks on a fixed range and refined adaptively.  Only the nu range is
+searched, on a bound in closed form.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf, erfcx
 
 from .model import PosteriorTarget, PowerAdjustedSigma, reduced_target
 from .priors import CTN, LPTN, Normal, Student
@@ -200,6 +204,9 @@ _COLS = [0, 1, 2, 0, 0]
 _NU_POWERS = np.array([0.0, 1.0, 2.0, 2.0, 4.0])
 _A_POWERS = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_HALF, _SQRT_HALF_PI = np.sqrt(0.5), np.sqrt(0.5 * np.pi)
+# A bound on |z| in `_gaussian_piece`, with z^2 finite and e^{-z^2/2} zero.
+_Z_MAX = 1e150
 # e^{-x^2/2} holds under 1e-37 of its mass beyond |x| = 13.
 _X_CUTS = np.array([-13.0, -3.0, 0.0, 3.0, 13.0])
 _T_CUTS = 3.0 * 4.0 ** np.arange(40)    # with 0 and their negatives
@@ -245,6 +252,37 @@ def _bisect(split, lo, hi):
     return np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
 
 
+def _gaussian_piece(lo, hi, mean, a):
+    """Integrals of e^{-a (x - mean)^2 / 2} x^j dx over [lo, hi], j = 0, 1, 2.
+
+    Rows broadcast; bounds may be infinite.  Returns a log scale (k,) and
+    the (k, 3) integrals over its exponential.  In z = sqrt(a) (x - mean) a
+    window on one side of 0 is reflected to z in [p, q], p > 0, and scaled
+    by e^{-p^2/2}: its Phi difference is taken from the upper tail, as
+    erfcx, so a far window neither cancels nor underflows.
+    """
+    root = np.sqrt(a)
+    lo_z, hi_z = (np.clip(root * (v - mean), -_Z_MAX, _Z_MAX)
+                  for v in (lo, hi))
+    flip = hi_z < 0.0
+    p, q = np.where(flip, -hi_z, lo_z), np.where(flip, -lo_z, hi_z)
+    near = np.maximum(p, 0.0)
+    # e^{-p^2/2} and e^{-q^2/2} over the scale e^{-near^2/2}.
+    ep = np.exp(-0.5 * np.minimum(p, 0.0) ** 2)
+    drop = 0.5 * (q - near) * (q + near)
+    eq = np.exp(-drop)
+    # Integrals of e^{-z^2/2} times 1, z / sqrt(a) and z^2 / a, over it.
+    m0 = _SQRT_HALF_PI * np.where(
+        p > 0.0, erfcx(near * _SQRT_HALF) - erfcx(q * _SQRT_HALF) * eq,
+        erf(q * _SQRT_HALF) - erf(p * _SQRT_HALF))
+    m1 = np.where(p >= 0.0, -np.expm1(-drop), ep - eq)
+    m1 = np.where(flip, -m1, m1) / root
+    m2 = (m0 + p * ep - q * eq) / a
+    ints = np.column_stack([m0, mean * m0 + m1,
+                            mean * (mean * m0 + 2.0 * m1) + m2])
+    return -0.5 * near * near, ints / np.reshape(root, (-1, 1))
+
+
 class _Factors:
     """The reduced target as a factor in nu times an integral over x.
 
@@ -273,10 +311,14 @@ class _Factors:
             family = self.prior.family
             self.s = self.prior.lam / np.sqrt(self.a)
             self.log_g0 = float(family.log_density(0.0))
-            self.normal = isinstance(family, Normal)
-            kink = (getattr(family, "tau", None)
-                    or getattr(family, "kappa", None))
-            self.t_kinks = [] if kink is None else [-kink, kink]
+            # g is the standard normal density for |t| <= kink, and beyond
+            # it the constant g(kink) under CTN; None: no normal branch.
+            self.kink = np.inf if isinstance(family, Normal) else (
+                getattr(family, "tau", None) or getattr(family, "kappa", None))
+            self.constant_tails = isinstance(family, CTN)
+            self.all_closed = isinstance(family, (Normal, CTN))
+            if self.constant_tails:
+                self.log_g_kink = float(family.log_density(self.kink))
 
     def log_nu_factor(self, nu):
         """L(nu) plus log s, or plus nu - log sqrt(a) under the flat prior."""
@@ -299,16 +341,46 @@ class _Factors:
         """log(e^{-x^2/2} g(t)), the integrand over x."""
         return self.prior.family.log_density(t, check=False) - 0.5 * x * x
 
+    def closed_pieces(self, m):
+        """The inner integrals' closed-form part at each nu: log scale (k,)
+        and (k, 3) integrals over its exponential.
+
+        On the normal branch e^{-x^2/2} g(t) is a normal bump in x, mean
+        -m s / A and precision A = 1 + s^2, times e^{-m^2 / (2A)} / sqrt(2
+        pi); under CTN each tail is the constant g(kappa) times e^{-x^2/2}.
+        Student has no closed part: log scale -inf.
+        """
+        k = len(m)
+        if self.kink is None:
+            return np.full(k, -np.inf), np.zeros((k, 3))
+        s = self.s
+        big_a = 1.0 + s * s
+        lo, hi = (-self.kink - m) / s, (self.kink - m) / s
+        log_c, ints = _gaussian_piece(lo, hi, -m * s / big_a, big_a)
+        log_c += LOG_INV_SQRT_2PI - 0.5 * m * m / big_a
+        if not self.constant_tails:
+            return log_c, ints
+        inf = np.full(k, np.inf)
+        log_t, tails = _gaussian_piece(np.concatenate([-inf, hi]),
+                                       np.concatenate([lo, inf]), 0.0, 1.0)
+        logs = np.vstack([log_c, (log_t + self.log_g_kink).reshape(2, k)])
+        c = logs.max(axis=0)
+        parts = np.concatenate([ints[None], tails.reshape(2, k, 3)])
+        return c, np.einsum("pk,pkj->kj", np.exp(logs - c), parts)
+
     def inner(self, nu, log_weights, log_peaks, budget):
         """Integrals of e^{-x^2/2} g(m + s x) x^j dx, j = 0, 1, 2, at each nu.
 
         Returns their log scale c (k,), then the (k, 3) integrals and their
         (k, 3) error estimates, both over e^c.  They are closed forms under
-        the flat prior and the normal family (a product of two normal
-        bumps).  Otherwise one adaptive K15/G7 pass covers every node, over
-        x in [-13, 13].  The first cuts are x = 0, +/-3, the kinks and
-        t = 0, +/-3 * 4^j: the prior's bump is 1/s wide in x, and no
-        interval next to either bump is longer than its distance from it.
+        the flat prior, and wherever g is the normal density or a constant
+        (see `closed_pieces`): on the whole line under the normal family, on
+        the kinks' both sides under CTN, and between the kinks under LPTN,
+        with no error.  What is left, LPTN's tails and Student's whole line,
+        takes one adaptive K15/G7 pass over every node, over x in [-13, 13].
+        Its first cuts are x = 0, +/-3, the kinks and t = 0, +/-3 * 4^j: the
+        prior's bump is 1/s wide in x, and no interval next to either bump
+        is longer than its distance from it.
 
         While a node's errors times ``exp(log_weights + c)`` sum above
         ``budget``, its intervals whose error is above their share of it,
@@ -322,24 +394,28 @@ class _Factors:
             ints = np.tile([_SQRT_2PI, 0.0, _SQRT_2PI], (k, 1))
             return np.zeros(k), ints, np.zeros((k, 3))
         m, s = self.m(nu), self.s
-        if self.normal:
-            # e^c times a normal density of x, mean -m s / A, variance 1/A.
-            big_a = 1.0 + s * s
-            mean = -m * s / big_a
-            ints = np.column_stack([np.ones(k), mean, mean * mean + 1 / big_a])
-            return (-0.5 * m * m / big_a - 0.5 * np.log(big_a), ints,
-                    np.zeros((k, 3)))
+        c_closed, closed = self.closed_pieces(m)
+        if self.all_closed:
+            return c_closed, closed, np.zeros((k, 3))
+        kinks = [] if self.kink is None else [-self.kink, self.kink]
         steps = _T_CUTS[:np.searchsorted(
             _T_CUTS, np.max(np.abs(m)) + _X_CUTS[-1] * s) + 1]
-        t_cuts = np.concatenate([-steps, [0.0], steps, self.t_kinks])
+        t_cuts = np.concatenate([-steps, [0.0], steps, kinks])
         edges = np.sort(np.column_stack(
             [np.tile(_X_CUTS, (k, 1)), np.clip((t_cuts - m[:, None]) / s,
                                                _X_CUTS[0], _X_CUTS[-1])]),
             axis=1)
         new_lo, new_hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         keep = new_hi > new_lo
+        if kinks:
+            # Only the tails are left: each interval lies on one side.
+            t_mid = (np.repeat(m, edges.shape[1] - 1)
+                     + s * 0.5 * (new_lo + new_hi))
+            keep &= np.abs(t_mid) > self.kink
         new_lo, new_hi = new_lo[keep], new_hi[keep]
         new_ids = np.repeat(np.arange(k), edges.shape[1] - 1)[keep]
+        if not len(new_ids):
+            return c_closed, closed, np.zeros((k, 3))
         ids, a, b = new_ids[:0], new_lo[:0], new_hi[:0]
         est, err, e, size = np.empty((0, 3)), np.empty((0, 3)), a, a
         c = weights = None
@@ -348,9 +424,13 @@ class _Factors:
             x = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _K15_NODES
             h = self.log_inner(x, m[new_ids, None] + s * x)
             if c is None:
-                # Each node's scale is its largest first value.
+                # Each node's scale is its largest first value, or the
+                # closed part's scale if larger or if it has no interval.
                 firsts = np.flatnonzero(np.r_[True, np.diff(new_ids) != 0])
-                c = np.maximum.reduceat(h.max(axis=1), firsts)
+                c = c_closed.copy()
+                at = new_ids[firsts]
+                c[at] = np.maximum(c[at], np.maximum.reduceat(h.max(axis=1),
+                                                              firsts))
                 top = max(np.max(log_peaks + c), 0.0)
                 # Capped short of overflow: so heavy a node is refined down
                 # to rounding anyway.
@@ -373,13 +453,15 @@ class _Factors:
             # relative noise, which no bisection removes.
             count = np.bincount(ids, minlength=k)
             noise = _ROUNDOFF * np.maximum(1.0, np.abs(c))[ids] * size
-            share = np.maximum((budget / count)[ids], noise)
+            share = np.maximum((budget / np.maximum(count, 1))[ids], noise)
             split = ((np.bincount(ids, e, minlength=k) > budget)
                      & (count < _INNER_INTERVALS))[ids] & (e > share)
             if not split.any():
                 sums = [np.bincount(ids, col, minlength=k)
                         for col in np.concatenate([est, err], axis=1).T]
-                return c, np.column_stack(sums[:3]), np.column_stack(sums[3:])
+                ints = (np.column_stack(sums[:3])
+                        + np.exp(c_closed - c)[:, None] * closed)
+                return c, ints, np.column_stack(sums[3:])
             new_ids = np.tile(ids[split], 2)
             new_lo, new_hi = _bisect(split, a, b)
             ids, a, b, est, err, e, size = (
@@ -456,18 +538,19 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     Only two-parameter targets are supported (higher-dimensional posteriors
     are the sampler's job).  The integral is nested: nu outside and, at each
     nu node, beta inside, in the likelihood's standardized variable (see
-    `_Factors`), so no mode or box is searched for and the prior's kinks
-    are inner cuts.  The outer rule is adaptive K15/G7 on nu panels: each
-    round evaluates its new panels' nodes in one inner pass and bisects
-    every panel whose outer error is above its share of what the inner
-    integrals leave of ``tol``.  ``tol`` bounds the summed error estimate
-    of the five integrals, divided by the largest value of the density
-    f(beta, nu) found at a node; the inner integrals may spend a tenth of
-    it.  Raises `NumericalError`, naming the integral with most error, if
-    an integrand is not negligible 1e6 from the peak in nu, or if
-    ``max_panels`` panels, or inner integrals refined as far as they go,
-    cannot meet ``tol``; and `ValueError` if ``tol`` is not positive and
-    finite.
+    `_Factors`), so no mode or box is searched for.  The inner integrals
+    are closed forms where the prior is normal or constant, and cut at its
+    kinks elsewhere (see `_Factors.inner`).  The outer rule is adaptive
+    K15/G7 on nu panels: each round evaluates its new panels' nodes in one
+    inner pass and bisects every panel whose outer error is above its share
+    of what the inner integrals leave of ``tol``.  ``tol`` bounds the
+    summed error estimate of the five integrals, divided by the largest
+    value of the density f(beta, nu) found at a node; the inner integrals
+    may spend a tenth of it.  Raises `NumericalError`, naming the integral
+    with most error, if an integrand is not negligible 1e6 from the peak
+    in nu, or if ``max_panels`` panels, or inner integrals refined as far
+    as they go, cannot meet ``tol``; and `ValueError` if ``tol`` is not
+    positive and finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")

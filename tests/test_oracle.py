@@ -222,7 +222,7 @@ class TestQuadrature:
         with pytest.raises(NumericalError, match=(
                 r"inner integrals over beta enough to reach tol=1e-10; the "
                 r"integral of e\^\{4nu\} f \(sigma\^4\) carries")):
-            quadrature_moments(reduced_target(N, 0.5, 1.0, LPTN(0.95)))
+            quadrature_moments(reduced_target(N, 0.5, 1.0, Student(4)))
 
     @pytest.mark.parametrize("n, mu2, lam2", [
         (1000, 10.0, 1.0), (1000, 10.0, 3.0), (1000, 10.0, 10.0),
@@ -254,6 +254,25 @@ class TestQuadrature:
         assert abs(res.sd - 1.091106300719) < 1e-9
         assert abs(res.log_norm - -11.243077323539) < 1e-9
 
+    @pytest.mark.parametrize("family, mu2, sigma_power, mean, sd, log_norm", [
+        (CTN(0.98), 0.25, 0, 0.091549717029, 0.105088545001, -145.335886393878),
+        (CTN(0.98), 0.25, 1, 0.092098462028, 0.105150483094, -145.317054947619),
+        (LPTN(0.95), 1.0, 0, 0.031356598780, 0.105123348866, -152.095807912617)])
+    def test_sweep_point_independent_value(self, family, mu2, sigma_power,
+                                           mean, sd, log_norm):
+        # Points of the default mu2 sweep (lambda2 = 1), CTN also with its
+        # sigma^1 correction, whose inner integrals are closed forms (CTN)
+        # or closed between the kinks (LPTN).  Nested
+        # scipy.integrate.quad_vec over target.logpdf: nu over [-1.5, 2.5]
+        # broken at 0, +/-0.1, +/-0.2, +/-0.5 and 1, beta inside over 40
+        # likelihood widths beyond 0 and mu2, broken at 0, mu2 and the
+        # kinks; epsrel 1e-12 outer and 1e-13 inner.
+        t = reduced_target(N, mu2, 1.0, family, sigma_power=sigma_power)
+        res = quadrature_moments(t)
+        assert abs(res.mean - mean) < 1e-9
+        assert abs(res.sd - sd) < 1e-9
+        assert abs(res.log_norm - log_norm) < 1e-9
+
     @pytest.mark.parametrize("family, mu2, lam2", [
         (Student(4), 1.0, 1.0), (LPTN(0.95), 0.5, 1.5)])
     def test_reports_error_and_evaluations(self, family, mu2, lam2):
@@ -261,6 +280,39 @@ class TestQuadrature:
         res = quadrature_moments(reduced_target(N, mu2, lam2, family), tol=tol)
         assert 0 < res.error <= tol
         assert res.panels_evaluated >= res.n_panels
+
+
+# (lo, hi, mean, a): whole-line and semi-infinite windows, narrow ones 0.01
+# wide off the bump's centre, and far ones whose z = sqrt(a) (x - mean)
+# lies wholly above +38 or below -38, where ndtr underflows.
+_PIECES = [(-np.inf, np.inf, 0.3, 2.0), (-np.inf, 0.5, 0.3, 2.0),
+           (0.5, np.inf, -1.0, 0.5), (-np.inf, -2.0, 1.0, 1.0),
+           (-2.0, 3.0, 0.5, 1.0), (1.0, 1.01, 0.2, 3.0),
+           (-2.0, -1.99, 0.0, 1.0), (22.0, 23.0, 2.0, 4.0),
+           (-23.0, -22.0, 2.0, 4.0), (45.0, np.inf, 0.0, 1.0),
+           (-np.inf, -45.0, 0.0, 1.0), (-np.inf, -40.0, 1.0, 1.0)]
+
+
+class TestGaussianPiece:
+    def test_matches_quad(self):
+        # Every window in one call; each integral of e^{-a (x - mean)^2 / 2}
+        # x^j over the returned scale against scipy.integrate.quad.
+        from scipy.integrate import quad
+        lo, hi, mean, a = (np.array(col) for col in zip(*_PIECES))
+        log_scale, ints = oracle._gaussian_piece(lo, hi, mean, a)
+        assert ints.shape == (len(_PIECES), 3)
+        assert np.all(np.isfinite(log_scale)) and np.all(np.isfinite(ints))
+        for i, (lo, hi, mean, a) in enumerate(_PIECES):
+            near = np.sqrt(-2.0 * log_scale[i])
+
+            def scaled(x, j):
+                z = abs(np.sqrt(a) * (x - mean))
+                return np.exp(-0.5 * (z - near) * (z + near)) * x ** j
+
+            for j in range(3):
+                ref = quad(scaled, lo, hi, args=(j,), epsabs=0.0,
+                           epsrel=5e-14, limit=200)[0]
+                assert ints[i, j] == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def _factor_targets():
@@ -299,15 +351,18 @@ class TestFactorization:
 class TestPriorKinks:
     # The LPTN and CTN densities kink at |z| = tau (kappa).  In the inner
     # integral over beta the prior argument is t = m + s x, so the kinks sit
-    # at fixed t, and the oracle cuts its inner intervals there.
+    # at fixed t.  Between them both are the normal density, and beyond
+    # them CTN is a constant: those inner integrals are closed forms.  Only
+    # LPTN's tails are integrated adaptively, on intervals cut at the kinks.
 
     @pytest.mark.parametrize("family, mu2, lam2, sigma_power", [
         (LPTN(0.95), 0.5, 1.5, 0), (CTN(0.98), 0.4, 1.0, 0),
         (CTN(0.98), 0.5, 0.3, 1), (CTN(0.98), 0.5, 101.0, 0)])
     def test_no_panel_straddles_a_kink(self, family, mu2, lam2,
                                        sigma_power, monkeypatch):
-        # Every inner panel (interval over beta) has its 15 Kronrod nodes on
-        # one side of each kink; at lam2 = 101 the prior's bump is about
+        # LPTN evaluates its density at 15 Kronrod nodes of each inner
+        # interval, all in the tails and on one side of each kink; CTN
+        # evaluates it at none.  At lam2 = 101 the prior's bump is about
         # 1/101 wide in x.
         t = reduced_target(N, mu2, lam2, family, sigma_power=sigma_power)
         blocks = []
@@ -320,12 +375,26 @@ class TestPriorKinks:
 
         monkeypatch.setattr(type(family), "log_density", recording)
         quadrature_moments(t)
+        if isinstance(family, CTN):
+            assert blocks == []
+            return
         nodes = np.concatenate(blocks)
         assert nodes.shape[1] == 15
-        thr = getattr(family, "tau", None) or family.kappa
-        side = np.sign(nodes) * (np.abs(nodes) > thr)
+        side = np.sign(nodes) * (np.abs(nodes) > family.tau)
+        assert np.all(side != 0)
         assert np.all(side == side[:, :1])
-        assert len(np.unique(side[:, 0])) == 3
+        assert len(np.unique(side[:, 0])) == 2
+
+    @pytest.mark.parametrize("lam2", [0.02, 0.1])
+    def test_lptn_tails_out_of_reach(self, lam2):
+        # A wide prior: over x in [-13, 13] most nu nodes never reach LPTN's
+        # tails, so they have no adaptive interval, and at lam2 = 0.02 no
+        # node of the first round has one.  The tails sit more than 14
+        # likelihood widths out, so the posterior is the conjugate one.
+        res = quadrature_moments(reduced_target(N, 0.5, lam2, LPTN(0.95)))
+        ref = conjugate_posterior(N, 0.5, lam2)
+        assert abs(res.mean - ref.beta_mean) < 1e-12
+        assert res.sd == pytest.approx(np.sqrt(ref.beta_variance), rel=1e-12)
 
     @pytest.mark.parametrize("family, mu2, lam2", [
         (CTN(0.98), 0.4, 1.0), (CTN(0.98), 0.5, 1.02), (LPTN(0.95), 0.5, 1.0)])
