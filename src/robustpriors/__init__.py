@@ -18,15 +18,13 @@ from .oracle import (ConjugateResult, NumericalError, QuadratureResult,
                      conjugate_posterior, inverse_gamma_mean,
                      inverse_gamma_sd, jeffreys_benchmark,
                      limiting_reduced_target, limiting_sigma_posterior,
-                     limiting_target_ctn, limiting_target_resolved,
                      quadrature_moments)
 from .sampler import (Chain, DivergenceError, HmcConfig, PosteriorSummary,
                       ess_imse, leapfrog, sample, save_chains, summarize)
 from .asymptotics import (ConflictPath, RatioSeries, ScalingTrace,
-                          SummaryComparison, limiting_summary_comparison,
                           lptn_scaling_trace, marginal_ratio_convergence,
-                          prior_limit_ctn, prior_ratio_lptn,
-                          prior_ratio_student, write_series_csv)
+                          posterior_limit_convergence, prior_limit_ctn,
+                          prior_ratio_lptn, prior_ratio_student)
 
 __all__ = [
     "__version__",
@@ -39,9 +37,9 @@ __all__ = [
     "ConjugateResult", "QuadratureResult", "NumericalError",
     "conjugate_posterior", "jeffreys_benchmark", "limiting_sigma_posterior",
     "inverse_gamma_mean", "inverse_gamma_sd", "limiting_reduced_target",
-    "limiting_target_resolved", "limiting_target_ctn", "quadrature_moments",
-    "ConflictPath", "RatioSeries", "ScalingTrace", "SummaryComparison",
+    "quadrature_moments",
+    "ConflictPath", "RatioSeries", "ScalingTrace",
     "prior_ratio_student", "prior_ratio_lptn", "lptn_scaling_trace",
     "prior_limit_ctn", "marginal_ratio_convergence",
-    "limiting_summary_comparison", "write_series_csv",
+    "posterior_limit_convergence",
 ]

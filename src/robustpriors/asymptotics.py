@@ -12,31 +12,32 @@ Each routine traces a limit statement along a finite grid and returns a
 * CTN conflicts: the scaled density over ``(lam/sigma) * phi(kappa)`` is
   exactly 1 once the argument passes the matching threshold, in either the
   location or the scaling regime.
-* Marginal-ratio convergence: along an omega-parameterized conflict path
-  the normalized marginal likelihood ratio tends to 1, with numerator and
-  denominator both computed by the quadrature oracle on the reduced
-  two-parameter posterior.
+* Conflict paths: along an omega-parameterized path one walk integrates
+  the reduced two-parameter posterior by quadrature at each omega and at
+  its limit, the flat-prior target times the trace the prior leaves (none
+  for LPTN location conflicts, sigma^gamma for Student ones, sigma^{-1}
+  for CTN scaling conflicts).  The normalized marginal-likelihood ratio
+  and the posterior-limit series, E[sigma^2] over the limit's, tend to 1.
 
 All ratios are formed in log space and exponentiated once at the end; the
 unscaled densities underflow at moderate offsets otherwise.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _open_csv, reduced_target, write_commented_csv
-from .oracle import limiting_reduced_target, quadrature_moments
+from .model import reduced_target
+from .oracle import quadrature_moments
 from .priors import CTN, LPTN, Student
 from .specfun import normal_pdf
 
 __all__ = ["ConflictPath", "RatioSeries", "ScalingTrace",
            "prior_ratio_student", "prior_ratio_lptn", "lptn_scaling_trace",
            "prior_limit_ctn", "marginal_ratio_convergence",
-           "limiting_summary_comparison", "SummaryComparison",
-           "write_series_csv", "DEFAULT_POINTWISE_GRID", "DEFAULT_QUAD_GRID"]
+           "posterior_limit_convergence", "DEFAULT_POINTWISE_GRID",
+           "DEFAULT_QUAD_GRID"]
 
 DEFAULT_POINTWISE_GRID = tuple(float(x) for x in np.logspace(1, 8, 8))
 DEFAULT_QUAD_GRID = tuple(float(x) for x in np.logspace(0, 4, 5))
@@ -230,7 +231,47 @@ def _check_limit_condition(n, p, n_location):
         warnings.warn(
             f"n={n}, p={p} with {n_location} location conflicts does not "
             "satisfy the sufficient sample-size condition; the limit is not "
-            "guaranteed", UserWarning, stacklevel=3)
+            "guaranteed", UserWarning, stacklevel=4)
+
+
+def _limit_target(path, family, n):
+    """The reduced target's limit along the path: flat prior times sigma^k.
+
+    k = 0 for an LPTN location conflict (the prior drops out), k = gamma
+    (an integer) for a Student location conflict (the sigma^gamma trace)
+    and k = -1 for a CTN scaling conflict.  Any other family or path raises
+    `ValueError`.
+    """
+    if path.conflicts_scaling:
+        if not isinstance(family, CTN):
+            raise ValueError("scaling-conflict limits hold for the "
+                             "constant-tailed family only")
+        power = -1
+    elif not path.conflicts_location:
+        raise ValueError("a path with no conflict has no limit to approach")
+    elif isinstance(family, (LPTN, Student)):
+        power = family.gamma if isinstance(family, Student) else 0
+    else:
+        raise ValueError("location-conflict limits hold for the "
+                         "log-Pareto-tailed and Student families only")
+    return reduced_target(n, family=None, sigma_power=power)
+
+
+def _walk(path, family, n, omega, quad_tol):
+    # The QuadratureResult of the reduced target at each omega, and its
+    # limit's.
+    bar = _limit_target(path, family, n)
+    _check_limit_condition(n, 1, int(path.conflicts_location))
+    results = [quadrature_moments(
+        reduced_target(n, mu2=float(path.mu(w)), lambda2=float(path.lam(w)),
+                       family=family), tol=quad_tol) for w in omega]
+    return results, quadrature_moments(bar, tol=quad_tol)
+
+
+def _label(path, family, what):
+    kind, drift = (("scaling", f"d={path.d}") if path.conflicts_scaling
+                   else ("location", f"b={path.b}"))
+    return f"{kind}-conflict {what} ({family.name}, {drift})"
 
 
 def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
@@ -246,91 +287,43 @@ def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
     construction (its normalizer is 1 and the limit is itself).
     """
     omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
-    if path.conflicts_scaling:
-        if not isinstance(family, CTN):
-            raise ValueError("scaling-conflict limits hold for the "
-                             "constant-tailed family only")
-        _check_limit_condition(n, 1, 0)
-        bar = limiting_reduced_target(n, n_ctn_conflicts=1)
-        log_norms = [np.log(float(path.lam(w)) * np.sqrt(n))
-                     + np.log(normal_pdf(family.kappa)) for w in omega]
-        label = f"scaling-conflict marginal ratio (ctn, d={path.d})"
-    elif path.conflicts_location:
-        if not isinstance(family, LPTN):
-            raise ValueError("whole-robustness location limits hold for the "
-                             "log-Pareto-tailed family only")
-        _check_limit_condition(n, 1, 1)
-        bar = limiting_reduced_target(n)
-        log_norms = [family.log_density(float(path.mu(w))) for w in omega]
-        label = f"location-conflict marginal ratio (lptn, b={path.b})"
-    else:
+    if path.conflicts_location and not isinstance(family, LPTN):
+        raise ValueError("whole-robustness location limits hold for the "
+                         "log-Pareto-tailed family only")
+    if not (path.conflicts_location or path.conflicts_scaling):
         target = reduced_target(n, mu2=path.a, lambda2=path.c, family=family)
         log_m = quadrature_moments(target, tol=quad_tol).log_norm
         # m_omega / m_omega: the normalizers are empty.
         return RatioSeries(omega, np.ones(len(omega)), target=1.0,
                            family=family.name,
                            label=f"no-conflict path (log m = {log_m:.6f})")
-    log_mbar = quadrature_moments(bar, tol=quad_tol).log_norm
-    ratios = []
-    for w, log_norm in zip(omega, log_norms):
-        target = reduced_target(n, mu2=float(path.mu(w)),
-                                lambda2=float(path.lam(w)), family=family)
-        log_mw = quadrature_moments(target, tol=quad_tol).log_norm
-        ratios.append(np.exp(log_mw - log_norm - log_mbar))
+    results, bar = _walk(path, family, n, omega, quad_tol)
+    if path.conflicts_scaling:
+        log_norms = [np.log(float(path.lam(w)) * np.sqrt(n))
+                     + np.log(normal_pdf(family.kappa)) for w in omega]
+    else:
+        log_norms = [family.log_density(float(path.mu(w))) for w in omega]
+    ratios = [np.exp(res.log_norm - log_norm - bar.log_norm)
+              for res, log_norm in zip(results, log_norms)]
     return RatioSeries(omega, np.asarray(ratios), target=1.0,
-                       family=family.name, label=label)
+                       family=family.name,
+                       label=_label(path, family, "marginal ratio"))
 
 
-@dataclass
-class SummaryComparison:
-    """Posterior moments along a conflict path next to their limit values."""
-
-    omega: np.ndarray
-    mean: np.ndarray
-    sd: np.ndarray
-    limiting_mean: float
-    limiting_sd: float
-    family: str
-
-
-def limiting_summary_comparison(path, family, n=100, omega_grid=None,
+def posterior_limit_convergence(path, family, n=100, omega_grid=None,
                                 quad_tol=1e-10):
-    """Posterior mean/sd of the coefficient along a path, with limit values.
+    """E[sigma^2] along a conflict path over its value at the limit.
 
-    Quantifies how fast each family's posterior approaches its limit: the
-    heavy log-Pareto tails resolve location conflicts faster than Student
-    tails, and constant tails resolve scaling conflicts essentially at a
-    finite threshold.
+    The posterior tends to the flat-prior one times the trace the
+    conflicting prior leaves (see `_limit_target`): none under log-Pareto
+    tails, sigma^gamma under Student tails, sigma^{-1} under constant tails
+    in a scaling conflict.  The trace moves sigma^2, which the limit's
+    coefficient mean (zero) cannot show, so the series is the ratio of
+    sigma^2 means, with target 1.
     """
     omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
-    means, sds = [], []
-    for w in omega:
-        target = reduced_target(n, mu2=float(path.mu(w)),
-                                lambda2=float(path.lam(w)), family=family)
-        res = quadrature_moments(target, tol=quad_tol)
-        means.append(res.mean)
-        sds.append(res.sd)
-    bar = limiting_reduced_target(
-        n, n_ctn_conflicts=int(path.conflicts_scaling and isinstance(family, CTN)))
-    bar_res = quadrature_moments(bar, tol=quad_tol)
-    return SummaryComparison(omega=omega, mean=np.asarray(means),
-                             sd=np.asarray(sds),
-                             limiting_mean=bar_res.mean,
-                             limiting_sd=bar_res.sd, family=family.name)
-
-
-def write_series_csv(series_list, path, comments=()):
-    """Write ratio series as ``omega,ratio,target,abs_err`` rows.
-
-    Each series is introduced by a ``# series = <label>`` comment line, so
-    several series share one file without extra data columns.
-    """
-    write_commented_csv(path, ["omega", "ratio", "target", "abs_err"], (),
-                        comments)
-    with _open_csv(path, "a") as fh:
-        writer = csv.writer(fh)
-        for series in series_list:
-            fh.write(f"# series = {series.label or series.family}\n")
-            for w, r, e in zip(series.omega, series.ratio, series.abs_err):
-                writer.writerow([repr(float(w)), repr(float(r)),
-                                 repr(float(series.target)), repr(float(e))])
+    results, bar = _walk(path, family, n, omega, quad_tol)
+    return RatioSeries(
+        omega, [res.sigma_sq_mean / bar.sigma_sq_mean for res in results],
+        target=1.0, family=family.name,
+        label=_label(path, family, "posterior sigma^2 mean over its limit"))

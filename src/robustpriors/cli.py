@@ -28,6 +28,7 @@ and seeds produce byte-identical files.
 """
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -36,11 +37,11 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (ConflictPath, lptn_scaling_trace,
-                          marginal_ratio_convergence, prior_limit_ctn,
-                          prior_ratio_lptn, prior_ratio_student,
-                          write_series_csv)
+                          marginal_ratio_convergence,
+                          posterior_limit_convergence, prior_limit_ctn,
+                          prior_ratio_lptn, prior_ratio_student)
 from .model import (DataError, JeffreysSigma, InverseGammaSigmaSq,
-                    PowerAdjustedSigma, PosteriorTarget, load_csv,
+                    PowerAdjustedSigma, PosteriorTarget, _open_csv, load_csv,
                     reduced_target, standardize, write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
@@ -399,20 +400,34 @@ def _check_claims(args):
     exact = bool(np.all(c_loc.ratio == 1.0) and np.all(c_scl.ratio == 1.0))
     yield ("ctn_exact_attainment", 0.0 if exact else 1.0, 0.0, exact, c_loc)
 
-    if not args.fast:
-        mr = marginal_ratio_convergence(
-            ConflictPath(a=0.5, c=1.0, d=1.0), CTN(0.98),
-            omega_grid=[1.0, 10.0, 100.0, 1000.0, 10000.0],
-            quad_tol=args.quad_tol)
-        err = float(abs(mr.ratio[-1] - 1.0))
-        yield ("ctn_marginal_ratio_limit", err, 0.02, err <= 0.02, mr)
+    if args.fast:
+        return
+    scaling, location = ConflictPath(a=0.5, c=1.0, d=1.0), ConflictPath(b=1.0)
+    grid = [1.0, 10.0, 100.0, 1000.0, 10000.0]
+    mr = marginal_ratio_convergence(scaling, CTN(0.98), omega_grid=grid,
+                                    quad_tol=args.quad_tol)
+    err = float(abs(mr.ratio[-1] - 1.0))
+    yield ("ctn_marginal_ratio_limit", err, 0.02, err <= 0.02, mr)
 
-        mr2 = marginal_ratio_convergence(
-            ConflictPath(a=0.0, b=1.0, c=1.0), LPTN(0.95),
-            omega_grid=[10.0, 100.0, 1000.0, 10000.0], quad_tol=args.quad_tol)
-        mono = bool(np.all(np.diff(np.abs(mr2.ratio - 1.0)) < 0))
-        yield ("lptn_marginal_ratio_monotone", float(abs(mr2.ratio[-1] - 1.0)),
-               1.0, mono, mr2)
+    mr2 = marginal_ratio_convergence(location, LPTN(0.95), omega_grid=grid[1:],
+                                     quad_tol=args.quad_tol)
+    mono = bool(np.all(np.diff(np.abs(mr2.ratio - 1.0)) < 0))
+    yield ("lptn_marginal_ratio_monotone", float(abs(mr2.ratio[-1] - 1.0)),
+           1.0, mono, mr2)
+
+    # The posterior's sigma^2 mean against its limit's: the prior drops
+    # out, leaves sigma^gamma, or leaves sigma^{-1}.
+    for claim, family, path, omega, threshold in (
+            ("lptn_location_posterior_limit", LPTN(0.95), location, grid[1:],
+             0.01),
+            ("student_location_posterior_limit", Student(4.0), location,
+             grid[1:], 1e-4),
+            ("ctn_scaling_posterior_limit", CTN(0.98), scaling, grid, 1e-4)):
+        s = posterior_limit_convergence(path, family, omega_grid=omega,
+                                        quad_tol=args.quad_tol)
+        err = float(s.abs_err[-1])
+        yield (claim, err, threshold,
+               err <= threshold and s.tail_nonincreasing(len(omega)), s)
 
 
 def cmd_check(args):
@@ -431,9 +446,24 @@ def cmd_check(args):
     write_commented_csv(args.out, ["claim", "terminal_error", "threshold",
                                    "verdict"], rows, comments)
     series_path = _derive_path(args.out, "_series")
-    write_series_csv(series, series_path, comments=comments)
+    _write_series_csv(series, series_path, comments=comments)
     print(f"wrote {args.out} and {series_path}")
     return EXIT_NUMERICAL if any_fail else EXIT_OK
+
+
+def _write_series_csv(series_list, path, comments=()):
+    # Ratio series as omega,ratio,target,abs_err rows, each introduced by a
+    # "# series = <label>" line, so several share one file.
+    with _open_csv(path) as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        writer.writerow(["omega", "ratio", "target", "abs_err"])
+        for series in series_list:
+            fh.write(f"# series = {series.label or series.family}\n")
+            writer.writerows([repr(float(w)), repr(float(r)),
+                              repr(float(series.target)), repr(float(e))]
+                             for w, r, e in zip(series.omega, series.ratio,
+                                                series.abs_err))
 
 
 # Options every run of a command needs.  `_parse_args` checks them after the
@@ -451,10 +481,8 @@ def build_parser():
     return _build_parsers()[0]
 
 
-def _build_parsers(exit_on_error=True):
-    # The top-level parser and each command's subparser by name.  With
-    # exit_on_error=False a subparser raises argparse.ArgumentError on a bad
-    # value instead of printing usage and exiting.
+def _build_parsers():
+    # The top-level parser and each command's subparser by name.
     parser = argparse.ArgumentParser(
         prog="robustpriors",
         description="Heavy-tailed coefficient priors for Bayesian linear "
@@ -470,8 +498,7 @@ def _build_parsers(exit_on_error=True):
             p.add_argument("--quad-tol", type=float, default=1e-10,
                            help="absolute quadrature tolerance")
 
-    p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC",
-                            exit_on_error=exit_on_error)
+    p_fit = sub.add_parser("fit", help="fit a posterior to CSV data with HMC")
     add_options(p_fit)
     p_fit.add_argument("--seed", type=int, default=0, help="rng seed")
     p_fit.add_argument("--hmc-step-size", type=float, default=0.05)
@@ -492,8 +519,7 @@ def _build_parsers(exit_on_error=True):
     p_fit.add_argument("--chains-out", help="chain dump CSV path")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps",
-                            exit_on_error=exit_on_error)
+    p_sweep = sub.add_parser("sweep", help="reproduce the conflict sweeps")
     add_options(p_sweep, quadrature=True)
     p_sweep.add_argument("--axis", choices=("mu2", "lambda2"),
                          help="swept parameter (required)")
@@ -514,8 +540,7 @@ def _build_parsers(exit_on_error=True):
                          help="CTN mass fraction (repeatable)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics",
-                            exit_on_error=exit_on_error)
+    p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics")
     add_options(p_check, quadrature=True)
     p_check.add_argument("--fast", action="store_true",
                          help="pointwise ratio checks only (skip quadrature "
@@ -533,7 +558,7 @@ def _parse_args(argv):
     first, _ = parser.parse_known_args(argv)
     sub = commands[first.command]
     if first.config is not None:
-        sub.set_defaults(**_config_defaults(first, first.config))
+        sub.set_defaults(**_config_defaults(sub, first, first.config))
     args = parser.parse_args(argv)
     missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
     if missing:
@@ -542,12 +567,11 @@ def _parse_args(argv):
     return args
 
 
-def _config_defaults(first, path):
-    # Each of the file's values is parsed by the command's own option, so
-    # types and choices are checked as on the command line, and an error
-    # names the file, the line and the key.
+def _config_defaults(sub, first, path):
+    # Each of the file's values is parsed by the command's own subparser
+    # `sub`, so types and choices are checked as on the command line, and an
+    # error names the file, the line and the key.
     values = read_config_file(path)
-    sub = _build_parsers(exit_on_error=False)[1][first.command]
     known = set(vars(first)) - {"command", "func"}
     defaults = {}
     for key, (lineno, raw) in values.items():
@@ -561,10 +585,13 @@ def _config_defaults(first, path):
             value = _BOOLEANS[raw.lower()]
         else:
             flag = "--" + key.replace("_", "-")
+            sub.exit_on_error = False   # raise, not print usage and exit
             try:
                 value = getattr(sub.parse_args([f"{flag}={raw}"]), key)
             except argparse.ArgumentError as exc:
                 raise ConfigError(f"{where}: {exc.message}") from None
+            finally:
+                sub.exit_on_error = True
         # A repeatable flag given on the command line replaces the file's list.
         if not isinstance(getattr(first, key), list):
             defaults[key] = value

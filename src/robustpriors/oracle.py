@@ -5,8 +5,9 @@ Three oracle routes live here:
 * closed forms: the conjugate normal-prior posterior, the flat-prior
   benchmark, and the limiting inverse-gamma laws of sigma^2 quoted for the
   far-conflict regime;
-* limiting-target constructors realizing the dropped-prior posteriors that
-  the convergence theorems identify;
+* `limiting_reduced_target`, the reduced target's limit law once a
+  conflicting prior drops out: a flat coefficient prior, with sigma^{-1}
+  left behind per constant-tailed scaling conflict;
 * `quadrature_moments`, a deterministic nested adaptive Gauss-Kronrod
   integrator over (beta, nu) used to cross-check everything else, an order
   of magnitude tighter than Monte-Carlo error.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .model import PosteriorTarget, PowerAdjustedSigma, reduced_target
+from .model import reduced_target
 from .priors import CTN, LPTN, Normal, Student
 from .specfun import LOG_INV_SQRT_2PI
 
@@ -37,8 +38,7 @@ __all__ = [
     "NumericalError", "ConjugateResult", "conjugate_posterior",
     "jeffreys_benchmark", "limiting_sigma_posterior",
     "inverse_gamma_mean", "inverse_gamma_sd",
-    "limiting_reduced_target", "limiting_target_resolved",
-    "limiting_target_ctn", "QuadratureResult", "quadrature_moments",
+    "limiting_reduced_target", "QuadratureResult", "quadrature_moments",
 ]
 
 
@@ -152,27 +152,6 @@ def limiting_reduced_target(n, n_ctn_conflicts=0):
     conflicting coefficient leaves a sigma^{-1} factor behind.
     """
     return reduced_target(n, family=None, sigma_power=-n_ctn_conflicts)
-
-
-def limiting_target_resolved(target, conflict_indices, sigma_prior=None):
-    """Limit of `target` when the priors at ``conflict_indices`` resolve away.
-
-    The conflicting coefficient priors are replaced by flat ones and the
-    sigma prior is kept (pass ``sigma_prior`` to strip a correction factor
-    that was only there to cancel an anticipated trace).
-    """
-    priors = list(target.priors)
-    for j in conflict_indices:
-        priors[j] = None
-    sp = sigma_prior if sigma_prior is not None else target.sigma_prior
-    return PosteriorTarget(target.data, priors, sigma_prior=sp)
-
-
-def limiting_target_ctn(target, conflict_indices):
-    """Limit of `target` for constant-tailed conflicts: sigma^{-|C|} trace."""
-    return limiting_target_resolved(
-        target, conflict_indices,
-        PowerAdjustedSigma(target.sigma_prior, -len(conflict_indices)))
 
 
 # ---------------------------------------------------------------------------

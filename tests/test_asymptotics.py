@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from robustpriors.asymptotics import (ConflictPath, RatioSeries,
-                                      limiting_summary_comparison,
-                                      lptn_scaling_trace,
+                                      _limit_target, lptn_scaling_trace,
                                       marginal_ratio_convergence,
+                                      posterior_limit_convergence,
                                       prior_limit_ctn, prior_ratio_lptn,
-                                      prior_ratio_student, write_series_csv)
-from robustpriors.priors import CTN, LPTN, Student
+                                      prior_ratio_student)
+from robustpriors.cli import _write_series_csv
+from robustpriors.model import PowerAdjustedSigma, reduced_target
+from robustpriors.oracle import quadrature_moments
+from robustpriors.priors import CTN, LPTN, Normal, Student
 from robustpriors.specfun import normal_pdf
+
+N = 100
 
 
 class TestConflictPath:
@@ -197,39 +202,74 @@ class TestMarginalRatio:
             _check_limit_condition(3, 1, 1)
 
 
+class TestPosteriorLimit:
+    def test_limit_targets(self):
+        # Each regime's limit is the flat-prior target times its sigma trace.
+        location = ConflictPath(b=1.0, c=1.0)
+        assert _limit_target(location, LPTN(0.95), N).priors == [None]
+        ctn_limit = _limit_target(ConflictPath(a=0.5, c=1.0, d=1.0),
+                                  CTN(0.98), N)
+        assert ctn_limit.priors == [None]
+        assert isinstance(ctn_limit.sigma_prior, PowerAdjustedSigma)
+        assert ctn_limit.sigma_prior.power == -1
+        assert _limit_target(location, Student(4.0), N).sigma_prior.power == 4
+
+    def test_family_path_mismatch(self):
+        for path, family in ((ConflictPath(a=0.5, c=1.0, d=1.0), LPTN(0.95)),
+                             (ConflictPath(b=1.0, c=1.0), CTN(0.98)),
+                             (ConflictPath(b=1.0, c=1.0), Normal()),
+                             (ConflictPath(a=0.5, c=1.0), LPTN(0.95))):
+            with pytest.raises(ValueError):
+                posterior_limit_convergence(path, family, omega_grid=[1.0])
+
+    def test_series_tend_to_one(self):
+        path = ConflictPath(b=1.0, c=1.0)
+        grid = [10.0, 100.0, 1000.0]
+        lptn = posterior_limit_convergence(path, LPTN(0.95), omega_grid=grid)
+        student = posterior_limit_convergence(path, Student(4.0),
+                                              omega_grid=grid)
+        for s in (lptn, student):
+            assert s.target == 1.0 and s.tail_nonincreasing()
+        # Student tails shed their conflict polynomially, log-Pareto tails
+        # log-slowly; each against its own limit.
+        assert student.abs_err[-1] < 1e-8 < lptn.abs_err[-1] < 0.01
+
+
 class TestSummaryComparison:
+    # Posterior means along conflict paths, next to their limits.
     def test_location_resolution_speed(self):
         # At omega = 10 the log-Pareto prior has mostly let go of the
         # conflicting location while the Student prior still pulls.
-        path = ConflictPath(b=1.0, c=1.0)
-        lptn = limiting_summary_comparison(path, LPTN(0.95),
-                                           omega_grid=[10.0], quad_tol=1e-9)
-        student = limiting_summary_comparison(path, Student(4.0),
-                                              omega_grid=[10.0], quad_tol=1e-9)
-        assert abs(lptn.mean[0]) < abs(student.mean[0])
-        assert lptn.limiting_mean == pytest.approx(0.0, abs=1e-6)
+        lptn, student = (quadrature_moments(
+            reduced_target(N, mu2=10.0, lambda2=1.0, family=family),
+            tol=1e-9) for family in (LPTN(0.95), Student(4.0)))
+        assert abs(lptn.mean) < abs(student.mean)
+        limit = quadrature_moments(reduced_target(N, family=None), tol=1e-9)
+        assert limit.mean == pytest.approx(0.0, abs=1e-6)
 
     def test_ctn_scaling_resolution(self):
-        path = ConflictPath(a=0.5, c=1.0, d=1.0)
-        comp = limiting_summary_comparison(path, CTN(0.98),
-                                           omega_grid=[10.0], quad_tol=1e-9)
-        assert abs(comp.mean[0] - comp.limiting_mean) < 0.05
+        # ConflictPath(a=0.5, c=1.0, d=1.0) at omega = 10.
+        res = quadrature_moments(
+            reduced_target(N, mu2=0.5, lambda2=11.0, family=CTN(0.98)),
+            tol=1e-9)
+        limit = quadrature_moments(
+            reduced_target(N, family=None, sigma_power=-1), tol=1e-9)
+        assert abs(res.mean - limit.mean) < 0.05
 
     def test_normal_prior_never_resolves(self):
         # Conjugate posterior mean mu2 * lam^2/(1+lam^2) = omega/2: the
         # compromise drifts linearly with the conflict, no rejection.
-        from robustpriors.priors import Normal
-        comp = limiting_summary_comparison(ConflictPath(b=1.0, c=1.0),
-                                           Normal(), omega_grid=[2.0, 4.0],
-                                           quad_tol=1e-9)
-        np.testing.assert_allclose(comp.mean, [1.0, 2.0], atol=1e-6)
+        means = [quadrature_moments(
+            reduced_target(N, mu2=omega, lambda2=1.0, family=Normal()),
+            tol=1e-9).mean for omega in (2.0, 4.0)]
+        np.testing.assert_allclose(means, [1.0, 2.0], atol=1e-6)
 
 
 class TestSeriesCsv:
     def test_format(self, tmp_path):
         s = prior_ratio_student(2.0, 1.0, 0.0, 4.0, mu_grid=[10.0, 100.0])
         path = tmp_path / "series.csv"
-        write_series_csv([s], path, comments=["cfg"])
+        _write_series_csv([s], path, comments=["cfg"])
         lines = path.read_text().splitlines()
         assert lines[0] == "# cfg"
         assert lines[1] == "omega,ratio,target,abs_err"

@@ -693,6 +693,37 @@ class TestCheck:
         assert err.startswith("error: cannot write output:")
         assert err.count("\n") == 1 and "nodir" in err
 
+    def test_full_report(self, tmp_path):
+        out = tmp_path / "check.csv"
+        assert main(["check", "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [
+            "student_location_limit", "lptn_location_invariance",
+            "lptn_scaling_trace_slow", "ctn_exact_attainment",
+            "ctn_marginal_ratio_limit", "lptn_marginal_ratio_monotone",
+            "lptn_location_posterior_limit",
+            "student_location_posterior_limit", "ctn_scaling_posterior_limit"]
+        assert {r[3] for r in rows} == {"PASS"}
+        # Terminal errors and thresholds of the first six claims, as recorded
+        # before the posterior-limit claims were added.
+        recorded = [(1.1000002753114302e-07, 0.01),
+                    (1.221672363271864e-08, 0.05),
+                    (0.10931316326032792, 0.12), (0.0, 0.0),
+                    (1.8285419622898758e-08, 0.02),
+                    (0.5963438358618669, 1.0)]
+        for row, (err, threshold) in zip(rows, recorded):
+            assert float(row[1]) == pytest.approx(err, rel=1e-9)
+            assert float(row[2]) == threshold
+        blocks = []
+        for line in (tmp_path / "check_series.csv").read_text().splitlines():
+            if line.startswith("# series = "):
+                blocks.append([])
+            elif blocks:
+                blocks[-1].append(line.split(","))
+        assert len(blocks) == 9
+        for block in blocks[6:]:
+            assert block and {r[2] for r in block} == {"1.0"}
+
     @pytest.mark.parametrize("tol", ["-1e-10", "nan"])
     def test_bad_quad_tol(self, tmp_path, capsys, tol):
         # --fast reads no tolerance; the value is still checked.
@@ -806,6 +837,30 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(
             f"error: {cfg}: not UTF-8 text")
         assert not out.exists()
+
+    def test_parsers_are_built_once(self, tmp_path, monkeypatch):
+        import robustpriors.cli as cli
+        build, calls = cli._build_parsers, []
+        monkeypatch.setattr(cli, "_build_parsers",
+                            lambda: calls.append(1) or build())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("families = normal\ngrid = 0.0,1.0\naxis = mu2\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_bad_value_leaves_the_subparser_exiting(self, tmp_path):
+        # The file's values are parsed without exiting; afterwards the
+        # command's own parser exits on a bad value again.
+        from robustpriors.cli import (ConfigError, _build_parsers,
+                                      _config_defaults)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("axis = foo\n")
+        parser, commands = _build_parsers()
+        first, _ = parser.parse_known_args(["sweep", "--config", str(cfg)])
+        with pytest.raises(ConfigError, match="invalid choice"):
+            _config_defaults(commands["sweep"], first, str(cfg))
+        assert commands["sweep"].exit_on_error
 
     def test_key_of_another_command(self, tmp_path):
         # "fast" belongs to check; sweep must not drop it silently.

@@ -7,13 +7,11 @@ import pytest
 
 from robustpriors import oracle
 from robustpriors.model import (InverseGammaSigmaSq, PosteriorTarget,
-                                PowerAdjustedSigma, reduced_target)
+                                reduced_target)
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
                                  inverse_gamma_mean, inverse_gamma_sd,
                                  jeffreys_benchmark, limiting_reduced_target,
-                                 limiting_sigma_posterior,
-                                 limiting_target_ctn, limiting_target_resolved,
-                                 quadrature_moments)
+                                 limiting_sigma_posterior, quadrature_moments)
 from robustpriors.priors import CTN, LPTN, Normal, Student
 
 N = 100
@@ -445,12 +443,3 @@ class TestLimitingTargets:
         diff = bar.logpdf(q) - flat.logpdf(q)
         # extra -nu per conflict
         np.testing.assert_allclose(diff, -q[:, 1], atol=1e-12)
-
-    def test_general_constructors(self):
-        from robustpriors.priors import CoefficientPrior
-        t = reduced_target(N, 2.0, 1.0, CTN(0.98))
-        resolved = limiting_target_resolved(t, [0])
-        assert resolved.priors == [None]
-        ctn_limit = limiting_target_ctn(t, [0])
-        assert isinstance(ctn_limit.sigma_prior, PowerAdjustedSigma)
-        assert ctn_limit.sigma_prior.power == -1
