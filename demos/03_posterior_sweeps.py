@@ -22,8 +22,8 @@ Run:  python demos/03_posterior_sweeps.py
 """
 
 from robustpriors import (CTN, LPTN, Student, conjugate_posterior,
-                          jeffreys_benchmark, limiting_reduced_target,
-                          quadrature_moments, reduced_target)
+                          jeffreys_benchmark, quadrature_moments,
+                          reduced_target)
 
 N = 100
 FAMILIES = (("student", Student(4.0)), ("lptn", LPTN(0.95)),
@@ -51,7 +51,9 @@ for lam2 in (0.1, 0.5, 1.0, 1.5, 2.0):
     row = [f"{posterior_mean(0.5, lam2, fam):9.4f}" for _, fam in FAMILIES]
     print(f"{lam2:5.2f} {normal:9.4f} " + " ".join(row))
 
-limit = quadrature_moments(limiting_reduced_target(N, n_ctn_conflicts=1),
+# The limit of a constant-tailed scaling conflict: the flat prior, with
+# the sigma^{-1} trace the rejected prior leaves.
+limit = quadrature_moments(reduced_target(N, family=None, sigma_power=-1),
                            tol=1e-8)
 print(f"\nThe ctn column heads for its scaling-conflict limit "
       f"(mean {limit.mean:.4f}, sd {limit.sd:.4f}),")

@@ -15,9 +15,7 @@ from .model import (DataError, InverseGammaSigmaSq, JeffreysSigma,
                     PosteriorTarget, PowerAdjustedSigma, RegressionData,
                     load_csv, ols_fit, reduced_target, standardize)
 from .oracle import (ConjugateResult, NumericalError, QuadratureResult,
-                     conjugate_posterior, inverse_gamma_mean,
-                     inverse_gamma_sd, jeffreys_benchmark,
-                     limiting_reduced_target, limiting_sigma_posterior,
+                     conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .sampler import (Chain, DivergenceError, HmcConfig, PosteriorSummary,
                       ess_imse, leapfrog, sample, save_chains, summarize)
@@ -35,9 +33,7 @@ __all__ = [
     "HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
     "leapfrog", "sample", "summarize", "ess_imse", "save_chains",
     "ConjugateResult", "QuadratureResult", "NumericalError",
-    "conjugate_posterior", "jeffreys_benchmark", "limiting_sigma_posterior",
-    "inverse_gamma_mean", "inverse_gamma_sd", "limiting_reduced_target",
-    "quadrature_moments",
+    "conjugate_posterior", "jeffreys_benchmark", "quadrature_moments",
     "ConflictPath", "RatioSeries", "ScalingTrace",
     "prior_ratio_student", "prior_ratio_lptn", "lptn_scaling_trace",
     "prior_limit_ctn", "marginal_ratio_convergence",

@@ -16,8 +16,9 @@ Each routine traces a limit statement along a finite grid and returns a
   the reduced two-parameter posterior by quadrature at each omega and at
   its limit, the flat-prior target times the trace the prior leaves (none
   for LPTN location conflicts, sigma^gamma for Student ones, sigma^{-1}
-  for CTN scaling conflicts).  The normalized marginal-likelihood ratio
-  and the posterior-limit series, E[sigma^2] over the limit's, tend to 1.
+  for CTN scaling conflicts: one rule, `_conflict_limit`).  The normalized
+  marginal-likelihood ratio and the posterior-limit series, E[sigma^2]
+  over the limit's, tend to 1.
 
 All ratios are formed in log space and exponentiated once at the end; the
 unscaled densities underflow at moderate offsets otherwise.
@@ -117,9 +118,9 @@ def _grid(grid, default):
     return g
 
 
-def _prior_ratio(family, lam, sigma, beta, mu_grid, trace_power, label):
+def _prior_ratio(family, lam, sigma, beta, mu_grid, label):
     # Scaled over unscaled prior density of one family along a location
-    # drift; the ratio tends to (sigma/lam)^trace_power.
+    # drift; the ratio tends to (sigma/lam)^k (see `_conflict_limit`).
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive")
     mu = _grid(mu_grid, DEFAULT_POINTWISE_GRID)
@@ -127,7 +128,8 @@ def _prior_ratio(family, lam, sigma, beta, mu_grid, trace_power, label):
     log_ratio = (np.log(scale) + family.log_density(scale * (beta - mu))
                  - family.log_density(mu))
     return RatioSeries(mu, np.exp(log_ratio),
-                       target=(sigma / lam) ** trace_power,
+                       target=(sigma / lam) ** _conflict_limit(
+                           ConflictPath(b=1.0), family)[0],
                        family=family.name, label=label)
 
 
@@ -137,7 +139,7 @@ def prior_ratio_student(lam, sigma, beta, gamma, mu_grid=None):
     The ratio ``(lam/sigma) g((lam/sigma)(beta - mu)) / g(mu)`` tends to
     ``(sigma/lam)^gamma`` as the location goes to infinity.
     """
-    return _prior_ratio(Student(gamma), lam, sigma, beta, mu_grid, gamma,
+    return _prior_ratio(Student(gamma), lam, sigma, beta, mu_grid,
                         f"student gamma={gamma} lam={lam} sigma={sigma}")
 
 
@@ -147,7 +149,7 @@ def prior_ratio_lptn(lam, sigma, beta, rho, mu_grid=None):
     Asymptotic location-scale invariance: the limit is 1 no matter the
     scale, at a log-polynomial rate.
     """
-    return _prior_ratio(LPTN(rho), lam, sigma, beta, mu_grid, 0,
+    return _prior_ratio(LPTN(rho), lam, sigma, beta, mu_grid,
                         f"lptn rho={rho} lam={lam} sigma={sigma}")
 
 
@@ -234,44 +236,84 @@ def _check_limit_condition(n, p, n_location):
             "guaranteed", UserWarning, stacklevel=4)
 
 
-def _limit_target(path, family, n):
-    """The reduced target's limit along the path: flat prior times sigma^k.
+def _conflict_limit(path, family):
+    """The trace a rejected conflicting prior leaves along the path.
 
-    k = 0 for an LPTN location conflict (the prior drops out), k = gamma
-    (an integer) for a Student location conflict (the sigma^gamma trace)
-    and k = -1 for a CTN scaling conflict.  Any other family or path raises
-    `ValueError`.
+    Returns k, the power of the sigma^k the limit posterior carries over
+    the flat-prior one, and the marginal's log normalizer at ``(omega, n)``:
+
+    * LPTN location conflict: k = 0, normalizer log g(mu(omega));
+    * Student location conflict: k = gamma, no marginal normalizer (None);
+    * CTN scaling conflict: k = -1, normalizer
+      log(lam(omega) sqrt(n)) + log phi(kappa).
+
+    Any other family or path raises `ValueError`.
     """
     if path.conflicts_scaling:
         if not isinstance(family, CTN):
             raise ValueError("scaling-conflict limits hold for the "
                              "constant-tailed family only")
-        power = -1
-    elif not path.conflicts_location:
+        return -1, lambda w, n: (np.log(float(path.lam(w)) * np.sqrt(n))
+                                 + np.log(normal_pdf(family.kappa)))
+    if not path.conflicts_location:
         raise ValueError("a path with no conflict has no limit to approach")
-    elif isinstance(family, (LPTN, Student)):
-        power = family.gamma if isinstance(family, Student) else 0
-    else:
-        raise ValueError("location-conflict limits hold for the "
-                         "log-Pareto-tailed and Student families only")
-    return reduced_target(n, family=None, sigma_power=power)
+    if isinstance(family, LPTN):
+        return 0, lambda w, n: family.log_density(float(path.mu(w)))
+    if isinstance(family, Student):
+        return family.gamma, None
+    raise ValueError("location-conflict limits hold for the "
+                     "log-Pareto-tailed and Student families only")
 
 
-def _walk(path, family, n, omega, quad_tol):
-    # The QuadratureResult of the reduced target at each omega, and its
-    # limit's.
-    bar = _limit_target(path, family, n)
+def _limit_target(path, family, n):
+    """The reduced target's limit along the path: flat prior times sigma^k."""
+    return reduced_target(n, family=None,
+                          sigma_power=_conflict_limit(path, family)[0])
+
+
+def _limiting_sigma_posterior(path, family, n):
+    """Inverse-gamma (shape, scale) of sigma^2 in the far-conflict limit.
+
+    The limit's sigma^k trace (see `_conflict_limit`) gives the quoted shape
+    (n - k - 2)/2 and the scale n/2.
+
+    These shapes follow the convention in which the sigma-marginal kernel
+    sigma^{-m} exp(-(n/2)/sigma^2) is read off directly in sigma^2 (shape
+    (m - 2)/2); the corresponding exact change-of-variables law has shape
+    larger by 1/2.  First moments agree with the quadrature oracle to about
+    1% at the sweep scales used here; see `_inverse_gamma_mean`.
+    """
+    shape = (n - _conflict_limit(path, family)[0] - 2.0) / 2.0
+    if shape <= 0:
+        raise ValueError(f"nonpositive limiting shape {shape}; n too small")
+    return shape, n / 2.0
+
+
+def _inverse_gamma_mean(shape, scale):
+    if shape <= 1:
+        raise ValueError("mean undefined for shape <= 1")
+    return scale / (shape - 1.0)
+
+
+def _inverse_gamma_sd(shape, scale):
+    if shape <= 2:
+        raise ValueError("sd undefined for shape <= 2")
+    return scale / ((shape - 1.0) * np.sqrt(shape - 2.0))
+
+
+def _walk(path, family, n, omega_grid, quad_tol, what, ratio):
+    # The series ratio(omega, result, limit's result) of the reduced
+    # target's QuadratureResults along the path, with target 1.
+    omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
+    limit = quadrature_moments(_limit_target(path, family, n), tol=quad_tol)
     _check_limit_condition(n, 1, int(path.conflicts_location))
-    results = [quadrature_moments(
-        reduced_target(n, mu2=float(path.mu(w)), lambda2=float(path.lam(w)),
-                       family=family), tol=quad_tol) for w in omega]
-    return results, quadrature_moments(bar, tol=quad_tol)
-
-
-def _label(path, family, what):
+    ratios = [ratio(w, quadrature_moments(reduced_target(
+        n, mu2=float(path.mu(w)), lambda2=float(path.lam(w)), family=family),
+        tol=quad_tol), limit) for w in omega]
     kind, drift = (("scaling", f"d={path.d}") if path.conflicts_scaling
                    else ("location", f"b={path.b}"))
-    return f"{kind}-conflict {what} ({family.name}, {drift})"
+    return RatioSeries(omega, ratios, target=1.0, family=family.name,
+                       label=f"{kind}-conflict {what} ({family.name}, {drift})")
 
 
 def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
@@ -283,31 +325,16 @@ def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
     constant-tail scaling conflict by ``lam_eff * phi(kappa)``.  Both the
     drifting marginal and the limiting one come from the quadrature oracle
     on reduced targets, so the series tends to 1 when the corresponding
-    limit theorem applies.  A path with no conflict is constant by
-    construction (its normalizer is 1 and the limit is itself).
+    limit theorem applies.  Any other family or path, one with no conflict
+    included, raises `ValueError` (see `_conflict_limit`).
     """
-    omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
-    if path.conflicts_location and not isinstance(family, LPTN):
+    log_normalizer = _conflict_limit(path, family)[1]
+    if log_normalizer is None:
         raise ValueError("whole-robustness location limits hold for the "
                          "log-Pareto-tailed family only")
-    if not (path.conflicts_location or path.conflicts_scaling):
-        target = reduced_target(n, mu2=path.a, lambda2=path.c, family=family)
-        log_m = quadrature_moments(target, tol=quad_tol).log_norm
-        # m_omega / m_omega: the normalizers are empty.
-        return RatioSeries(omega, np.ones(len(omega)), target=1.0,
-                           family=family.name,
-                           label=f"no-conflict path (log m = {log_m:.6f})")
-    results, bar = _walk(path, family, n, omega, quad_tol)
-    if path.conflicts_scaling:
-        log_norms = [np.log(float(path.lam(w)) * np.sqrt(n))
-                     + np.log(normal_pdf(family.kappa)) for w in omega]
-    else:
-        log_norms = [family.log_density(float(path.mu(w))) for w in omega]
-    ratios = [np.exp(res.log_norm - log_norm - bar.log_norm)
-              for res, log_norm in zip(results, log_norms)]
-    return RatioSeries(omega, np.asarray(ratios), target=1.0,
-                       family=family.name,
-                       label=_label(path, family, "marginal ratio"))
+    return _walk(path, family, n, omega_grid, quad_tol, "marginal ratio",
+                 lambda w, res, limit: np.exp(
+                     res.log_norm - log_normalizer(w, n) - limit.log_norm))
 
 
 def posterior_limit_convergence(path, family, n=100, omega_grid=None,
@@ -315,15 +342,12 @@ def posterior_limit_convergence(path, family, n=100, omega_grid=None,
     """E[sigma^2] along a conflict path over its value at the limit.
 
     The posterior tends to the flat-prior one times the trace the
-    conflicting prior leaves (see `_limit_target`): none under log-Pareto
+    conflicting prior leaves (see `_conflict_limit`): none under log-Pareto
     tails, sigma^gamma under Student tails, sigma^{-1} under constant tails
     in a scaling conflict.  The trace moves sigma^2, which the limit's
     coefficient mean (zero) cannot show, so the series is the ratio of
     sigma^2 means, with target 1.
     """
-    omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
-    results, bar = _walk(path, family, n, omega, quad_tol)
-    return RatioSeries(
-        omega, [res.sigma_sq_mean / bar.sigma_sq_mean for res in results],
-        target=1.0, family=family.name,
-        label=_label(path, family, "posterior sigma^2 mean over its limit"))
+    return _walk(path, family, n, omega_grid, quad_tol,
+                 "posterior sigma^2 mean over its limit",
+                 lambda w, res, limit: res.sigma_sq_mean / limit.sigma_sq_mean)

@@ -262,14 +262,17 @@ class PowerAdjustedSigma:
 
     The positive-power form is the full-information correction that cancels
     the constant-tail trace; the negative-power form is the limiting density
-    left behind by unresolved scaling conflicts.
+    left behind by unresolved scaling conflicts.  Any finite power is taken:
+    the sigma^gamma trace of a Student prior need not be integral.
     """
 
     def __init__(self, base, power):
-        if not float(power).is_integer():
-            raise ValueError(f"sigma power must be an integer, got {power!r}")
+        power = float(power)
+        if not np.isfinite(power):
+            raise ValueError(f"sigma power must be finite, got {power!r}")
         self.base = base
-        self.power = int(power)
+        # Integral powers stay int, so reprs read "2", not "2.0".
+        self.power = int(power) if power.is_integer() else power
 
     def log_density_nu(self, nu):
         return self.base.log_density_nu(nu) + self.power * np.asarray(nu, dtype=float)

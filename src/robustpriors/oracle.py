@@ -1,13 +1,9 @@
 """Sampler-independent ground truth for the reduced two-parameter posterior.
 
-Three oracle routes live here:
+Two oracle routes live here:
 
-* closed forms: the conjugate normal-prior posterior, the flat-prior
-  benchmark, and the limiting inverse-gamma laws of sigma^2 quoted for the
-  far-conflict regime;
-* `limiting_reduced_target`, the reduced target's limit law once a
-  conflicting prior drops out: a flat coefficient prior, with sigma^{-1}
-  left behind per constant-tailed scaling conflict;
+* closed forms: the conjugate normal-prior posterior and the flat-prior
+  benchmark;
 * `quadrature_moments`, a deterministic nested adaptive Gauss-Kronrod
   integrator over (beta, nu) used to cross-check everything else, an order
   of magnitude tighter than Monte-Carlo error.
@@ -30,15 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .model import reduced_target
-from .priors import CTN, LPTN, Normal, Student
+from .priors import CTN, Normal
 from .specfun import LOG_INV_SQRT_2PI
 
 __all__ = [
     "NumericalError", "ConjugateResult", "conjugate_posterior",
-    "jeffreys_benchmark", "limiting_sigma_posterior",
-    "inverse_gamma_mean", "inverse_gamma_sd",
-    "limiting_reduced_target", "QuadratureResult", "quadrature_moments",
+    "jeffreys_benchmark", "QuadratureResult", "quadrature_moments",
 ]
 
 
@@ -96,62 +89,6 @@ def jeffreys_benchmark(n):
     if n <= 3:
         raise ValueError(f"flat-prior posterior is improper for n <= 3, got n={n}")
     return 0.0, 1.0 / (n - 3)
-
-
-def limiting_sigma_posterior(n, family, n_conflicts=1):
-    """Inverse-gamma (shape, scale) of sigma^2 in the far-conflict limit.
-
-    Under an extreme location conflict the Student prior leaves a sigma^gamma
-    trace, giving shape (n - gamma - 2)/2; the log-Pareto-tailed prior leaves
-    none, giving (n - 2)/2.  A constant-tailed prior leaves sigma^{-1} per
-    conflicting coefficient, giving (n - 2 + n_conflicts)/2.  The scale is
-    n/2 throughout.
-
-    These shapes follow the convention in which the sigma-marginal kernel
-    sigma^{-k} exp(-(n/2)/sigma^2) is read off directly in sigma^2 (shape
-    (k - 2)/2); the corresponding exact change-of-variables law has shape
-    larger by 1/2.  First moments agree with the quadrature oracle to about
-    1% at the sweep scales used here; see `inverse_gamma_mean`.
-    """
-    half_n = n / 2.0
-    if isinstance(family, Student):
-        shape = (n - family.gamma - 2.0) / 2.0
-    elif isinstance(family, LPTN):
-        shape = (n - 2.0) / 2.0
-    elif isinstance(family, CTN):
-        shape = (n - 2.0 + n_conflicts) / 2.0
-    else:
-        raise ValueError(
-            f"no finite conflict limit for family {family!r}")
-    if shape <= 0:
-        raise ValueError(f"nonpositive limiting shape {shape}; n too small")
-    return shape, half_n
-
-
-def inverse_gamma_mean(shape, scale):
-    if shape <= 1:
-        raise ValueError("mean undefined for shape <= 1")
-    return scale / (shape - 1.0)
-
-
-def inverse_gamma_sd(shape, scale):
-    if shape <= 2:
-        raise ValueError("sd undefined for shape <= 2")
-    return scale / ((shape - 1.0) * np.sqrt(shape - 2.0))
-
-
-# ---------------------------------------------------------------------------
-# Limiting targets
-# ---------------------------------------------------------------------------
-
-def limiting_reduced_target(n, n_ctn_conflicts=0):
-    """Reduced-target limit law: flat coefficient prior, adjusted scale prior.
-
-    For resolved location conflicts the conflicting prior simply drops
-    (``n_ctn_conflicts=0``); for constant-tailed scaling conflicts each
-    conflicting coefficient leaves a sigma^{-1} factor behind.
-    """
-    return reduced_target(n, family=None, sigma_power=-n_ctn_conflicts)
 
 
 # ---------------------------------------------------------------------------

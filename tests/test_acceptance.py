@@ -20,16 +20,17 @@ import zlib
 import numpy as np
 import pytest
 
-from robustpriors.asymptotics import (ConflictPath, lptn_scaling_trace,
+from robustpriors.asymptotics import (ConflictPath, _inverse_gamma_mean,
+                                      _inverse_gamma_sd,
+                                      _limiting_sigma_posterior,
+                                      lptn_scaling_trace,
                                       marginal_ratio_convergence,
                                       prior_limit_ctn, prior_ratio_lptn,
                                       prior_ratio_student)
 from robustpriors.cli import main as cli_main
 from robustpriors.model import reduced_target
-from robustpriors.oracle import (conjugate_posterior, inverse_gamma_mean,
-                                 inverse_gamma_sd, jeffreys_benchmark,
-                                 limiting_reduced_target,
-                                 limiting_sigma_posterior, quadrature_moments)
+from robustpriors.oracle import (conjugate_posterior, jeffreys_benchmark,
+                                 quadrature_moments)
 from robustpriors.priors import CTN, LPTN, Normal, Student
 from robustpriors.sampler import HmcConfig, ess_imse, leapfrog, sample, summarize
 from robustpriors.specfun import normal_cdf
@@ -175,7 +176,7 @@ def test_criterion_4_scaling_sweep(lambda_sweep):
 
     # Constant-tail resolution: mean at lambda2 = 2 near the limit law mean
     # (zero by symmetry of the sigma^{-1}-adjusted flat-prior target).
-    limit = quadrature_moments(limiting_reduced_target(N, n_ctn_conflicts=1))
+    limit = quadrature_moments(reduced_target(N, family=None, sigma_power=-1))
     ctn_end = table["ctn"][2.0][0]
     ctn_ok = abs(ctn_end - limit.mean) < 0.05
 
@@ -223,11 +224,11 @@ def test_criterion_5_limiting_sigma_posteriors():
     results = {}
     for fam, tol in ((LPTN(0.95), 0.01), (Student(4.0), 0.02)):
         quad = quadrature_moments(reduced_target(N, far, 1.0, fam))
-        shape, scale = limiting_sigma_posterior(N, fam)
-        mean_dev = (abs(quad.sigma_sq_mean - inverse_gamma_mean(shape, scale))
-                    / inverse_gamma_mean(shape, scale))
-        sd_dev = (abs(quad.sigma_sq_sd - inverse_gamma_sd(shape, scale))
-                  / inverse_gamma_sd(shape, scale))
+        shape, scale = _limiting_sigma_posterior(ConflictPath(b=1.0), fam, N)
+        mean_dev = (abs(quad.sigma_sq_mean - _inverse_gamma_mean(shape, scale))
+                    / _inverse_gamma_mean(shape, scale))
+        sd_dev = (abs(quad.sigma_sq_sd - _inverse_gamma_sd(shape, scale))
+                  / _inverse_gamma_sd(shape, scale))
         results[fam.name] = (mean_dev, sd_dev, tol, shape)
     ok = all(mean_dev <= tol for mean_dev, _, tol, _ in results.values())
     detail = "; ".join(

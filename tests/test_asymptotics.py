@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from robustpriors.asymptotics import (ConflictPath, RatioSeries,
-                                      _limit_target, lptn_scaling_trace,
+                                      _limit_target,
+                                      _limiting_sigma_posterior,
+                                      lptn_scaling_trace,
                                       marginal_ratio_convergence,
                                       posterior_limit_convergence,
                                       prior_limit_ctn, prior_ratio_lptn,
@@ -170,11 +172,12 @@ class TestMarginalRatio:
             omega_grid=[10.0, 100.0, 1000.0], quad_tol=1e-9)
         assert np.all(np.diff(np.abs(mr.ratio - 1.0)) < 0)
 
-    def test_no_conflict_constant(self):
-        mr = marginal_ratio_convergence(
-            ConflictPath(a=0.5, c=1.0), LPTN(0.95),
-            omega_grid=[1.0, 10.0, 100.0])
-        np.testing.assert_array_equal(mr.ratio, 1.0)
+    def test_no_conflict_raises(self):
+        # A path with no conflict has no limit, as in every other walk.
+        with pytest.raises(ValueError, match="no conflict"):
+            marginal_ratio_convergence(
+                ConflictPath(a=0.5, c=1.0), LPTN(0.95),
+                omega_grid=[1.0, 10.0, 100.0])
 
     def test_doubled_precision_agreement(self):
         path = ConflictPath(a=0.5, c=1.0, d=1.0)
@@ -233,6 +236,40 @@ class TestPosteriorLimit:
         # Student tails shed their conflict polynomially, log-Pareto tails
         # log-slowly; each against its own limit.
         assert student.abs_err[-1] < 1e-8 < lptn.abs_err[-1] < 0.01
+
+    def test_non_integral_student_trace(self):
+        # The sigma^2.5 trace of Student(2.5): errors about 8e-6, 8e-8 and
+        # 8e-10 over the grid.
+        path = ConflictPath(b=1.0, c=1.0)
+        assert _limit_target(path, Student(2.5), N).sigma_prior.power == 2.5
+        s = posterior_limit_convergence(path, Student(2.5),
+                                        omega_grid=[10.0, 100.0, 1000.0])
+        assert s.tail_nonincreasing() and s.abs_err[-1] < 1e-8
+
+    def test_one_rule_for_every_limit(self):
+        location = ConflictPath(b=1.0, c=1.0)
+        scaling = ConflictPath(a=0.5, c=1.0, d=1.0)
+        for path, family in ((location, LPTN(0.95)), (location, Student(4.0)),
+                             (location, Student(2.5)), (scaling, CTN(0.98))):
+            # k = 0 leaves the Jeffreys prior itself, which has no power.
+            k = getattr(_limit_target(path, family, N).sigma_prior, "power", 0)
+            assert _limiting_sigma_posterior(path, family, N) == (
+                (N - k - 2) / 2, N / 2)
+        # Student tails leave no marginal normalizer.
+        with pytest.raises(ValueError, match="log-Pareto-tailed family only"):
+            marginal_ratio_convergence(location, Student(4.0),
+                                       omega_grid=[1.0])
+        for path, family in ((location, Normal()), (scaling, Normal()),
+                             (scaling, LPTN(0.95)), (location, CTN(0.98)),
+                             (ConflictPath(a=0.5, c=1.0), LPTN(0.95)),
+                             (ConflictPath(a=0.5, c=1.0), CTN(0.98))):
+            for call in (_limit_target, _limiting_sigma_posterior):
+                with pytest.raises(ValueError):
+                    call(path, family, N)
+            for walk in (marginal_ratio_convergence,
+                         posterior_limit_convergence):
+                with pytest.raises(ValueError):
+                    walk(path, family, omega_grid=[1.0])
 
 
 class TestSummaryComparison:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import argparse
 import csv
 import os
 import subprocess
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import robustpriors
+from robustpriors import cli
+from robustpriors.asymptotics import RatioSeries
 from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                               default_lambda2_grid, default_mu2_grid, main,
                               parse_prior_spec, parse_sigma_prior_spec)
@@ -723,6 +726,17 @@ class TestCheck:
         assert len(blocks) == 9
         for block in blocks[6:]:
             assert block and {r[2] for r in block} == {"1.0"}
+
+    def test_marginal_monotone_claim_reads_its_threshold(self, monkeypatch):
+        # |ratio - 1| falls 3, 2, 1.5: monotone, but above the threshold 1.
+        monkeypatch.setattr(cli, "marginal_ratio_convergence",
+                            lambda *args, **kwargs: RatioSeries(
+                                [10.0, 100.0, 1000.0], [4.0, 3.0, 2.5],
+                                target=1.0, family="lptn"))
+        args = argparse.Namespace(fast=False, quad_tol=1e-10)
+        row = next(row for row in cli._check_claims(args)
+                   if row[0] == "lptn_marginal_ratio_monotone")
+        assert row[1:4] == (1.5, 1.0, False)
 
     @pytest.mark.parametrize("tol", ["-1e-10", "nan"])
     def test_bad_quad_tol(self, tmp_path, capsys, tol):

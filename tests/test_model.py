@@ -164,15 +164,22 @@ class TestSigmaPriors:
         assert sp.log_density_nu(0.3) == pytest.approx(-0.3 + 2 * 0.3)
         assert sp.dlog_dnu(0.3) == pytest.approx(1.0)
 
-    def test_power_must_be_integral(self):
-        # A fractional power was truncated: sigma_power=0.5 ran as 0.
-        assert PowerAdjustedSigma(JeffreysSigma(), 1.0).power == 1
+    def test_power_must_be_finite(self):
+        # Integral powers stay int, so their reprs read "1", not "1.0".
+        one = PowerAdjustedSigma(JeffreysSigma(), 1.0)
+        assert one.power == 1 and type(one.power) is int
+        assert repr(one) == "PowerAdjustedSigma(JeffreysSigma(), 1)"
         assert PowerAdjustedSigma(JeffreysSigma(), np.int64(-2)).power == -2
-        for power in (0.5, 100.5, -1.5, np.inf, np.nan):
-            with pytest.raises(ValueError, match="integer"):
+        # A fractional one runs as given, not truncated: sigma^0.5 adds
+        # 0.5 nu.
+        half = reduced_target(N, 0.5, 1.0, None, sigma_power=0.5)
+        flat = reduced_target(N, 0.5, 1.0, None)
+        q = np.array([[0.3, 0.1], [0.0, -0.2]])
+        np.testing.assert_allclose(half.logpdf(q) - flat.logpdf(q),
+                                   0.5 * q[:, 1], atol=1e-12)
+        for power in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
                 PowerAdjustedSigma(JeffreysSigma(), power)
-        with pytest.raises(ValueError, match="integer"):
-            reduced_target(N, 0.5, 1.0, None, sigma_power=0.5)
 
 
 class TestReducedTarget:

@@ -1,4 +1,4 @@
-"""Closed forms and the nested adaptive quadrature engine."""
+"""Closed forms, the quoted limit laws, and the nested adaptive quadrature."""
 
 import time
 
@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from robustpriors import oracle
+from robustpriors.asymptotics import (ConflictPath, _inverse_gamma_mean,
+                                      _inverse_gamma_sd, _limit_target,
+                                      _limiting_sigma_posterior)
 from robustpriors.model import (InverseGammaSigmaSq, PosteriorTarget,
                                 reduced_target)
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
-                                 inverse_gamma_mean, inverse_gamma_sd,
-                                 jeffreys_benchmark, limiting_reduced_target,
-                                 limiting_sigma_posterior, quadrature_moments)
+                                 jeffreys_benchmark, quadrature_moments)
 from robustpriors.priors import CTN, LPTN, Normal, Student
 
 N = 100
+# The location- and scaling-conflict paths of the limit laws.
+LOCATION = ConflictPath(b=1.0)
+SCALING = ConflictPath(a=0.5, c=1.0, d=1.0)
 
 
 class TestConjugate:
@@ -57,25 +61,28 @@ class TestJeffreysBenchmark:
 
 
 class TestLimitingSigma:
+    # The quoted far-conflict sigma^2 laws, against the oracle.
     def test_paper_values(self):
-        assert limiting_sigma_posterior(N, Student(4)) == (47.0, 50.0)
-        assert limiting_sigma_posterior(N, LPTN(0.95)) == (49.0, 50.0)
-        assert limiting_sigma_posterior(N, CTN(0.98)) == (49.5, 50.0)
+        for path, family, shape in ((LOCATION, Student(4), 47.0),
+                                    (LOCATION, LPTN(0.95), 49.0),
+                                    (SCALING, CTN(0.98), 49.5)):
+            assert _limiting_sigma_posterior(path, family, N) == (shape, 50.0)
 
     def test_no_limit_for_normal(self):
-        with pytest.raises(ValueError):
-            limiting_sigma_posterior(N, Normal())
+        for path in (LOCATION, SCALING):
+            with pytest.raises(ValueError):
+                _limiting_sigma_posterior(path, Normal(), N)
 
     def test_nonpositive_shape(self):
         with pytest.raises(ValueError):
-            limiting_sigma_posterior(5, Student(4))
+            _limiting_sigma_posterior(LOCATION, Student(4), 5)
 
     def test_ig_moment_helpers(self):
-        assert inverse_gamma_mean(49.0, 50.0) == pytest.approx(50 / 48)
-        assert inverse_gamma_sd(49.0, 50.0) == pytest.approx(
+        assert _inverse_gamma_mean(49.0, 50.0) == pytest.approx(50 / 48)
+        assert _inverse_gamma_sd(49.0, 50.0) == pytest.approx(
             50 / (48 * np.sqrt(47)))
         with pytest.raises(ValueError):
-            inverse_gamma_mean(1.0, 1.0)
+            _inverse_gamma_mean(1.0, 1.0)
 
     def test_quadrature_cross_check(self):
         # The flat-prior reduced posterior is the whole-robustness limit of
@@ -84,13 +91,13 @@ class TestLimitingSigma:
         # (n-2)/2, which reads the sigma-marginal kernel directly in
         # sigma^2.  The first moments of the two conventions differ by ~1%.
         res = quadrature_moments(reduced_target(N, family=None))
-        shape, scale = limiting_sigma_posterior(N, LPTN(0.95))
-        exact = inverse_gamma_mean(shape + 0.5, scale)
+        shape, scale = _limiting_sigma_posterior(LOCATION, LPTN(0.95), N)
+        exact = _inverse_gamma_mean(shape + 0.5, scale)
         assert res.sigma_sq_mean == pytest.approx(exact, rel=1e-8)
         assert res.sigma_sq_mean == pytest.approx(
-            inverse_gamma_mean(shape, scale), rel=0.015)
+            _inverse_gamma_mean(shape, scale), rel=0.015)
         assert res.sigma_sq_sd == pytest.approx(
-            inverse_gamma_sd(shape + 0.5, scale), rel=1e-6)
+            _inverse_gamma_sd(shape + 0.5, scale), rel=1e-6)
 
 
 class TestQuadrature:
@@ -110,10 +117,10 @@ class TestQuadrature:
         assert res.variance == pytest.approx(ref.beta_variance, rel=1e-3)
         # sigma^2 moments against the exact inverse-gamma law
         assert res.sigma_sq_mean == pytest.approx(
-            inverse_gamma_mean(ref.sigma_sq_shape, ref.sigma_sq_scale),
+            _inverse_gamma_mean(ref.sigma_sq_shape, ref.sigma_sq_scale),
             rel=1e-6)
         assert res.sigma_sq_sd == pytest.approx(
-            inverse_gamma_sd(ref.sigma_sq_shape, ref.sigma_sq_scale),
+            _inverse_gamma_sd(ref.sigma_sq_shape, ref.sigma_sq_scale),
             rel=1e-5)
 
     def test_grid_convergence(self):
@@ -238,9 +245,9 @@ class TestQuadrature:
         assert abs(res.mean - ref.beta_mean) < 1e-9
         assert res.sd == pytest.approx(np.sqrt(ref.beta_variance), rel=1e-7)
         assert res.sigma_sq_mean == pytest.approx(
-            inverse_gamma_mean(shape, scale), rel=1e-7)
+            _inverse_gamma_mean(shape, scale), rel=1e-7)
         assert res.sigma_sq_sd == pytest.approx(
-            inverse_gamma_sd(shape, scale), rel=1e-7)
+            _inverse_gamma_sd(shape, scale), rel=1e-7)
 
     def test_heavy_tailed_independent_value(self):
         # Nested scipy.integrate.quad: nu over [-6, 40] in pieces, beta
@@ -430,14 +437,15 @@ class TestPriorKinks:
 
 
 class TestLimitingTargets:
+    # The limits the quoted laws describe are reduced targets too.
     def test_reduced_limit_is_flat_prior(self):
-        bar = limiting_reduced_target(N)
+        bar = _limit_target(LOCATION, LPTN(0.95), N)
         flat = reduced_target(N, family=None)
         q = np.array([[0.3, 0.1], [0.0, -0.2]])
         np.testing.assert_allclose(bar.logpdf(q), flat.logpdf(q), atol=1e-12)
 
     def test_ctn_limit_carries_sigma_power(self):
-        bar = limiting_reduced_target(N, n_ctn_conflicts=1)
+        bar = _limit_target(SCALING, CTN(0.98), N)
         flat = reduced_target(N, family=None)
         q = np.array([[0.3, 0.1], [0.3, 0.5]])
         diff = bar.logpdf(q) - flat.logpdf(q)

@@ -1,0 +1,14 @@
+"""The package namespace: the public names and nothing else."""
+
+import robustpriors
+
+
+def test_public_names():
+    names = robustpriors.__all__
+    assert len(names) == 40 and len(set(names)) == 40
+    for name in names:
+        assert getattr(robustpriors, name) is not None, name
+    # The limit laws live in `asymptotics`, behind its conflict-limit rule.
+    for gone in ("limiting_reduced_target", "limiting_sigma_posterior",
+                 "inverse_gamma_mean", "inverse_gamma_sd"):
+        assert not hasattr(robustpriors, gone), gone
