@@ -11,8 +11,7 @@ the prior-data conflict-resolution limits.
 __version__ = "0.1.0"
 
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student
-from .model import (DataError, InverseGammaSigmaSq, JeffreysSigma,
-                    PosteriorTarget, PowerAdjustedSigma, RegressionData,
+from .model import (DataError, PosteriorTarget, RegressionData, SigmaPrior,
                     load_csv, ols_fit, reduced_target, standardize)
 from .oracle import (ConjugateResult, NumericalError, QuadratureResult,
                      conjugate_posterior, jeffreys_benchmark,
@@ -28,8 +27,7 @@ __all__ = [
     "__version__",
     "Normal", "Student", "LPTN", "CTN", "CoefficientPrior",
     "RegressionData", "standardize", "ols_fit", "load_csv", "DataError",
-    "JeffreysSigma", "InverseGammaSigmaSq", "PowerAdjustedSigma",
-    "PosteriorTarget", "reduced_target",
+    "SigmaPrior", "PosteriorTarget", "reduced_target",
     "HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
     "leapfrog", "sample", "summarize", "ess_imse", "save_chains",
     "ConjugateResult", "QuadratureResult", "NumericalError",

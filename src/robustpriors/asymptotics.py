@@ -281,24 +281,12 @@ def _limiting_sigma_posterior(path, family, n):
     sigma^{-m} exp(-(n/2)/sigma^2) is read off directly in sigma^2 (shape
     (m - 2)/2); the corresponding exact change-of-variables law has shape
     larger by 1/2.  First moments agree with the quadrature oracle to about
-    1% at the sweep scales used here; see `_inverse_gamma_mean`.
+    1% at the sweep scales used here.
     """
     shape = (n - _conflict_limit(path, family)[0] - 2.0) / 2.0
     if shape <= 0:
         raise ValueError(f"nonpositive limiting shape {shape}; n too small")
     return shape, n / 2.0
-
-
-def _inverse_gamma_mean(shape, scale):
-    if shape <= 1:
-        raise ValueError("mean undefined for shape <= 1")
-    return scale / (shape - 1.0)
-
-
-def _inverse_gamma_sd(shape, scale):
-    if shape <= 2:
-        raise ValueError("sd undefined for shape <= 2")
-    return scale / ((shape - 1.0) * np.sqrt(shape - 2.0))
 
 
 def _walk(path, family, n, omega_grid, quad_tol, what, ratio):

@@ -40,9 +40,8 @@ from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           marginal_ratio_convergence,
                           posterior_limit_convergence, prior_limit_ctn,
                           prior_ratio_lptn, prior_ratio_student)
-from .model import (DataError, JeffreysSigma, InverseGammaSigmaSq,
-                    PowerAdjustedSigma, PosteriorTarget, _open_csv, load_csv,
-                    reduced_target, standardize, write_commented_csv)
+from .model import (DataError, PosteriorTarget, SigmaPrior, _open_csv,
+                    load_csv, reduced_target, standardize, write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student
@@ -136,15 +135,19 @@ def parse_prior_spec(spec):
 
 
 def parse_sigma_prior_spec(spec):
-    """Parse ``jeffreys``, ``invgamma:shape=..,scale=..`` or a ``*sigma^k`` suffix."""
-    base_spec, _, power = spec.partition("*")
-    k = 0
-    if power:
-        power = power.strip().lower()
-        if not power.startswith("sigma^"):
-            raise ConfigError(f"bad sigma-prior adjustment {power!r}")
+    """Parse ``jeffreys`` or ``invgamma:shape=a,scale=b``, then ``*sigma^K``.
+
+    Returns `SigmaPrior(power, scale)`: (-1, 0) for jeffreys, (-(2a + 1), b)
+    for invgamma; ``*sigma^K``, for any finite real K, adds K to the power.
+    """
+    base_spec, _, adjust = spec.partition("*")
+    k = 0.0
+    if adjust:
+        adjust = adjust.strip().lower()
+        if not adjust.startswith("sigma^"):
+            raise ConfigError(f"bad sigma-prior adjustment {adjust!r}")
         try:
-            k = int(power[len("sigma^"):])
+            k = float(adjust[len("sigma^"):])
         except ValueError:
             raise ConfigError(f"bad sigma power in {spec!r}") from None
     name, _, rest = base_spec.partition(":")
@@ -152,18 +155,21 @@ def parse_sigma_prior_spec(spec):
     try:
         opts = _spec_options(rest, spec)
         if name == "jeffreys":
-            base = JeffreysSigma()
+            power, scale = -1.0, 0.0
         elif name == "invgamma":
-            base = InverseGammaSigmaSq(opts.pop("shape"), opts.pop("scale"))
+            shape, scale = opts.pop("shape"), opts.pop("scale")
+            if not (0 < shape < np.inf and 0 < scale < np.inf):
+                raise ValueError("shape and scale must be positive and finite")
+            power = -(2 * shape + 1)
         else:
             raise ConfigError(f"unknown sigma prior {name!r}")
         if opts:
             raise ConfigError(f"unknown sigma-prior options {sorted(opts)}")
+        return SigmaPrior(power + k, scale)
     except KeyError as exc:
         raise ConfigError(f"bad sigma prior {spec!r}: missing option {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad sigma prior {spec!r}: {exc}") from None
-    return PowerAdjustedSigma(base, k) if k else base
 
 
 def read_config_file(path):
@@ -515,7 +521,7 @@ def _build_parsers():
                             "scale of y and the covariate")
     p_fit.add_argument("--sigma-prior", default="jeffreys",
                        help="'jeffreys', 'invgamma:shape=..,scale=..', "
-                            "optionally '*sigma^K'")
+                            "optionally '*sigma^K' for any real K")
     p_fit.add_argument("--chains-out", help="chain dump CSV path")
     p_fit.set_defaults(func=cmd_fit)
 

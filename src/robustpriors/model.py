@@ -5,7 +5,8 @@ errors ``eps_i ~ N(0, 1)`` and the product prior
 
     pi(beta | sigma) = prod_j (lam_j / sigma) g_j((lam_j / sigma)(beta_j - mu_j)),
 
-together with a prior ``pi(sigma)`` on the scale.  All posterior evaluation
+together with a scale prior ``pi(sigma) ~ sigma^power exp(-scale / sigma^2)``
+(`SigmaPrior`, Jeffreys' 1/sigma by default).  All posterior evaluation
 happens in the unconstrained coordinates ``(beta, nu)`` with
 ``nu = log(sigma)``; the Jacobian ``e^nu`` of that substitution is included,
 and sigma-space densities are only ever produced by transforming draws.
@@ -38,8 +39,7 @@ from .specfun import LOG_INV_SQRT_2PI
 
 __all__ = [
     "DataError", "RegressionData", "StandardizeTransform", "standardize",
-    "ols_fit", "load_csv", "JeffreysSigma", "InverseGammaSigmaSq",
-    "PowerAdjustedSigma", "PosteriorTarget", "reduced_target",
+    "ols_fit", "load_csv", "SigmaPrior", "PosteriorTarget", "reduced_target",
 ]
 
 
@@ -216,72 +216,44 @@ def write_commented_csv(path, header, rows, comments=()):
 
 
 # ---------------------------------------------------------------------------
-# Priors on sigma, parameterized by nu = log(sigma).  Each returns the log
-# of pi(sigma = e^nu) without the change-of-variables Jacobian, which the
-# target adds exactly once.
+# The prior on sigma, as log pi(sigma = e^nu) in nu = log(sigma), without
+# the change-of-variables Jacobian, which the target adds exactly once.
 # ---------------------------------------------------------------------------
 
-class JeffreysSigma:
-    """Improper scale prior pi(sigma) proportional to 1/sigma."""
+class SigmaPrior:
+    """The scale prior pi(sigma) ~ sigma^power exp(-scale / sigma^2).
 
-    def log_density_nu(self, nu):
-        return -np.asarray(nu, dtype=float)
-
-    def dlog_dnu(self, nu):
-        # Scalar; broadcasts against batched nu.
-        return -1.0
-
-    def __repr__(self):
-        return "JeffreysSigma()"
-
-
-class InverseGammaSigmaSq:
-    """Prior under which sigma^2 is inverse-gamma(shape, scale)."""
-
-    def __init__(self, shape, scale):
-        if not (0 < shape < math.inf and 0 < scale < math.inf):
-            raise ValueError("shape and scale must be positive and finite")
-        self.shape = float(shape)
-        self.scale = float(scale)
-
-    def log_density_nu(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        # density of sigma: 2 * b^a / Gamma(a) * sigma^(-2a-1) * exp(-b/sigma^2)
-        return -(2 * self.shape + 1) * nu - self.scale * np.exp(-2 * nu)
-
-    def dlog_dnu(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        return -(2 * self.shape + 1) + 2 * self.scale * np.exp(-2 * nu)
-
-    def __repr__(self):
-        return f"InverseGammaSigmaSq({self.shape}, {self.scale})"
-
-
-class PowerAdjustedSigma:
-    """A base sigma prior multiplied by sigma^power.
-
-    The positive-power form is the full-information correction that cancels
-    the constant-tail trace; the negative-power form is the limiting density
-    left behind by unresolved scaling conflicts.  Any finite power is taken:
-    the sigma^gamma trace of a Student prior need not be integral.
+    Jeffreys' 1/sigma is the default; sigma^2 ~ inverse-gamma(a, b) is
+    ``SigmaPrior(-(2a + 1), b)``; a sigma^k trace adds k to the power.
     """
 
-    def __init__(self, base, power):
-        power = float(power)
-        if not np.isfinite(power):
+    __slots__ = ("power", "scale")
+
+    def __init__(self, power=-1.0, scale=0.0):
+        self.power, self.scale = float(power), float(scale)
+        if not math.isfinite(self.power):
             raise ValueError(f"sigma power must be finite, got {power!r}")
-        self.base = base
-        # Integral powers stay int, so reprs read "2", not "2.0".
-        self.power = int(power) if power.is_integer() else power
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and >= 0, got {scale!r}")
 
     def log_density_nu(self, nu):
-        return self.base.log_density_nu(nu) + self.power * np.asarray(nu, dtype=float)
+        nu = np.asarray(nu, dtype=float)
+        out = self.power * nu
+        # Only when present: 0 * inf would be NaN where e^(-2 nu) overflows.
+        if self.scale:
+            out = out - self.scale * np.exp(-2 * nu)
+        return out
 
     def dlog_dnu(self, nu):
-        return self.base.dlog_dnu(nu) + self.power
+        # A scalar without the exponential term; it broadcasts against
+        # batched nu.
+        if not self.scale:
+            return self.power
+        nu = np.asarray(nu, dtype=float)
+        return self.power + 2 * self.scale * np.exp(-2 * nu)
 
     def __repr__(self):
-        return f"PowerAdjustedSigma({self.base!r}, {self.power})"
+        return f"SigmaPrior(power={self.power!r}, scale={self.scale!r})"
 
 
 # Widest batch that `_sum_rows` adds by accumulation: on a 2-core x86-64
@@ -307,12 +279,6 @@ def _sum_rows(terms):
     for t in terms[1:]:
         out += t
     return out
-
-
-def _is_jeffreys_like(sigma_prior):
-    while isinstance(sigma_prior, PowerAdjustedSigma):
-        sigma_prior = sigma_prior.base
-    return isinstance(sigma_prior, JeffreysSigma)
 
 
 class PosteriorTarget:
@@ -350,7 +316,9 @@ class PosteriorTarget:
         for pr in self.priors:
             if pr is not None and not isinstance(pr, CoefficientPrior):
                 raise TypeError(f"bad prior entry {pr!r}")
-        self.sigma_prior = sigma_prior if sigma_prior is not None else JeffreysSigma()
+        self.sigma_prior = SigmaPrior() if sigma_prior is None else sigma_prior
+        if not isinstance(self.sigma_prior, SigmaPrior):
+            raise TypeError(f"bad sigma prior {sigma_prior!r}")
 
         self._XtX = data.X.T @ data.X
         self._Xty = data.X.T @ data.y
@@ -409,9 +377,9 @@ class PosteriorTarget:
         if not has_ctn:
             return
         sp = self.sigma_prior
-        if isinstance(sp, InverseGammaSigmaSq):
+        if sp.scale > 0 and sp.power < self.p - 1:
             return
-        if _is_jeffreys_like(sp) and self.n > self.p + 2:
+        if sp.scale == 0 and self.n > self.p + 2:
             return
         warnings.warn(
             "constant-tailed coefficient priors are improper; the sigma prior "
@@ -659,8 +627,8 @@ def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):
     ``family=None`` selects the improper flat benchmark prior on the
     coefficient.  The prior inverse-scale is ``lambda2 * sqrt(n)``
     (simulation-study convention).  ``sigma_power`` multiplies the Jeffreys
-    prior by ``sigma^power`` (+1 is the constant-tail correction, -1 the
-    scaling-conflict limit).
+    prior by ``sigma^sigma_power``: the scale prior is
+    ``SigmaPrior(sigma_power - 1)``.
     """
     if n < 4:
         raise ValueError("reduced target needs n >= 4 for a proper benchmark")
@@ -671,6 +639,4 @@ def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):
         priors = [None]
     else:
         priors = [CoefficientPrior(mu=mu2, lam=lambda2 * np.sqrt(n), family=family)]
-    sigma_prior = (PowerAdjustedSigma(JeffreysSigma(), sigma_power)
-                   if sigma_power else None)
-    return PosteriorTarget(data, priors, sigma_prior=sigma_prior)
+    return PosteriorTarget(data, priors, sigma_prior=SigmaPrior(sigma_power - 1))

@@ -20,9 +20,9 @@ import zlib
 import numpy as np
 import pytest
 
-from robustpriors.asymptotics import (ConflictPath, _inverse_gamma_mean,
-                                      _inverse_gamma_sd,
-                                      _limiting_sigma_posterior,
+from scipy.stats import invgamma
+
+from robustpriors.asymptotics import (ConflictPath, _limiting_sigma_posterior,
                                       lptn_scaling_trace,
                                       marginal_ratio_convergence,
                                       prior_limit_ctn, prior_ratio_lptn,
@@ -225,10 +225,9 @@ def test_criterion_5_limiting_sigma_posteriors():
     for fam, tol in ((LPTN(0.95), 0.01), (Student(4.0), 0.02)):
         quad = quadrature_moments(reduced_target(N, far, 1.0, fam))
         shape, scale = _limiting_sigma_posterior(ConflictPath(b=1.0), fam, N)
-        mean_dev = (abs(quad.sigma_sq_mean - _inverse_gamma_mean(shape, scale))
-                    / _inverse_gamma_mean(shape, scale))
-        sd_dev = (abs(quad.sigma_sq_sd - _inverse_gamma_sd(shape, scale))
-                  / _inverse_gamma_sd(shape, scale))
+        law = invgamma(shape, scale=scale)
+        mean_dev = abs(quad.sigma_sq_mean - law.mean()) / law.mean()
+        sd_dev = abs(quad.sigma_sq_sd - law.std()) / law.std()
         results[fam.name] = (mean_dev, sd_dev, tol, shape)
     ok = all(mean_dev <= tol for mean_dev, _, tol, _ in results.values())
     detail = "; ".join(

@@ -12,7 +12,7 @@ from robustpriors.asymptotics import (ConflictPath, RatioSeries,
                                       prior_limit_ctn, prior_ratio_lptn,
                                       prior_ratio_student)
 from robustpriors.cli import _write_series_csv
-from robustpriors.model import PowerAdjustedSigma, reduced_target
+from robustpriors.model import SigmaPrior, reduced_target
 from robustpriors.oracle import quadrature_moments
 from robustpriors.priors import CTN, LPTN, Normal, Student
 from robustpriors.specfun import normal_pdf
@@ -213,9 +213,12 @@ class TestPosteriorLimit:
         ctn_limit = _limit_target(ConflictPath(a=0.5, c=1.0, d=1.0),
                                   CTN(0.98), N)
         assert ctn_limit.priors == [None]
-        assert isinstance(ctn_limit.sigma_prior, PowerAdjustedSigma)
-        assert ctn_limit.sigma_prior.power == -1
-        assert _limit_target(location, Student(4.0), N).sigma_prior.power == 4
+        # Jeffreys' sigma^-1 times the trace sigma^k: k = -1 for CTN, gamma
+        # for Student.
+        assert isinstance(ctn_limit.sigma_prior, SigmaPrior)
+        assert ctn_limit.sigma_prior.power + 1 == -1
+        student = _limit_target(location, Student(4.0), N)
+        assert student.sigma_prior.power + 1 == 4
 
     def test_family_path_mismatch(self):
         for path, family in ((ConflictPath(a=0.5, c=1.0, d=1.0), LPTN(0.95)),
@@ -241,7 +244,7 @@ class TestPosteriorLimit:
         # The sigma^2.5 trace of Student(2.5): errors about 8e-6, 8e-8 and
         # 8e-10 over the grid.
         path = ConflictPath(b=1.0, c=1.0)
-        assert _limit_target(path, Student(2.5), N).sigma_prior.power == 2.5
+        assert _limit_target(path, Student(2.5), N).sigma_prior.power + 1 == 2.5
         s = posterior_limit_convergence(path, Student(2.5),
                                         omega_grid=[10.0, 100.0, 1000.0])
         assert s.tail_nonincreasing() and s.abs_err[-1] < 1e-8
@@ -251,8 +254,8 @@ class TestPosteriorLimit:
         scaling = ConflictPath(a=0.5, c=1.0, d=1.0)
         for path, family in ((location, LPTN(0.95)), (location, Student(4.0)),
                              (location, Student(2.5)), (scaling, CTN(0.98))):
-            # k = 0 leaves the Jeffreys prior itself, which has no power.
-            k = getattr(_limit_target(path, family, N).sigma_prior, "power", 0)
+            # The limit keeps Jeffreys' sigma^-1 times its sigma^k trace.
+            k = _limit_target(path, family, N).sigma_prior.power + 1
             assert _limiting_sigma_posterior(path, family, N) == (
                 (N - k - 2) / 2, N / 2)
         # Student tails leave no marginal normalizer.

@@ -15,7 +15,7 @@ from robustpriors.asymptotics import RatioSeries
 from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                               default_lambda2_grid, default_mu2_grid, main,
                               parse_prior_spec, parse_sigma_prior_spec)
-from robustpriors.model import InverseGammaSigmaSq, PowerAdjustedSigma
+from robustpriors.model import SigmaPrior
 from robustpriors.priors import LPTN, Student
 
 
@@ -73,12 +73,17 @@ class TestPriorSpecs:
             parse_prior_spec(bad)
 
     def test_sigma_specs(self):
-        from robustpriors.model import JeffreysSigma
-        assert isinstance(parse_sigma_prior_spec("jeffreys"), JeffreysSigma)
-        sp = parse_sigma_prior_spec("invgamma:shape=2,scale=3")
-        assert isinstance(sp, InverseGammaSigmaSq)
-        sp = parse_sigma_prior_spec("jeffreys*sigma^1")
-        assert isinstance(sp, PowerAdjustedSigma) and sp.power == 1
+        # Jeffreys is sigma^-1, IG(a, b) on sigma^2 is sigma^-(2a + 1) with
+        # scale b, and *sigma^K adds any real K to the power.
+        for spec, power, scale in (
+                ("jeffreys", -1.0, 0.0),
+                ("invgamma:shape=2,scale=3", -5.0, 3.0),
+                ("jeffreys*sigma^1", 0.0, 0.0),
+                ("jeffreys*sigma^0.5", -0.5, 0.0),
+                ("invgamma:shape=2,scale=3*sigma^-2.5", -7.5, 3.0)):
+            sp = parse_sigma_prior_spec(spec)
+            assert isinstance(sp, SigmaPrior)
+            assert (sp.power, sp.scale) == (power, scale), spec
 
 
     def test_flat_prior_takes_no_options(self, tmp_path):
@@ -96,14 +101,17 @@ class TestPriorSpecs:
     def test_sigma_spec_whitespace_and_bad_items(self):
         from robustpriors.cli import ConfigError
         sp = parse_sigma_prior_spec("invgamma: shape = 2 , scale=3 ")
-        assert isinstance(sp, InverseGammaSigmaSq)
-        assert sp.shape == 2.0 and sp.scale == 3.0
+        assert isinstance(sp, SigmaPrior)
+        assert sp.power == -5.0 and sp.scale == 3.0
         with pytest.raises(ConfigError, match="'scale3'"):
             parse_sigma_prior_spec("invgamma:shape=2,scale3")
         with pytest.raises(ConfigError, match="missing option 'scale'"):
             parse_sigma_prior_spec("invgamma:shape=2")
         with pytest.raises(ConfigError, match="unknown sigma-prior options"):
             parse_sigma_prior_spec("jeffreys:shape=2")
+        for bad in ("invgamma:shape=-1,scale=2", "invgamma:shape=2,scale=0"):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                parse_sigma_prior_spec(bad)
 
     def test_repeated_option_is_error(self):
         from robustpriors.cli import ConfigError
@@ -465,6 +473,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot read data file")
         assert err.count("\n") == 1
+
+    def test_fractional_sigma_power(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--sigma-prior",
+                     "jeffreys*sigma^0.5", "--hmc-samples", "100",
+                     "--hmc-warmup", "20", "--hmc-chains", "1",
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("spec", ["jeffreys*sigma^nan",
+                                      "jeffreys*sigma^inf",
+                                      "invgamma:shape=2,scale=3*sigma^-inf"])
+    def test_non_finite_sigma_power(self, tmp_path, capsys, spec):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--sigma-prior", spec,
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG and not out.exists()
+        assert "sigma power must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["invgamma:shape=inf,scale=1",
                                       "invgamma:shape=1,scale=inf"])

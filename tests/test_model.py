@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from robustpriors.model import (DataError, InverseGammaSigmaSq, JeffreysSigma,
-                                PosteriorTarget, PowerAdjustedSigma,
-                                RegressionData, load_csv, ols_fit,
-                                reduced_target, standardize)
+from robustpriors.model import (DataError, PosteriorTarget, RegressionData,
+                                SigmaPrior, load_csv, ols_fit, reduced_target,
+                                standardize)
 from robustpriors.priors import (CTN, LPTN, CoefficientPrior, Normal,
                                  Student)
 
@@ -142,34 +141,49 @@ class TestLoadCsv(object):
             load_csv(path)
 
 
+# The three kernels the library once had, as reference formulas: Jeffreys'
+# 1/sigma, sigma^2 ~ inverse-gamma(a, b), and Jeffreys times sigma^k.
+def _jeffreys_ref():
+    return (lambda nu: -np.asarray(nu, dtype=float)), (lambda nu: -1.0)
+
+
+def _inverse_gamma_ref(a, b):
+    return ((lambda nu: -(2 * a + 1) * nu - b * np.exp(-2 * nu)),
+            (lambda nu: -(2 * a + 1) + 2 * b * np.exp(-2 * nu)))
+
+
+def _jeffreys_times_ref(k):
+    log_density, score = _jeffreys_ref()
+    return ((lambda nu: log_density(nu) + k * np.asarray(nu, dtype=float)),
+            (lambda nu: score(nu) + k))
+
+
 class TestSigmaPriors:
     def test_jeffreys(self):
-        sp = JeffreysSigma()
+        sp = SigmaPrior()
+        assert (sp.power, sp.scale) == (-1.0, 0.0)
         assert sp.log_density_nu(0.7) == pytest.approx(-0.7)
         assert sp.dlog_dnu(0.7) == -1.0
+        assert repr(sp) == "SigmaPrior(power=-1.0, scale=0.0)"
 
     def test_inverse_gamma(self):
-        sp = InverseGammaSigmaSq(3.0, 2.0)
+        # sigma^2 ~ inverse-gamma(3, 2).
+        sp = SigmaPrior(-7.0, 2.0)
         nu = 0.4
         h = 1e-6
         fd = (sp.log_density_nu(nu + h) - sp.log_density_nu(nu - h)) / (2 * h)
         assert sp.dlog_dnu(nu) == pytest.approx(fd, rel=1e-6)
-        for shape, scale in [(-1.0, 2.0), (np.inf, 2.0), (3.0, np.inf)]:
-            with pytest.raises(ValueError, match="positive and finite"):
-                InverseGammaSigmaSq(shape, scale)
+        for scale in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                SigmaPrior(-7.0, scale)
 
     def test_power_adjustment(self):
-        base = JeffreysSigma()
-        sp = PowerAdjustedSigma(base, 2)
+        sp = SigmaPrior(-1.0 + 2)
         assert sp.log_density_nu(0.3) == pytest.approx(-0.3 + 2 * 0.3)
         assert sp.dlog_dnu(0.3) == pytest.approx(1.0)
 
     def test_power_must_be_finite(self):
-        # Integral powers stay int, so their reprs read "1", not "1.0".
-        one = PowerAdjustedSigma(JeffreysSigma(), 1.0)
-        assert one.power == 1 and type(one.power) is int
-        assert repr(one) == "PowerAdjustedSigma(JeffreysSigma(), 1)"
-        assert PowerAdjustedSigma(JeffreysSigma(), np.int64(-2)).power == -2
+        assert SigmaPrior(np.int64(-2)).power == -2.0
         # A fractional one runs as given, not truncated: sigma^0.5 adds
         # 0.5 nu.
         half = reduced_target(N, 0.5, 1.0, None, sigma_power=0.5)
@@ -178,8 +192,38 @@ class TestSigmaPriors:
         np.testing.assert_allclose(half.logpdf(q) - flat.logpdf(q),
                                    0.5 * q[:, 1], atol=1e-12)
         for power in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite"):
-                PowerAdjustedSigma(JeffreysSigma(), power)
+            with pytest.raises(ValueError, match="sigma power must be finite"):
+                SigmaPrior(power)
+
+    def test_two_numbers(self):
+        sp = SigmaPrior(0.5, 3.0)
+        sp.power, sp.scale = -2.0, 1.0
+        with pytest.raises(AttributeError):
+            sp.shape = 2.0
+
+    @pytest.mark.parametrize("sp, ref", [
+        (SigmaPrior(), _jeffreys_ref()),
+        (reduced_target(N, family=None).sigma_prior, _jeffreys_ref()),
+        (SigmaPrior(-(2 * 3.0 + 1), 2.0), _inverse_gamma_ref(3.0, 2.0)),
+        *[(SigmaPrior(-1.0 + k), _jeffreys_times_ref(k)) for k in (1, -1, 4)],
+        *[(reduced_target(N, family=None, sigma_power=k).sigma_prior,
+           _jeffreys_times_ref(k)) for k in (1, -1, 4)],
+    ], ids=["jeffreys", "jeffreys-reduced", "invgamma(3,2)", "sigma^+1",
+            "sigma^-1", "sigma^4", "sigma^+1-reduced", "sigma^-1-reduced",
+            "sigma^4-reduced"])
+    def test_matches_the_separate_kernels(self, sp, ref):
+        # Equal as floats (0.0 and -0.0 compare equal: at sigma^+1 the one
+        # kernel gives 0.0 * nu), with NaN nowhere, even where e^(-2 nu)
+        # overflows.
+        nu = np.concatenate([np.linspace(-700.0, 700.0, 2801),
+                             np.random.default_rng(2).normal(0.0, 3.0, 200)])
+        with np.errstate(over="ignore"):
+            got = sp.log_density_nu(nu), sp.dlog_dnu(nu)
+            want = ref[0](nu), ref[1](nu)
+        for g, w in zip(got, want):
+            g, w = np.broadcast_to(g, nu.shape), np.broadcast_to(w, nu.shape)
+            assert not np.isnan(w).any()
+            np.testing.assert_array_equal(g, w)
 
 
 class TestReducedTarget:
@@ -533,6 +577,13 @@ class TestPosteriorTarget:
         with pytest.raises(ValueError, match="coefficient priors"):
             PosteriorTarget(data, [None])
 
+    def test_prior_types_checked(self):
+        data = random_data()
+        with pytest.raises(TypeError, match="bad prior entry"):
+            PosteriorTarget(data, [None, None, Normal()])
+        with pytest.raises(TypeError, match="bad sigma prior"):
+            PosteriorTarget(data, [None] * data.p, sigma_prior=object())
+
     def test_properness_warning_for_ctn(self):
         # p = 2 and n = 4 violates n > p + 2 under the Jeffreys scale prior.
         X = np.column_stack([np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])])
@@ -542,11 +593,16 @@ class TestPosteriorTarget:
             PosteriorTarget(data, priors)
 
     def test_no_warning_with_inverse_gamma(self, recwarn):
+        # sigma^2 ~ IG(2, 2) is sigma^-5 e^(-2/sigma^2); times sigma it is
+        # still integrable against sigma^-p at p = 2, times sigma^10 not.
         X = np.column_stack([np.ones(4), np.array([1.0, -1.0, 1.0, -1.0])])
         data = RegressionData(y=np.array([0.5, -0.5, 1.0, -1.0]), X=X)
         priors = [None, CoefficientPrior(0.0, 1.0, CTN(0.98))]
-        PosteriorTarget(data, priors, sigma_prior=InverseGammaSigmaSq(2.0, 2.0))
+        for power in (-5.0, -5.0 + 1):
+            PosteriorTarget(data, priors, sigma_prior=SigmaPrior(power, 2.0))
         assert not [w for w in recwarn.list if "proper" in str(w.message)]
+        with pytest.warns(UserWarning, match="proper"):
+            PosteriorTarget(data, priors, sigma_prior=SigmaPrior(-5.0 + 10, 2.0))
 
     def test_start_point(self):
         data = random_data(seed=6)

@@ -4,13 +4,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import invgamma
 
 from robustpriors import oracle
-from robustpriors.asymptotics import (ConflictPath, _inverse_gamma_mean,
-                                      _inverse_gamma_sd, _limit_target,
+from robustpriors.asymptotics import (ConflictPath, _limit_target,
                                       _limiting_sigma_posterior)
-from robustpriors.model import (InverseGammaSigmaSq, PosteriorTarget,
-                                reduced_target)
+from robustpriors.model import PosteriorTarget, SigmaPrior, reduced_target
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
                                  jeffreys_benchmark, quadrature_moments)
 from robustpriors.priors import CTN, LPTN, Normal, Student
@@ -77,13 +76,6 @@ class TestLimitingSigma:
         with pytest.raises(ValueError):
             _limiting_sigma_posterior(LOCATION, Student(4), 5)
 
-    def test_ig_moment_helpers(self):
-        assert _inverse_gamma_mean(49.0, 50.0) == pytest.approx(50 / 48)
-        assert _inverse_gamma_sd(49.0, 50.0) == pytest.approx(
-            50 / (48 * np.sqrt(47)))
-        with pytest.raises(ValueError):
-            _inverse_gamma_mean(1.0, 1.0)
-
     def test_quadrature_cross_check(self):
         # The flat-prior reduced posterior is the whole-robustness limit of
         # the location-conflicted LPTN target.  Its exact sigma^2 law is
@@ -92,12 +84,12 @@ class TestLimitingSigma:
         # sigma^2.  The first moments of the two conventions differ by ~1%.
         res = quadrature_moments(reduced_target(N, family=None))
         shape, scale = _limiting_sigma_posterior(LOCATION, LPTN(0.95), N)
-        exact = _inverse_gamma_mean(shape + 0.5, scale)
+        exact = invgamma(shape + 0.5, scale=scale).mean()
         assert res.sigma_sq_mean == pytest.approx(exact, rel=1e-8)
         assert res.sigma_sq_mean == pytest.approx(
-            _inverse_gamma_mean(shape, scale), rel=0.015)
+            invgamma(shape, scale=scale).mean(), rel=0.015)
         assert res.sigma_sq_sd == pytest.approx(
-            _inverse_gamma_sd(shape + 0.5, scale), rel=1e-6)
+            invgamma(shape + 0.5, scale=scale).std(), rel=1e-6)
 
 
 class TestQuadrature:
@@ -116,12 +108,9 @@ class TestQuadrature:
         assert abs(res.mean - ref.beta_mean) < 1e-4
         assert res.variance == pytest.approx(ref.beta_variance, rel=1e-3)
         # sigma^2 moments against the exact inverse-gamma law
-        assert res.sigma_sq_mean == pytest.approx(
-            _inverse_gamma_mean(ref.sigma_sq_shape, ref.sigma_sq_scale),
-            rel=1e-6)
-        assert res.sigma_sq_sd == pytest.approx(
-            _inverse_gamma_sd(ref.sigma_sq_shape, ref.sigma_sq_scale),
-            rel=1e-5)
+        law = invgamma(ref.sigma_sq_shape, scale=ref.sigma_sq_scale)
+        assert res.sigma_sq_mean == pytest.approx(law.mean(), rel=1e-6)
+        assert res.sigma_sq_sd == pytest.approx(law.std(), rel=1e-5)
 
     def test_grid_convergence(self):
         t = reduced_target(N, 2.0, 1.0, LPTN(0.95))
@@ -245,9 +234,9 @@ class TestQuadrature:
         assert abs(res.mean - ref.beta_mean) < 1e-9
         assert res.sd == pytest.approx(np.sqrt(ref.beta_variance), rel=1e-7)
         assert res.sigma_sq_mean == pytest.approx(
-            _inverse_gamma_mean(shape, scale), rel=1e-7)
+            invgamma(shape, scale=scale).mean(), rel=1e-7)
         assert res.sigma_sq_sd == pytest.approx(
-            _inverse_gamma_sd(shape, scale), rel=1e-7)
+            invgamma(shape, scale=scale).std(), rel=1e-7)
 
     def test_heavy_tailed_independent_value(self):
         # Nested scipy.integrate.quad: nu over [-6, 40] in pieces, beta
@@ -326,8 +315,9 @@ def _factor_targets():
              for family in (Normal(), Student(4), LPTN(0.95), CTN(0.98), None)]
     cases += [reduced_target(N, 0.5, 1.0, LPTN(0.95), sigma_power=p)
               for p in (1, -1)]
+    # sigma^2 ~ inverse-gamma(2, 3).
     cases.append(PosteriorTarget(base.data, base.priors,
-                                 InverseGammaSigmaSq(2.0, 3.0)))
+                                 SigmaPrior(-(2 * 2.0 + 1), 3.0)))
     return cases
 
 
