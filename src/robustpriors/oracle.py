@@ -17,8 +17,9 @@ So no search is needed: wherever the prior's density is the normal one or
 a constant (the normal family; LPTN between its kinks; CTN everywhere) the
 inner integral is a truncated-normal moment in closed form; the rest
 (LPTN's log-Pareto tails, the Student family) is cut at both bumps and at
-the kinks on a fixed range and refined adaptively.  Only the nu range is
-searched, on a bound in closed form.
+the kinks on a fixed range and refined adaptively.  The nu range is closed
+form too: each nu integrand is bounded by an inverse-gamma kernel in
+sigma^2, whose exponents also say exactly which moments exist.
 """
 
 from dataclasses import dataclass
@@ -129,11 +130,7 @@ _T_CUTS = 3.0 * 4.0 ** np.arange(40)    # with 0 and their negatives
 _ROUNDOFF = 50 * 2.0 ** -52    # relative error at rounding level
 _INNER_INTERVALS = 256  # intervals at a nu node past which none is split
 _FIRST_PANELS = 200     # at most, each 2 widths wide if the range allows
-_FLOOR_NODES = 3.0 ** np.arange(5)     # widths from the bound's peak
-# The doubling search's probes at level j sit 0.1 (2^j - 1) plus one and two
-# steps of 0.1 * 2^j away, up to the level whose offset first passes 1e6.
-_LEVELS = 2.0 ** np.arange(24)
-_NEAR, _FAR = 0.1 * (2.0 * _LEVELS - 1.0), 0.1 * (3.0 * _LEVELS - 1.0)
+_FLOOR_NODES = np.r_[-3.0 ** np.arange(5), 0, 3.0 ** np.arange(5)]  # widths
 
 
 @dataclass
@@ -401,50 +398,48 @@ class _Factors:
     def nu_panels(self):
         """Initial nu panel edges, and f's largest value at their nodes.
 
-        A width is the radius of curvature of an upper bound of f's nu
-        integrand (inner integral at most sqrt(2 pi) g(0)) at its peak.
-        The ends are where all five integrands are negligible: a doubling
-        search from that peak on their bounds, against each one's largest
-        value, less log 1e12, at exact nodes 0, 1, 3, ..., 81 widths from
-        it.  Given beta, nu's posterior has about that same curvature at its
-        mode wherever it lies (a prior adds a few units to the likelihood's
-        2n), so no bump of the nu marginal is narrower; the first panels
-        split the range evenly into panels 2 widths wide.
+        With the inner integral at most sqrt(2 pi) g(0), integral j's nu
+        integrand is at most e^{u_j}, u_j(nu) = K_j + alpha_j nu - B e^{-2nu},
+        an inverse-gamma kernel in sigma^2: B is RSS/2 plus the sigma prior's
+        scale, alpha_j is 1 + its power - n + j's power of sigma P_j (+1 under
+        the flat prior).  As sigma grows the inner integral tends to a positive
+        constant, so integral j exists iff alpha_j < 0 < B; else
+        `NumericalError` names the first that does not.  u_j peaks at nu_j =
+        log(2B / -alpha_j) / 2 with curvature 2 alpha_j (f's sets a width), and
+        x from there it has fallen by -alpha_j (x + (e^{-2x} - 1) / 2): by D or
+        more at the ends, x = c/2 and -log(2c)/2, c = 1 - 2D/alpha_j.  D is
+        u_j's peak less the largest value of f's integrand times sigma^P_j at
+        nodes 0, 1, 3, ..., 81 widths from f's peak, over 1e12; an end more
+        than 1e6 out raises too.  Given beta, nu's posterior has f's curvature
+        near its mode wherever it lies (a prior adds a few units to 2n): the
+        first panels split the range evenly, 2 widths wide.
         """
-        def upper(nu):
-            return ((self.log_nu_factor(nu) + np.log(_SQRT_2PI)
-                     + self.log_g0)[..., None] + _NU_POWERS * nu[..., None])
-
-        nu0 = 0.5 * np.log(self.rss / self.n) if self.rss > 0 else 0.0
-        probes = nu0 + np.concatenate([[0.0], -_NEAR, _NEAR])
-        with np.errstate(invalid="ignore"):
-            peak = probes[np.nanargmax(upper(probes)[:, 0])]
-        u = upper(peak + np.array([-1e-3, 0.0, 1e-3]))[:, 0]
-        curv = (2.0 * u[1] - u[0] - u[2]) / 1e-6
-        width = 1.0 / np.sqrt(curv) if curv > 0 else 1.0
-        nodes = peak + width * np.concatenate(
-            [-_FLOOR_NODES, [0.0], _FLOOR_NODES])
+        alpha = (1.0 + self.sigma_prior.power - self.n + _NU_POWERS
+                 + (self.prior is None))
+        b = 0.5 * self.rss + self.sigma_prior.scale
+        diverges = (alpha >= 0.0) | (b <= 0.0)
+        if diverges.any():
+            raise NumericalError(
+                f"the integral of {_INTEGRALS[np.argmax(diverges)]} carries "
+                f"infinite mass as sigma -> {'0' if b <= 0 else 'inf'}: the "
+                f"target, or this moment of it, is not integrable")
+        peaks = 0.5 * np.log(2.0 * b / -alpha)
+        width = 1.0 / np.sqrt(-2.0 * alpha[0])
+        nodes = peaks[0] + width * _FLOOR_NODES
         log_cols, ints, _ = self.nu_values(nodes, 0.0)
         with np.errstate(divide="ignore"):
             log_f = log_cols[:, 0] + np.log(ints[:, 0])
-        floor = (np.max(log_f[:, None] + _NU_POWERS * nodes[:, None], axis=0)
-                 - _LOG_DROP)
-        ends = []
-        for sign in (-1.0, 1.0):
-            # Each end is the first probe level past the last one that is
-            # not below the floor; none may be left at the last level.
-            with np.errstate(invalid="ignore"):
-                above = ~(np.maximum(upper(peak + sign * _NEAR),
-                                     upper(peak + sign * _FAR)) < floor)
-            if above[-1].any():
-                raise NumericalError(
-                    f"the integral of {_INTEGRALS[np.argmax(above[-1])]} "
-                    f"carries mass more than 1e6 from the peak in nu: it "
-                    f"diverges, or the target does not appear integrable")
-            last = len(_NEAR) - np.argmax(above[::-1], axis=0)
-            ends.append(peak + sign * _NEAR[np.max(last * above.any(0))])
-        count = min(np.ceil((ends[1] - ends[0]) / (2 * width)), _FIRST_PANELS)
-        return (np.linspace(ends[0], ends[1], int(count) + 1),
+        drop = (self.log_nu_factor(peaks) + np.log(_SQRT_2PI) + self.log_g0
+                + _NU_POWERS * peaks + _LOG_DROP
+                - np.max(log_f[:, None] + _NU_POWERS * nodes[:, None], axis=0))
+        c = 1.0 - 2.0 * drop / alpha
+        if not np.max(c) <= 2e6:
+            raise NumericalError(
+                f"the integral of {_INTEGRALS[np.argmax(c)]} carries mass "
+                f"more than 1e6 from its peak in nu: it barely converges")
+        lo, hi = np.min(peaks - 0.5 * np.log(2.0 * c)), np.max(peaks + 0.5 * c)
+        count = min(np.ceil((hi - lo) / (2 * width)), _FIRST_PANELS)
+        return (np.linspace(lo, hi, int(count) + 1),
                 np.max(self.log_peak(nodes, log_cols[:, 0])))
 
 
@@ -462,11 +457,11 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     of what the inner integrals leave of ``tol``.  ``tol`` bounds the
     summed error estimate of the five integrals, divided by the largest
     value of the density f(beta, nu) found at a node; the inner integrals
-    may spend a tenth of it.  Raises `NumericalError`, naming the integral
-    with most error, if an integrand is not negligible 1e6 from the peak
-    in nu, or if ``max_panels`` panels, or inner integrals refined as far
-    as they go, cannot meet ``tol``; and `ValueError` if ``tol`` is not
-    positive and finite.
+    may spend a tenth of it.  Raises `NumericalError` naming the first
+    integral that diverges, or the one reaching past 1e6 in nu (see
+    `_Factors.nu_panels`), or, if ``max_panels`` panels or inner integrals
+    refined as far as they go cannot meet ``tol``, the one with most error;
+    and `ValueError` if ``tol`` is not positive and finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")

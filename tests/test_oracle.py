@@ -1,5 +1,7 @@
 """Closed forms, the quoted limit laws, and the nested adaptive quadrature."""
 
+import itertools
+import re
 import time
 
 import numpy as np
@@ -163,23 +165,23 @@ class TestQuadrature:
 
     def test_integrability_guard(self):
         # sigma^(n+2) against the Jeffreys base leaves sigma^(+1) overall:
-        # the density grows without bound as nu -> +inf and the range
-        # search must give up.
+        # the density grows without bound as nu -> +inf, and the range's
+        # closed form says so.
         t = reduced_target(N, family=None, sigma_power=N + 2)
         with pytest.raises(NumericalError, match="integrable"):
             quadrature_moments(t)
 
     @pytest.mark.parametrize("mu2, lam2, sigma_power, integral", [
         (0.5, 1.0, 100, "f"), (0.5, 1.0, 97, "e^{4nu} f (sigma^4)"),
-        (2.0, 0.1, 0, "f")])
+        (1.0, 1.0, 0, "f")])
     def test_panel_budget_names_integral(self, mu2, lam2, sigma_power,
                                          integral):
         # sigma^100 against the Jeffreys base leaves the nu marginal flat,
         # so the posterior is improper; sigma^97 leaves sigma^2's variance
-        # infinite.  The range search names the integral that diverges, at
-        # once.  A finite target stopped early by the budget names the one
-        # with most error left; at tol 1e-13 this one starts from 16 nu
-        # panels.
+        # infinite.  The range's closed form names the integral that
+        # diverges, at once.  A finite target stopped early by the budget
+        # names the one with most error left: this one starts from 11 nu
+        # panels, and at 5 panels f carries 4.3e-12, sigma^2 3.6e-12.
         t = reduced_target(N, mu2, lam2, LPTN(0.95), sigma_power=sigma_power)
         with pytest.raises(NumericalError) as exc:
             quadrature_moments(t, tol=1e-13, max_panels=5)
@@ -191,26 +193,93 @@ class TestQuadrature:
                            match=r"integral of e\^\{4nu\} f \(sigma\^4\)"):
             quadrature_moments(reduced_target(4, family=None))
 
+    @pytest.mark.parametrize("k, integral", [
+        (95, "e^{4nu} f (sigma^4)"), (96.5, "e^{4nu} f (sigma^4)"),
+        (97, "beta^2 f"), (98.5, "beta f"), (99, "f")])
+    def test_divergence_is_an_exact_rule(self, k, integral, monkeypatch):
+        # Under the flat prior sigma^k leaves integral j's nu integrand
+        # proportional to sigma^(k - n + 1 + P_j) e^{-RSS / (2 sigma^2)},
+        # P = (0, 1, 2, 2, 4): it exists iff k < n - 1 - P_j.  The first
+        # that does not is named before any inner integral is taken.
+        def no_inner(*args):
+            raise AssertionError("an inner pass ran")
+
+        monkeypatch.setattr(oracle._Factors, "inner", no_inner)
+        with pytest.raises(NumericalError, match=re.escape(
+                f"the integral of {integral} carries infinite mass as "
+                f"sigma -> inf")):
+            quadrature_moments(reduced_target(N, family=None, sigma_power=k))
+
+    def test_barely_convergent_moment_fails_fast(self):
+        # sigma^(95 - 1e-5) leaves sigma^4's nu integrand falling off as
+        # e^{-1e-5 nu}: it converges, but its range would reach ~3e6 in nu.
+        with pytest.raises(NumericalError, match=re.escape(
+                "the integral of e^{4nu} f (sigma^4) carries mass more than "
+                "1e6")):
+            quadrature_moments(
+                reduced_target(N, family=None, sigma_power=95 - 1e-5))
+
+    @pytest.mark.parametrize("k", [-1, 2.5, 4, 94.5])
+    def test_flat_prior_sigma_power_law(self, k):
+        # Next to the rule's edge, too: at k = 94.5 sigma^4's nu integrand
+        # falls off only as e^{-nu/2}.  sigma^2 is exactly inverse-gamma
+        # ((n - k - 1) / 2, RSS / 2).
+        t = reduced_target(N, family=None, sigma_power=k)
+        y = t.data.y
+        law = invgamma((N - k - 1) / 2, scale=(y @ y - N * y.mean() ** 2) / 2)
+        res = quadrature_moments(t)
+        assert res.sigma_sq_mean == pytest.approx(law.mean(), rel=1e-9)
+        assert res.sigma_sq_sd == pytest.approx(law.std(), rel=1e-9)
+
+    @pytest.mark.parametrize("family", [
+        Normal(), Student(4), LPTN(0.95), CTN(0.98), None],
+        ids=["normal", "student", "lptn", "ctn", "flat"])
+    def test_range_ends_are_negligible(self, family):
+        # At both first edges each nu integrand is at most 1e-12 of the
+        # largest value, on a fine grid between them, of the same integrand
+        # with f's inner integral in place of its own: for f, sigma^2 and
+        # sigma^4 that is the integrand itself; tol counts beta's moments
+        # in those units too.  Every target whose moments all exist
+        # (k < n - 4; n - 5 under the flat prior), in location and scaling
+        # conflict.
+        for n, k, (mu2, lam2) in itertools.product(
+                (5, 20, 100, 1000), (0, -1, 0.5, 4),
+                ((5.0, 1.0), (0.5, 10.0), (2.0, 0.3))):
+            if k >= n - 4 - (family is None):
+                continue
+            fac = oracle._Factors(
+                reduced_target(n, mu2, lam2, family, sigma_power=k))
+            edges = fac.nu_panels()[0]
+            nu = np.linspace(edges[0], edges[-1], 2001)
+            log_cols, ints, _ = fac.nu_values(nu, 0.0)
+            with np.errstate(divide="ignore"):
+                log_vals = log_cols + np.log(np.abs(ints))
+            top = np.max(log_cols + np.log(ints[:, :1]), axis=0)
+            assert np.all(log_vals[[0, -1]] <= top - np.log(1e12)), (n, k, mu2)
+
     def test_panel_budget(self):
         # The budget check runs after every round and reports the summed
         # error of the live panels.  At tol 1e-12 this target starts from
-        # 84 nu panels and needs 102, so one refinement round runs first.
+        # 53 nu panels, then holds 60, and needs 69, so one refinement round
+        # runs first.
         tol = 1e-12
         t = reduced_target(5, 3.0, 2.0, Student(1.0))
-        with pytest.raises(NumericalError, match="more than 90 panels") as exc:
-            quadrature_moments(t, tol=tol, max_panels=90)
+        assert len(oracle._Factors(t).nu_panels()[0]) - 1 <= 56
+        with pytest.raises(NumericalError, match="more than 56 panels") as exc:
+            quadrature_moments(t, tol=tol, max_panels=56)
         err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
         assert err > tol
 
     def test_inner_limit_names_integral(self, monkeypatch):
         # Inner integrals refined as far as they go end in the budget's
         # error, naming the integral with most error left.  At tol 1e-13
-        # this diffuse target needs them below the noise of rounding; with
-        # at most 8 intervals at a nu node, the default tol is out of reach.
+        # this diffuse target needs them below the noise of rounding (f
+        # carries 7.8e-10, sigma^4 5.0e-10); with at most 8 intervals at a
+        # nu node, the default tol is out of reach.
         with pytest.raises(NumericalError, match=(
                 r"cannot refine its inner integrals over beta enough to reach"
-                r" tol=1e-13; the integral of beta\^2 f carries")):
-            quadrature_moments(reduced_target(5, 3.0, 2.0, Student(1.0)),
+                r" tol=1e-13; the integral of f carries")):
+            quadrature_moments(reduced_target(5, 3.0, 1.0, Student(1.0)),
                                tol=1e-13)
         monkeypatch.setattr(oracle, "_INNER_INTERVALS", 8)
         with pytest.raises(NumericalError, match=(
