@@ -2,29 +2,32 @@
 
 Two ways a located, scaled prior can disagree with the data: its location
 drifts away (mu -> infinity), or it concentrates hard on the wrong place
-(lam -> infinity).  The fate of the conflict is read off the ratio of the
-scaled prior density to a fixed normalizer:
+(lam -> infinity).  Along a `ConflictPath`, mu = a + b omega and
+lam = c + d omega, a rejected prior's factor (lam/sigma) g((lam/sigma)
+(beta - mu)) tends to g(ref) (lam/sigma)^-k, and `prior_ratio` divides it by
+that law, so every ratio tends to 1:
 
-* Student, drifting location: ratio -> (sigma/lam)^gamma, a partial
-  resolution with a scale-dependent trace;
-* LPTN, drifting location: ratio -> 1, whole robustness;
-* LPTN, exploding scaling: collapses like 1/|beta - mu| at a painfully
-  slow log rate (the companion column);
-* CTN, either conflict: the ratio hits 1 exactly at a finite threshold.
+* Student, drifting location: k = gamma, ref = mu; the posterior keeps a
+  sigma^gamma trace, a partial resolution;
+* LPTN, drifting location: k = 0, whole robustness, at a log-slow rate;
+* LPTN, exploding scaling: another law, a collapse like 1/|beta - mu| at a
+  painfully slow log rate (the companion column);
+* CTN, either conflict: k = -1, and the ratio hits 1 exactly at a finite
+  threshold.
 
 Run:  python demos/02_conflict_asymptotics.py
 """
 
-from robustpriors import (lptn_scaling_trace, prior_limit_ctn,
-                          prior_ratio_lptn, prior_ratio_student)
+from robustpriors import (CTN, LPTN, ConflictPath, Student,
+                          lptn_scaling_trace, prior_ratio)
 
-print("Student location drift (lam=2, sigma=1, gamma=4): limit (1/2)^4")
-s = prior_ratio_student(2.0, 1.0, 1.0, 4.0)
+print("Student location drift (lam=2, sigma=1, gamma=4): k = 4")
+s = prior_ratio(ConflictPath(b=1.0, c=2.0), Student(4.0), 1.0)
 for w, r in zip(s.omega, s.ratio):
-    print(f"  mu = {w:10.0f}   ratio = {r:.6f}   (target {s.target:.6f})")
+    print(f"  mu = {w:10.0f}   ratio = {r:.6f}")
 
-print("\nLPTN location drift (lam=1, sigma=1, rho=0.95): limit 1")
-s = prior_ratio_lptn(1.0, 1.0, 1.0, 0.95)
+print("\nLPTN location drift (lam=1, sigma=1, rho=0.95): k = 0")
+s = prior_ratio(ConflictPath(b=1.0), LPTN(0.95), 1.0)
 for w, r in zip(s.omega, s.ratio):
     print(f"  mu = {w:10.0f}   ratio = {r:.6f}")
 
@@ -34,9 +37,11 @@ for lam, dens, comp in zip(tr.lam, tr.density, tr.companion.ratio):
     print(f"  lam = {lam:8.0e}   density = {dens:.3e}   "
           f"companion = {comp:.4f}")
 
-print("\nCTN: the limit is attained exactly once the offset passes kappa")
-s = prior_limit_ctn(0.0, 0.98, "scaling", mu=0.5, grid=[1.0, 3.0, 5.0, 50.0])
-for lam, r in zip(s.omega, s.ratio):
-    inside = lam * 0.5 <= 2.3263
+print("\nCTN scaling (mu=0.5, lam=1+omega): exact once the offset passes kappa")
+fam = CTN(0.98)
+path = ConflictPath(a=0.5, c=1.0, d=1.0)
+s = prior_ratio(path, fam, 0.0, omega_grid=[0.0, 2.0, 4.0, 49.0])
+for lam, r in zip(path.lam(s.omega), s.ratio):
+    inside = lam * 0.5 <= fam.kappa
     note = "inside matching interval" if inside else "constant tail: exact"
     print(f"  lam = {lam:6.1f}   ratio = {r:.6f}   ({note})")

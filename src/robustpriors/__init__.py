@@ -20,8 +20,7 @@ from .sampler import (Chain, DivergenceError, HmcConfig, PosteriorSummary,
                       ess_imse, leapfrog, sample, save_chains, summarize)
 from .asymptotics import (ConflictPath, RatioSeries, ScalingTrace,
                           lptn_scaling_trace, marginal_ratio_convergence,
-                          posterior_limit_convergence, prior_limit_ctn,
-                          prior_ratio_lptn, prior_ratio_student)
+                          posterior_limit_convergence, prior_ratio)
 
 __all__ = [
     "__version__",
@@ -32,8 +31,7 @@ __all__ = [
     "leapfrog", "sample", "summarize", "ess_imse", "save_chains",
     "ConjugateResult", "QuadratureResult", "NumericalError",
     "conjugate_posterior", "jeffreys_benchmark", "quadrature_moments",
-    "ConflictPath", "RatioSeries", "ScalingTrace",
-    "prior_ratio_student", "prior_ratio_lptn", "lptn_scaling_trace",
-    "prior_limit_ctn", "marginal_ratio_convergence",
+    "ConflictPath", "RatioSeries", "ScalingTrace", "prior_ratio",
+    "lptn_scaling_trace", "marginal_ratio_convergence",
     "posterior_limit_convergence",
 ]

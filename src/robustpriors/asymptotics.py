@@ -1,24 +1,22 @@
 """Numerical verification of the conflict-resolution limit claims.
 
 Each routine traces a limit statement along a finite grid and returns a
-`RatioSeries` whose values should approach a known target:
+`RatioSeries` with target 1.  One rule, `_conflict_limit`, gives every
+far-conflict law along a `ConflictPath`: a rejected prior's factor
+``(lam/sigma) g((lam/sigma)(beta - mu))`` tends to ``g(ref) (lam/sigma)^-k``
+and the posterior to the flat-prior one times sigma^k.  In a location
+conflict ref = mu(omega) and k is 0 for LPTN, gamma for Student and -1 for
+CTN; in a CTN scaling conflict ref = kappa and k = -1.  Three series read
+k and ref:
 
-* Student location conflicts: the scaled-over-unscaled prior density ratio
-  tends to ``(sigma/lam)^gamma`` (a partial resolution; the trace remains).
-* LPTN location conflicts: the same ratio tends to 1 (whole robustness).
-* LPTN scaling conflicts: the density collapses like
-  ``phi(tau) * tau / |beta - mu| * (log tau / log lam)^theta``; the ratio
-  against that asymptote tends to 1 at a log-slow rate.
-* CTN conflicts: the scaled density over ``(lam/sigma) * phi(kappa)`` is
-  exactly 1 once the argument passes the matching threshold, in either the
-  location or the scaling regime.
-* Conflict paths: along an omega-parameterized path one walk integrates
-  the reduced two-parameter posterior by quadrature at each omega and at
-  its limit, the flat-prior target times the trace the prior leaves (none
-  for LPTN location conflicts, sigma^gamma for Student ones, sigma^{-1}
-  for CTN scaling conflicts: one rule, `_conflict_limit`).  The normalized
-  marginal-likelihood ratio and the posterior-limit series, E[sigma^2]
-  over the limit's, tend to 1.
+* `prior_ratio`, the factor over its law, pointwise;
+* `marginal_ratio_convergence`, the reduced two-parameter posterior's
+  marginal, by quadrature, over the law times the limit's marginal;
+* `posterior_limit_convergence`, E[sigma^2] over the limit's.
+
+LPTN scaling conflicts follow another law: `lptn_scaling_trace` traces the
+density's collapse like ``phi(tau) * tau / |beta - mu| *
+(log tau / log lam)^theta``, whose ratio tends to 1 at a log-slow rate.
 
 All ratios are formed in log space and exponentiated once at the end; the
 unscaled densities underflow at moderate offsets otherwise.
@@ -32,11 +30,9 @@ import numpy as np
 from .model import reduced_target
 from .oracle import quadrature_moments
 from .priors import CTN, LPTN, Student
-from .specfun import normal_pdf
 
-__all__ = ["ConflictPath", "RatioSeries", "ScalingTrace",
-           "prior_ratio_student", "prior_ratio_lptn", "lptn_scaling_trace",
-           "prior_limit_ctn", "marginal_ratio_convergence",
+__all__ = ["ConflictPath", "RatioSeries", "ScalingTrace", "prior_ratio",
+           "lptn_scaling_trace", "marginal_ratio_convergence",
            "posterior_limit_convergence", "DEFAULT_POINTWISE_GRID",
            "DEFAULT_QUAD_GRID"]
 
@@ -60,6 +56,8 @@ class ConflictPath:
     d: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.a, self.b, self.c, self.d])):
+            raise ValueError(f"a, b, c and d must be finite, got {self}")
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.d < 0:
@@ -118,39 +116,33 @@ def _grid(grid, default):
     return g
 
 
-def _prior_ratio(family, lam, sigma, beta, mu_grid, label):
-    # Scaled over unscaled prior density of one family along a location
-    # drift; the ratio tends to (sigma/lam)^k (see `_conflict_limit`).
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive")
-    mu = _grid(mu_grid, DEFAULT_POINTWISE_GRID)
-    scale = lam / sigma
-    log_ratio = (np.log(scale) + family.log_density(scale * (beta - mu))
-                 - family.log_density(mu))
-    return RatioSeries(mu, np.exp(log_ratio),
-                       target=(sigma / lam) ** _conflict_limit(
-                           ConflictPath(b=1.0), family)[0],
-                       family=family.name, label=label)
+def prior_ratio(path, family, beta, sigma=1.0, omega_grid=None):
+    """Scaled prior density along a conflict path over its far-conflict law.
 
-
-def prior_ratio_student(lam, sigma, beta, gamma, mu_grid=None):
-    """Student scaled/unscaled prior density ratio along a location drift.
-
-    The ratio ``(lam/sigma) g((lam/sigma)(beta - mu)) / g(mu)`` tends to
-    ``(sigma/lam)^gamma`` as the location goes to infinity.
+    With ``s = lam(omega) / sigma`` the conflicting prior's factor
+    ``s g(s (beta - mu(omega)))`` tends to ``g(ref) s^-k`` (see
+    `_conflict_limit`), so the ratio ``s^(1 + k) g(s (beta - mu)) / g(ref)``
+    tends to 1: polynomially under Student tails, log-slowly under
+    log-Pareto ones, and exactly, past a finite threshold, under constant
+    tails.  A path that never moves the prior off ``beta`` raises.
     """
-    return _prior_ratio(Student(gamma), lam, sigma, beta, mu_grid,
-                        f"student gamma={gamma} lam={lam} sigma={sigma}")
-
-
-def prior_ratio_lptn(lam, sigma, beta, rho, mu_grid=None):
-    """LPTN scaled/unscaled prior density ratio along a location drift.
-
-    Asymptotic location-scale invariance: the limit is 1 no matter the
-    scale, at a log-polynomial rate.
-    """
-    return _prior_ratio(LPTN(rho), lam, sigma, beta, mu_grid,
-                        f"lptn rho={rho} lam={lam} sigma={sigma}")
+    k, ref = _conflict_limit(path, family)
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if path.b == 0 and beta == path.a:
+        raise ValueError("beta == mu on a path with a fixed location is "
+                         "degenerate: the scaled offset stays 0")
+    omega = _grid(omega_grid, DEFAULT_POINTWISE_GRID)
+    s = path.lam(omega) / sigma
+    log_ratio = ((1 + k) * np.log(s)
+                 + family.log_density(s * (beta - path.mu(omega)))
+                 - family.log_density(ref(omega)))
+    return RatioSeries(omega, np.exp(log_ratio), target=1.0,
+                       family=family.name,
+                       label=f"prior ratio at beta={beta} sigma={sigma}: "
+                             f"{family!r} along {path!r}")
 
 
 @dataclass
@@ -193,37 +185,6 @@ def lptn_scaling_trace(beta, mu, sigma, rho, lam_grid=None):
                         asymptote=np.exp(log_asymptote), companion=companion)
 
 
-def prior_limit_ctn(beta, varrho, regime, lam=1.0, mu=None, sigma=1.0,
-                    grid=None):
-    """CTN scaled density over its constant-tail value along a conflict.
-
-    ``regime='location'`` drifts the location with ``lam`` fixed;
-    ``regime='scaling'`` grows ``lam`` with ``mu`` fixed (and different
-    from ``beta``).  The ratio equals 1 exactly once the standardized
-    offset passes the matching threshold: the limit is attained, not
-    approached.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    fam = CTN(varrho)
-    if regime == "location":
-        axis = _grid(grid, DEFAULT_POINTWISE_GRID)
-        z = (lam / sigma) * (beta - axis)
-        label = f"ctn location varrho={varrho} lam={lam}"
-    elif regime == "scaling":
-        if mu is None or mu == beta:
-            raise ValueError("scaling regime needs a fixed mu different "
-                             "from beta")
-        axis = _grid(grid, DEFAULT_POINTWISE_GRID)
-        z = (axis / sigma) * (beta - mu)
-        label = f"ctn scaling varrho={varrho} mu={mu}"
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    log_ratio = fam.log_density(z) - fam.log_density(fam.kappa)
-    return RatioSeries(axis, np.exp(log_ratio), target=1.0, family="ctn",
-                       label=label)
-
-
 def _check_limit_condition(n, p, n_location):
     # Sufficient condition for the location-conflict limits, in its stricter
     # appendix form n + |C^c| >= 2p + 1 + |C_b| (the statement form has -1);
@@ -237,15 +198,15 @@ def _check_limit_condition(n, p, n_location):
 
 
 def _conflict_limit(path, family):
-    """The trace a rejected conflicting prior leaves along the path.
+    """The far-conflict law of a prior the data reject along the path.
 
-    Returns k, the power of the sigma^k the limit posterior carries over
-    the flat-prior one, and the marginal's log normalizer at ``(omega, n)``:
+    Its factor ``(lam/sigma) g((lam/sigma)(beta - mu))`` tends to
+    ``g(ref) (lam/sigma)^-k``, so the posterior tends to the flat-prior one
+    times sigma^k.  Returns k and ref, a function of omega:
 
-    * LPTN location conflict: k = 0, normalizer log g(mu(omega));
-    * Student location conflict: k = gamma, no marginal normalizer (None);
-    * CTN scaling conflict: k = -1, normalizer
-      log(lam(omega) sqrt(n)) + log phi(kappa).
+    * location conflict: ref = mu(omega); k = 0 under log-Pareto tails,
+      gamma under Student tails and -1 under constant tails;
+    * CTN scaling conflict: ref = kappa, k = -1.
 
     Any other family or path raises `ValueError`.
     """
@@ -253,16 +214,17 @@ def _conflict_limit(path, family):
         if not isinstance(family, CTN):
             raise ValueError("scaling-conflict limits hold for the "
                              "constant-tailed family only")
-        return -1, lambda w, n: (np.log(float(path.lam(w)) * np.sqrt(n))
-                                 + np.log(normal_pdf(family.kappa)))
+        return -1, lambda omega: family.kappa
     if not path.conflicts_location:
         raise ValueError("a path with no conflict has no limit to approach")
     if isinstance(family, LPTN):
-        return 0, lambda w, n: family.log_density(float(path.mu(w)))
+        return 0, path.mu
     if isinstance(family, Student):
-        return family.gamma, None
-    raise ValueError("location-conflict limits hold for the "
-                     "log-Pareto-tailed and Student families only")
+        return family.gamma, path.mu
+    if isinstance(family, CTN):
+        return -1, path.mu
+    raise ValueError("location-conflict limits hold for the log-Pareto-"
+                     "tailed, Student and constant-tailed families only")
 
 
 def _limit_target(path, family, n):
@@ -298,31 +260,30 @@ def _walk(path, family, n, omega_grid, quad_tol, what, ratio):
     ratios = [ratio(w, quadrature_moments(reduced_target(
         n, mu2=float(path.mu(w)), lambda2=float(path.lam(w)), family=family),
         tol=quad_tol), limit) for w in omega]
-    kind, drift = (("scaling", f"d={path.d}") if path.conflicts_scaling
-                   else ("location", f"b={path.b}"))
     return RatioSeries(omega, ratios, target=1.0, family=family.name,
-                       label=f"{kind}-conflict {what} ({family.name}, {drift})")
+                       label=f"{what}: {family!r} along {path!r}")
 
 
 def marginal_ratio_convergence(path, family, n=100, omega_grid=None,
                                quad_tol=1e-10):
     """Normalized marginal-likelihood ratio along a conflict path.
 
-    For a location conflict the marginal of the drifting posterior is
-    normalized by the unscaled prior density at the drifted location; for a
-    constant-tail scaling conflict by ``lam_eff * phi(kappa)``.  Both the
-    drifting marginal and the limiting one come from the quadrature oracle
-    on reduced targets, so the series tends to 1 when the corresponding
-    limit theorem applies.  Any other family or path, one with no conflict
-    included, raises `ValueError` (see `_conflict_limit`).
+    The marginal of the drifting posterior is normalized by the prior's
+    far-conflict law ``g(ref) lam_eff^-k`` (see `_conflict_limit`), with
+    ``lam_eff = lam(omega) sqrt(n)`` the reduced target's inverse scale.
+    Both the drifting marginal and the limiting one come from the quadrature
+    oracle on reduced targets, so the series tends to 1 when the
+    corresponding limit theorem applies.  Any other family or path, one with
+    no conflict included, raises `ValueError`.
     """
-    log_normalizer = _conflict_limit(path, family)[1]
-    if log_normalizer is None:
-        raise ValueError("whole-robustness location limits hold for the "
-                         "log-Pareto-tailed family only")
+    k, ref = _conflict_limit(path, family)
+
+    def log_normalizer(w):
+        return (family.log_density(float(ref(w)))
+                - k * np.log(float(path.lam(w)) * np.sqrt(n)))
     return _walk(path, family, n, omega_grid, quad_tol, "marginal ratio",
                  lambda w, res, limit: np.exp(
-                     res.log_norm - log_normalizer(w, n) - limit.log_norm))
+                     res.log_norm - log_normalizer(w) - limit.log_norm))
 
 
 def posterior_limit_convergence(path, family, n=100, omega_grid=None,
@@ -331,8 +292,8 @@ def posterior_limit_convergence(path, family, n=100, omega_grid=None,
 
     The posterior tends to the flat-prior one times the trace the
     conflicting prior leaves (see `_conflict_limit`): none under log-Pareto
-    tails, sigma^gamma under Student tails, sigma^{-1} under constant tails
-    in a scaling conflict.  The trace moves sigma^2, which the limit's
+    tails, sigma^gamma under Student tails, sigma^{-1} under constant
+    tails.  The trace moves sigma^2, which the limit's
     coefficient mean (zero) cannot show, so the series is the ratio of
     sigma^2 means, with target 1.
     """

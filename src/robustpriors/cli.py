@@ -38,8 +38,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           marginal_ratio_convergence,
-                          posterior_limit_convergence, prior_limit_ctn,
-                          prior_ratio_lptn, prior_ratio_student)
+                          posterior_limit_convergence, prior_ratio)
 from .model import (DataError, PosteriorTarget, SigmaPrior, _open_csv,
                     load_csv, reduced_target, standardize, write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
@@ -375,19 +374,18 @@ def cmd_sweep(args):
 
 def _check_claims(args):
     """Run the diagnostics; yield (claim, terminal_error, threshold, verdict, series)."""
-    # Regularly-varying location limit across the hyperparameter grid.
-    worst = (None, -1.0)
-    for lam in (0.5, 1.0, 2.0):
-        for sig in (0.5, 1.0, 2.0):
-            for gam in (1.0, 4.0, 10.0):
-                s = prior_ratio_student(lam, sig, 1.0, gam)
-                rel = float(abs(s.ratio[-1] - s.target) / s.target)
-                if rel > worst[1]:
-                    worst = (s, rel)
-    yield ("student_location_limit", worst[1], 0.01,
-           worst[1] <= 0.01, worst[0])
+    location, scaling = ConflictPath(b=1.0), ConflictPath(a=0.5, c=1.0, d=1.0)
+    # Prior ratios over their far-conflict law, target 1: Student's worst
+    # case across a hyperparameter grid, LPTN's log-slow approach and CTN's
+    # exact attainment on both kinds of path.
+    s = max((prior_ratio(ConflictPath(b=1.0, c=lam), Student(gam), 1.0,
+                         sigma=sig)
+             for lam in (0.5, 1.0, 2.0) for sig in (0.5, 1.0, 2.0)
+             for gam in (1.0, 4.0, 10.0)), key=lambda r: r.abs_err[-1])
+    err = float(s.abs_err[-1])
+    yield ("student_location_limit", err, 0.01, err <= 0.01, s)
 
-    s = prior_ratio_lptn(1.0, 1.0, 1.0, 0.95)
+    s = prior_ratio(location, LPTN(0.95), 1.0)
     err = float(s.abs_err[-1])
     ok = err <= 0.05 and s.tail_nonincreasing()
     yield ("lptn_location_invariance", err, 0.05, ok, s)
@@ -401,14 +399,13 @@ def _check_claims(args):
     yield ("lptn_scaling_trace_slow", float(comp.abs_err[-1]), 0.12,
            monotone and slow and comp.abs_err[-1] <= 0.12, comp)
 
-    c_loc = prior_limit_ctn(0.0, 0.98, "location")
-    c_scl = prior_limit_ctn(0.0, 0.98, "scaling", mu=0.5)
-    exact = bool(np.all(c_loc.ratio == 1.0) and np.all(c_scl.ratio == 1.0))
-    yield ("ctn_exact_attainment", 0.0 if exact else 1.0, 0.0, exact, c_loc)
+    ctn = [prior_ratio(path, CTN(0.98), 0.0) for path in (location, scaling)]
+    exact = all(np.all(s.ratio == 1.0) for s in ctn)
+    yield ("ctn_exact_attainment", max(float(s.abs_err[-1]) for s in ctn),
+           0.0, exact, ctn[0])
 
     if args.fast:
         return
-    scaling, location = ConflictPath(a=0.5, c=1.0, d=1.0), ConflictPath(b=1.0)
     grid = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     mr = marginal_ratio_convergence(scaling, CTN(0.98), omega_grid=grid,
                                     quad_tol=args.quad_tol)

@@ -25,8 +25,7 @@ from scipy.stats import invgamma
 from robustpriors.asymptotics import (ConflictPath, _limiting_sigma_posterior,
                                       lptn_scaling_trace,
                                       marginal_ratio_convergence,
-                                      prior_limit_ctn, prior_ratio_lptn,
-                                      prior_ratio_student)
+                                      prior_ratio)
 from robustpriors.cli import main as cli_main
 from robustpriors.model import reduced_target
 from robustpriors.oracle import (conjugate_posterior, jeffreys_benchmark,
@@ -242,22 +241,24 @@ def test_criterion_5_limiting_sigma_posteriors():
 
 def test_criterion_6_pointwise_asymptotics():
     t0 = time.perf_counter()
-    # Regularly-varying limit across the 27-combination grid.
+    # Regularly-varying limit across the 27-combination grid; each ratio is
+    # over its (sigma/lam)^gamma trace, so the error is relative.
+    location = ConflictPath(b=1.0)
     student_worst = 0.0
     for lam in (0.5, 1.0, 2.0):
         for sig in (0.5, 1.0, 2.0):
             for gam in (1.0, 4.0, 10.0):
-                s = prior_ratio_student(lam, sig, 1.0, gam)
-                student_worst = max(student_worst,
-                                    float(abs(s.ratio[-1] - s.target) / s.target))
+                s = prior_ratio(ConflictPath(b=1.0, c=lam), Student(gam), 1.0,
+                                sigma=sig)
+                student_worst = max(student_worst, float(s.abs_err[-1]))
                 assert s.tail_nonincreasing()
     student_ok = student_worst <= 0.01
 
-    lptn = prior_ratio_lptn(1.0, 1.0, 1.0, 0.95)
+    lptn = prior_ratio(location, LPTN(0.95), 1.0)
     lptn_ok = float(lptn.abs_err[-1]) <= 0.05 and lptn.tail_nonincreasing()
 
-    ctn_loc = prior_limit_ctn(0.0, 0.98, "location")
-    ctn_scl = prior_limit_ctn(0.0, 0.98, "scaling", mu=0.5)
+    ctn_loc = prior_ratio(location, CTN(0.98), 0.0)
+    ctn_scl = prior_ratio(ConflictPath(a=0.5, c=1.0, d=1.0), CTN(0.98), 0.0)
     ctn_ok = bool(np.all(ctn_loc.ratio == 1.0) and np.all(ctn_scl.ratio == 1.0))
 
     trace = lptn_scaling_trace(0.5, 0.0, 1.0, 0.95,

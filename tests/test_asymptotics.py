@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from robustpriors.asymptotics import (ConflictPath, RatioSeries,
-                                      _limit_target,
+                                      _conflict_limit, _limit_target,
                                       _limiting_sigma_posterior,
                                       lptn_scaling_trace,
                                       marginal_ratio_convergence,
                                       posterior_limit_convergence,
-                                      prior_limit_ctn, prior_ratio_lptn,
-                                      prior_ratio_student)
+                                      prior_ratio)
 from robustpriors.cli import _write_series_csv
 from robustpriors.model import SigmaPrior, reduced_target
 from robustpriors.oracle import quadrature_moments
@@ -18,6 +17,17 @@ from robustpriors.priors import CTN, LPTN, Normal, Student
 from robustpriors.specfun import normal_pdf
 
 N = 100
+LOCATION = ConflictPath(b=1.0)
+SCALING = ConflictPath(a=0.5, c=1.0, d=1.0)
+
+
+def scaled_over_unscaled(family, lam, sigma, beta, mu):
+    # The prior's scaled density along a location drift over its unscaled
+    # density at the drifted location, s g(s (beta - mu)) / g(mu), formed in
+    # log space: the ratio without its sigma^k trace.
+    s = lam / sigma
+    return np.exp(np.log(s) + family.log_density(s * (beta - mu))
+                  - family.log_density(mu))
 
 
 class TestConflictPath:
@@ -36,6 +46,13 @@ class TestConflictPath:
         with pytest.raises(ValueError):
             ConflictPath(d=-0.5)
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_finite(self, field, value):
+        # A NaN d would otherwise read as a path with no conflict.
+        with pytest.raises(ValueError, match="must be finite"):
+            ConflictPath(**{field: value})
+
 
 class TestRatioSeries:
     def test_validation(self):
@@ -50,36 +67,67 @@ class TestRatioSeries:
         assert s.tail_nonincreasing()
 
 
+class TestPriorRatio:
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            prior_ratio(LOCATION, Student(4.0), beta)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            prior_ratio(LOCATION, Student(4.0), 1.0, sigma=sigma)
+
+    def test_unsupported_pairs_raise(self):
+        for path, family in ((LOCATION, Normal()), (SCALING, LPTN(0.95)),
+                             (SCALING, Student(4.0)),
+                             (ConflictPath(a=0.5), CTN(0.98))):
+            with pytest.raises(ValueError):
+                prior_ratio(path, family, 1.0)
+
+
 class TestStudentRatio:
+    # The ratio over (sigma/lam)^gamma, so its target is 1.
     def test_limit_value(self):
-        s = prior_ratio_student(2.0, 1.0, 0.0, 4.0)
-        assert s.target == pytest.approx(0.0625)
-        assert abs(s.ratio[-1] - 0.0625) / 0.0625 < 0.01
+        s = prior_ratio(ConflictPath(b=1.0, c=2.0), Student(4.0), 0.0)
+        assert s.target == 1.0
+        assert abs(s.ratio[-1] - 1.0) < 0.01
+        plain = scaled_over_unscaled(Student(4.0), 2.0, 1.0, 0.0, s.omega)
+        np.testing.assert_allclose(s.ratio, plain / 0.0625, rtol=1e-13)
 
     def test_equal_scales_limit_one(self):
         for gamma in (1.0, 4.0, 10.0):
-            s = prior_ratio_student(1.3, 1.3, 0.5, gamma)
+            s = prior_ratio(ConflictPath(b=1.0, c=1.3), Student(gamma), 0.5,
+                            sigma=1.3)
             assert s.target == 1.0
             assert s.ratio[-1] == pytest.approx(1.0, rel=1e-6)
 
     def test_cauchy_case(self):
-        s = prior_ratio_student(1.0, 2.0, 0.0, 1.0)
-        assert s.target == pytest.approx(2.0)
-        assert s.ratio[-1] == pytest.approx(2.0, rel=1e-6)
+        # The unscaled ratio tends to sigma/lam = 2.
+        s = prior_ratio(LOCATION, Student(1.0), 0.0, sigma=2.0)
+        assert s.ratio[-1] == pytest.approx(1.0, rel=1e-6)
+        plain = scaled_over_unscaled(Student(1.0), 1.0, 2.0, 0.0, s.omega)
+        np.testing.assert_allclose(s.ratio, plain / 2.0, rtol=1e-13)
 
     def test_grid_family_within_one_percent(self):
         for lam in (0.5, 1.0, 2.0):
             for sig in (0.5, 1.0, 2.0):
                 for gamma in (1.0, 4.0, 10.0):
-                    s = prior_ratio_student(lam, sig, 1.0, gamma)
-                    rel = abs(s.ratio[-1] - s.target) / s.target
-                    assert rel < 0.01
+                    family = Student(gamma)
+                    s = prior_ratio(ConflictPath(b=1.0, c=lam), family, 1.0,
+                                    sigma=sig)
+                    assert s.abs_err[-1] < 0.01
                     assert s.tail_nonincreasing()
+                    plain = scaled_over_unscaled(family, lam, sig, 1.0,
+                                                  s.omega)
+                    np.testing.assert_allclose(
+                        s.ratio, plain / (sig / lam) ** gamma, rtol=1e-13)
 
 
 class TestLptnRatio:
     def test_reference_case(self):
-        s = prior_ratio_lptn(1.0, 1.0, 1.0, 0.95, mu_grid=[1e4, 1e6, 1e8])
+        s = prior_ratio(LOCATION, LPTN(0.95), 1.0,
+                        omega_grid=[1e4, 1e6, 1e8])
         err = s.abs_err
         assert err[0] > err[1] > err[2]
         assert err[2] < 0.05
@@ -90,13 +138,23 @@ class TestLptnRatio:
         fam = LPTN(0.95)
         lam, sig = 2.0, 1.0
         mu = np.array([1e3, 1e6])
-        s = prior_ratio_lptn(lam, sig, 0.0, 0.95, mu_grid=mu)
+        s = prior_ratio(ConflictPath(b=1.0, c=lam), fam, 0.0, sigma=sig,
+                        omega_grid=mu)
         manual = (np.log(mu) / np.log(lam / sig * mu)) ** fam.theta
         np.testing.assert_allclose(s.ratio, manual, rtol=1e-12)
 
     def test_identical_arguments_exactly_one(self):
-        s = prior_ratio_lptn(1.0, 1.0, 0.0, 0.95, mu_grid=[10.0, 100.0])
+        s = prior_ratio(LOCATION, LPTN(0.95), 0.0, omega_grid=[10.0, 100.0])
         np.testing.assert_array_equal(s.ratio, 1.0)
+
+    def test_scaled_over_unscaled_bit_for_bit(self):
+        # k = 0: the ratio is the scaled density over the unscaled one.
+        for lam, sig, beta in ((1.0, 1.0, 1.0), (2.0, 0.7, -3.0),
+                               (0.5, 2.0, 0.25)):
+            s = prior_ratio(ConflictPath(b=1.0, c=lam), LPTN(0.95), beta,
+                            sigma=sig)
+            assert np.array_equal(s.ratio, scaled_over_unscaled(
+                LPTN(0.95), lam, sig, beta, s.omega))
 
 
 class TestScalingTrace:
@@ -133,29 +191,34 @@ class TestScalingTrace:
 
 class TestCtnLimit:
     def test_location_exact_beyond_threshold(self):
-        s = prior_limit_ctn(0.0, 0.98, "location", lam=1.0, sigma=1.0)
-        # all grid points exceed kappa ~ 2.33, so equality is exact
-        assert np.all(s.ratio == 1.0)
+        # All grid points exceed kappa ~ 2.33, so equality is exact.
+        for lam, sig in ((1.0, 1.0), (2.0, 0.7)):
+            s = prior_ratio(ConflictPath(b=1.0, c=lam), CTN(0.98), 0.0,
+                            sigma=sig)
+            assert np.all(s.ratio == 1.0)
 
     def test_scaling_exact_beyond_threshold(self):
+        # lam(omega) = 1 + omega; |beta - mu| = 0.5 passes kappa once
+        # lam > 2 kappa sigma.
         fam = CTN(0.98)
-        s = prior_limit_ctn(0.0, 0.98, "scaling", mu=0.5,
-                            grid=[fam.kappa / 0.5 + 0.01, 100.0, 1e6])
-        assert np.all(s.ratio == 1.0)
+        for sig in (1.0, 0.7):
+            first = 2.0 * fam.kappa * sig - 1.0 + 0.01
+            s = prior_ratio(SCALING, fam, 0.0, sigma=sig,
+                            omega_grid=[first, 100.0, 1e6])
+            assert np.all(s.ratio == 1.0)
 
     def test_interior_point(self):
         fam = CTN(0.98)
-        s = prior_limit_ctn(0.0, 0.98, "scaling", mu=0.5, grid=[1.0, 2.0])
+        s = prior_ratio(SCALING, fam, 0.0, omega_grid=[0.0, 1.0])
         z = np.array([0.5, 1.0])
         expected = normal_pdf(z) / normal_pdf(fam.kappa)
         np.testing.assert_allclose(s.ratio, expected, rtol=1e-12)
         assert np.all(s.ratio > 1.0)
 
     def test_degenerate_scaling(self):
-        with pytest.raises(ValueError):
-            prior_limit_ctn(0.5, 0.98, "scaling", mu=0.5)
-        with pytest.raises(ValueError, match="regime"):
-            prior_limit_ctn(0.0, 0.98, "sideways")
+        # The prior stays centred on beta, so its argument never moves.
+        with pytest.raises(ValueError, match="degenerate"):
+            prior_ratio(SCALING, CTN(0.98), 0.5)
 
 
 class TestMarginalRatio:
@@ -194,7 +257,7 @@ class TestMarginalRatio:
             marginal_ratio_convergence(ConflictPath(a=0.5, c=1.0, d=1.0),
                                        LPTN(0.95))
         with pytest.raises(ValueError):
-            marginal_ratio_convergence(ConflictPath(b=1.0), CTN(0.98))
+            marginal_ratio_convergence(ConflictPath(b=1.0), Normal())
 
     def test_condition_warning(self):
         # The reduced p = 1 targets always satisfy the sufficient condition
@@ -219,10 +282,14 @@ class TestPosteriorLimit:
         assert ctn_limit.sigma_prior.power + 1 == -1
         student = _limit_target(location, Student(4.0), N)
         assert student.sigma_prior.power + 1 == 4
+        # The prior's density is read at the drifted location, or at kappa
+        # in a scaling conflict.
+        assert _conflict_limit(location, CTN(0.98)) == (-1, location.mu)
+        k, ref = _conflict_limit(SCALING, CTN(0.98))
+        assert (k, ref(1e4)) == (-1, CTN(0.98).kappa)
 
     def test_family_path_mismatch(self):
         for path, family in ((ConflictPath(a=0.5, c=1.0, d=1.0), LPTN(0.95)),
-                             (ConflictPath(b=1.0, c=1.0), CTN(0.98)),
                              (ConflictPath(b=1.0, c=1.0), Normal()),
                              (ConflictPath(a=0.5, c=1.0), LPTN(0.95))):
             with pytest.raises(ValueError):
@@ -239,6 +306,11 @@ class TestPosteriorLimit:
         # Student tails shed their conflict polynomially, log-Pareto tails
         # log-slowly; each against its own limit.
         assert student.abs_err[-1] < 1e-8 < lptn.abs_err[-1] < 0.01
+        # Constant tails past kappa: the prior's factor is exactly its law,
+        # so both series equal 1 up to rounding.
+        for walk in (posterior_limit_convergence, marginal_ratio_convergence):
+            ctn = walk(path, CTN(0.98), omega_grid=grid)
+            assert np.all(ctn.abs_err < 1e-12)
 
     def test_non_integral_student_trace(self):
         # The sigma^2.5 trace of Student(2.5): errors about 8e-6, 8e-8 and
@@ -253,17 +325,20 @@ class TestPosteriorLimit:
         location = ConflictPath(b=1.0, c=1.0)
         scaling = ConflictPath(a=0.5, c=1.0, d=1.0)
         for path, family in ((location, LPTN(0.95)), (location, Student(4.0)),
-                             (location, Student(2.5)), (scaling, CTN(0.98))):
+                             (location, Student(2.5)), (location, CTN(0.98)),
+                             (scaling, CTN(0.98))):
             # The limit keeps Jeffreys' sigma^-1 times its sigma^k trace.
             k = _limit_target(path, family, N).sigma_prior.power + 1
             assert _limiting_sigma_posterior(path, family, N) == (
                 (N - k - 2) / 2, N / 2)
-        # Student tails leave no marginal normalizer.
-        with pytest.raises(ValueError, match="log-Pareto-tailed family only"):
-            marginal_ratio_convergence(location, Student(4.0),
-                                       omega_grid=[1.0])
+        # Student's marginal over g(mu) (lam sqrt(n))^-gamma tends to 1,
+        # about 1.1, 1.001, 1.00001 and 1.0000001 here.
+        student = marginal_ratio_convergence(
+            location, Student(4.0), omega_grid=[10.0, 100.0, 1000.0, 1e4])
+        assert np.all(np.diff(student.abs_err) < 0)
+        assert student.abs_err[-1] < 1e-6
         for path, family in ((location, Normal()), (scaling, Normal()),
-                             (scaling, LPTN(0.95)), (location, CTN(0.98)),
+                             (scaling, LPTN(0.95)),
                              (ConflictPath(a=0.5, c=1.0), LPTN(0.95)),
                              (ConflictPath(a=0.5, c=1.0), CTN(0.98))):
             for call in (_limit_target, _limiting_sigma_posterior):
@@ -307,12 +382,15 @@ class TestSummaryComparison:
 
 class TestSeriesCsv:
     def test_format(self, tmp_path):
-        s = prior_ratio_student(2.0, 1.0, 0.0, 4.0, mu_grid=[10.0, 100.0])
+        s = prior_ratio(ConflictPath(b=1.0, c=2.0), Student(4.0), 0.0,
+                        omega_grid=[10.0, 100.0])
         path = tmp_path / "series.csv"
         _write_series_csv([s], path, comments=["cfg"])
         lines = path.read_text().splitlines()
         assert lines[0] == "# cfg"
         assert lines[1] == "omega,ratio,target,abs_err"
-        assert lines[2] == "# series = student gamma=4.0 lam=2.0 sigma=1.0"
+        assert lines[2] == ("# series = prior ratio at beta=0.0 sigma=1.0: "
+                            "Student(gamma=4.0) along "
+                            "ConflictPath(a=0.0, b=1.0, c=2.0, d=0.0)")
         assert len(lines) == 5
         assert lines[3].startswith("10.0,")

@@ -737,9 +737,9 @@ class TestCheck:
             "lptn_location_posterior_limit",
             "student_location_posterior_limit", "ctn_scaling_posterior_limit"]
         assert {r[3] for r in rows} == {"PASS"}
-        # Terminal errors and thresholds of the first six claims, as recorded
-        # before the posterior-limit claims were added.
-        recorded = [(1.1000002753114302e-07, 0.01),
+        # Terminal errors and thresholds of the first six claims; the
+        # Student error is that of its ratio over the sigma^gamma trace.
+        recorded = [(1.1000003641292722e-07, 0.01),
                     (1.221672363271864e-08, 0.05),
                     (0.10931316326032792, 0.12), (0.0, 0.0),
                     (1.8285419622898758e-08, 0.02),
@@ -754,7 +754,7 @@ class TestCheck:
             elif blocks:
                 blocks[-1].append(line.split(","))
         assert len(blocks) == 9
-        for block in blocks[6:]:
+        for block in blocks:
             assert block and {r[2] for r in block} == {"1.0"}
 
     def test_marginal_monotone_claim_reads_its_threshold(self, monkeypatch):
