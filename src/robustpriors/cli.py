@@ -30,6 +30,7 @@ and seeds produce byte-identical files.
 import argparse
 import csv
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -40,7 +41,8 @@ from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           marginal_ratio_convergence,
                           posterior_limit_convergence, prior_ratio)
 from .model import (DataError, PosteriorTarget, SigmaPrior, _open_csv,
-                    load_csv, reduced_target, standardize, write_commented_csv)
+                    _os_error_text, load_csv, reduced_target, standardize,
+                    write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student
@@ -188,7 +190,8 @@ def read_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 values[key.strip().replace("-", "_")] = (lineno, val.strip())
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        raise ConfigError(
+            f"cannot read config file: {_os_error_text(exc)}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     return values
@@ -601,25 +604,48 @@ def _config_defaults(sub, first, path):
     return defaults
 
 
+def _print_error(message):
+    """Print ``message`` to stderr, each surrogate escape as its own byte.
+
+    A file name that the locale could not decode reaches Python with
+    surrogate escapes, which stderr's default error handler would print as
+    backslash escapes; the rest of the message keeps that handler, so a
+    character stderr's encoding lacks is still a backslash escape.
+    """
+    stream = sys.stderr
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        print(message, file=stream)
+        return
+    encoding = stream.encoding or "utf-8"
+    parts = re.split("([\udc80-\udcff]+)", message + "\n")
+    data = b"".join(part.encode(encoding, "surrogateescape" if i % 2
+                                else "backslashreplace")
+                    for i, part in enumerate(parts))
+    stream.flush()
+    buffer.write(data)
+    buffer.flush()
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
         return args.func(args)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _print_error(f"data error: {exc}")
         return EXIT_DATA
     except (NumericalError, DivergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _print_error(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except ValueError as exc:
         # ConfigError plus invalid constructor arguments reached via flags
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:
         # An output path that cannot be written; inputs that cannot be
         # read are reported as data or configuration errors.
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _print_error(f"error: cannot write output: {_os_error_text(exc)}")
         return EXIT_CONFIG
 
 

@@ -29,6 +29,7 @@ with no such factor.
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -157,7 +158,8 @@ def load_csv(path):
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read data file: {exc}") from None
+        raise DataError(
+            f"cannot read data file: {_os_error_text(exc)}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -193,6 +195,18 @@ def load_csv(path):
     names = [h for i, h in enumerate(header) if i != y_idx]
     data = RegressionData(y=y, X=X)
     return data, names
+
+
+def _os_error_text(exc):
+    """``str(exc)`` with the file name as it is, not as its repr.
+
+    The repr of a name that reached Python with surrogate escapes (a
+    non-ASCII name under an ASCII locale) spells them out as backslash
+    escapes; as it is, the name goes back out as its own bytes.
+    """
+    if exc.filename is None or exc.strerror is None:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: '{os.fsdecode(exc.filename)}'"
 
 
 def _open_csv(path, mode="w"):

@@ -17,9 +17,12 @@ So no search is needed: wherever the prior's density is the normal one or
 a constant (the normal family; LPTN between its kinks; CTN everywhere) the
 inner integral is a truncated-normal moment in closed form; the rest
 (LPTN's log-Pareto tails, the Student family) is cut at both bumps and at
-the kinks on a fixed range and refined adaptively.  The nu range is closed
-form too: each nu integrand is bounded by an inverse-gamma kernel in
-sigma^2, whose exponents also say exactly which moments exist.
+the kinks on a fixed range and refined adaptively.  Each batch of nu nodes
+takes one closed-form pass, `_gaussian_piece`, whose rows carry their own
+window, mean and precision: under CTN the bump and both constant tails of
+every node are rows of one call.  The nu range is closed form too: each nu
+integrand is bounded by an inverse-gamma kernel in sigma^2, whose exponents
+also say exactly which moments exist.
 """
 
 from dataclasses import dataclass
@@ -117,10 +120,11 @@ _LOG_DROP = np.log(1e12)
 _INTEGRALS = ("f", "beta f", "beta^2 f", "e^{2nu} f (sigma^2)",
               "e^{4nu} f (sigma^4)")
 # Integral i is inner integral COLS i times e^{NU i nu} / sqrt(a)^{A i}.
-_COLS = [0, 1, 2, 0, 0]
+_COLS = np.array([0, 1, 2, 0, 0])
 _NU_POWERS = np.array([0.0, 1.0, 2.0, 2.0, 4.0])
 _A_POWERS = np.array([0.0, 1.0, 2.0, 0.0, 0.0])
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
 _SQRT_HALF, _SQRT_HALF_PI = np.sqrt(0.5), np.sqrt(0.5 * np.pi)
 # A bound on |z| in `_gaussian_piece`, with z^2 finite and e^{-z^2/2} zero.
 _Z_MAX = 1e150
@@ -168,32 +172,41 @@ def _bisect(split, lo, hi):
 def _gaussian_piece(lo, hi, mean, a):
     """Integrals of e^{-a (x - mean)^2 / 2} x^j dx over [lo, hi], j = 0, 1, 2.
 
-    Rows broadcast; bounds may be infinite.  Returns a log scale (k,) and
-    the (k, 3) integrals over its exponential.  In z = sqrt(a) (x - mean) a
-    window on one side of 0 is reflected to z in [p, q], p > 0, and scaled
-    by e^{-p^2/2}: its Phi difference is taken from the upper tail, as
-    erfcx, so a far window neither cancels nor underflows.
+    Each of the k rows has its own window, the (k,) arrays ``lo`` and
+    ``hi``, whose bounds may be infinite; its mean and precision ``a`` are
+    scalars or (k,) arrays, one per row.  Every row's values are the same
+    bits alone as in a batch.  Returns a log scale (k,) and the (k, 3)
+    integrals over its exponential.  In z = sqrt(a) (x - mean) a window on
+    one side of 0 is reflected to z in [p, q], p > 0, and scaled by
+    e^{-p^2/2}: its Phi difference is taken from the upper tail, as erfcx,
+    so a far window neither cancels nor underflows.
     """
     root = np.sqrt(a)
-    lo_z, hi_z = (np.clip(root * (v - mean), -_Z_MAX, _Z_MAX)
-                  for v in (lo, hi))
-    flip = hi_z < 0.0
-    p, q = np.where(flip, -hi_z, lo_z), np.where(flip, -lo_z, hi_z)
+    z = root * (np.array([lo, hi]) - mean)
+    np.minimum(np.maximum(z, -_Z_MAX, out=z), _Z_MAX, out=z)
+    flip = z[1] < 0.0
+    p, q = pq = np.where(flip, -z[::-1], z)
     near = np.maximum(p, 0.0)
     # e^{-p^2/2} and e^{-q^2/2} over the scale e^{-near^2/2}.
     ep = np.exp(-0.5 * np.minimum(p, 0.0) ** 2)
-    drop = 0.5 * (q - near) * (q + near)
-    eq = np.exp(-drop)
+    fall = -0.5 * (q - near) * (q + near)
+    eq = np.exp(fall)
     # Integrals of e^{-z^2/2} times 1, z / sqrt(a) and z^2 / a, over it.
-    m0 = _SQRT_HALF_PI * np.where(
-        p > 0.0, erfcx(near * _SQRT_HALF) - erfcx(q * _SQRT_HALF) * eq,
-        erf(q * _SQRT_HALF) - erf(p * _SQRT_HALF))
-    m1 = np.where(p >= 0.0, -np.expm1(-drop), ep - eq)
-    m1 = np.where(flip, -m1, m1) / root
+    # erfcx is read only where p > 0, where max(u, 0) is u, and erf only
+    # where p <= 0; the floor keeps erfcx from overflowing elsewhere.
+    u = pq * _SQRT_HALF
+    ex, er = erfcx(np.maximum(u, 0.0)), erf(u)
+    m0 = _SQRT_HALF_PI * np.where(p > 0.0, ex[0] - ex[1] * eq, er[1] - er[0])
+    m1 = np.where(p >= 0.0, -np.expm1(fall), ep - eq)
+    np.negative(m1, out=m1, where=flip)
+    m1 /= root
     m2 = (m0 + p * ep - q * eq) / a
-    ints = np.column_stack([m0, mean * m0 + m1,
-                            mean * (mean * m0 + 2.0 * m1) + m2])
-    return -0.5 * near * near, ints / np.reshape(root, (-1, 1))
+    mean_m0 = mean * m0
+    ints = np.empty((len(m0), 3))
+    for j, col in enumerate((m0, mean_m0 + m1,
+                             mean * (mean_m0 + 2.0 * m1) + m2)):
+        np.divide(col, root, out=ints[:, j])
+    return -0.5 * near * near, ints
 
 
 class _Factors:
@@ -217,21 +230,28 @@ class _Factors:
         self.beta_hat = float(x @ y) / self.a
         self.rss = max(float(y @ y) - self.a * self.beta_hat ** 2, 0.0)
         self.log_sqrt_a = 0.5 * np.log(self.a)
+        self.log_a_cols = _A_POWERS * self.log_sqrt_a
         self.n, self.sigma_prior = target.n, target.sigma_prior
         self.prior = target.priors[0]
         self.log_g0 = 0.0
+        # Whether the inner integrals take the adaptive pass: not under the
+        # flat prior, nor where g is the normal density or a constant.
+        self.adaptive = False
         if self.prior is not None:
             family = self.prior.family
             self.s = self.prior.lam / np.sqrt(self.a)
-            self.log_g0 = float(family.log_density(0.0))
+            self.log_s = np.log(self.s)
+            self.big_a = 1.0 + self.s * self.s
             # g is the standard normal density for |t| <= kink, and beyond
             # it the constant g(kink) under CTN; None: no normal branch.
             self.kink = np.inf if isinstance(family, Normal) else (
                 getattr(family, "tau", None) or getattr(family, "kappa", None))
             self.constant_tails = isinstance(family, CTN)
-            self.all_closed = isinstance(family, (Normal, CTN))
-            if self.constant_tails:
-                self.log_g_kink = float(family.log_density(self.kink))
+            self.adaptive = not isinstance(family, (Normal, CTN))
+            # g(0) and, read only under CTN, g(kink): one unchecked call.
+            self.log_g0, self.log_g_kink = family.log_density(
+                np.array([0.0, self.kink if self.constant_tails else 0.0]),
+                check=False).tolist()
 
     def log_nu_factor(self, nu):
         """L(nu) plus log s, or plus nu - log sqrt(a) under the flat prior."""
@@ -241,7 +261,7 @@ class _Factors:
                    + self.n * LOG_INV_SQRT_2PI)
         if self.prior is None:
             return out + nu - self.log_sqrt_a
-        return out + np.log(self.s)
+        return out + self.log_s
 
     def log_peak(self, nu, log_factor):
         """log f(beta, nu) where the integrand over x is 1."""
@@ -260,37 +280,43 @@ class _Factors:
 
         On the normal branch e^{-x^2/2} g(t) is a normal bump in x, mean
         -m s / A and precision A = 1 + s^2, times e^{-m^2 / (2A)} / sqrt(2
-        pi); under CTN each tail is the constant g(kappa) times e^{-x^2/2}.
-        Student has no closed part: log scale -inf.
+        pi); under CTN each tail is the constant g(kappa) times e^{-x^2/2},
+        and the bump and both tails are the 3k rows of one `_gaussian_piece`
+        call.  Student has no closed part: log scale -inf.
         """
         k = len(m)
         if self.kink is None:
             return np.full(k, -np.inf), np.zeros((k, 3))
-        s = self.s
-        big_a = 1.0 + s * s
+        s, big_a = self.s, self.big_a
         lo, hi = (-self.kink - m) / s, (self.kink - m) / s
-        log_c, ints = _gaussian_piece(lo, hi, -m * s / big_a, big_a)
-        log_c += LOG_INV_SQRT_2PI - 0.5 * m * m / big_a
+        bump = -m * s / big_a
+        log_bump = LOG_INV_SQRT_2PI - 0.5 * m * m / big_a
         if not self.constant_tails:
-            return log_c, ints
+            log_c, ints = _gaussian_piece(lo, hi, bump, big_a)
+            return log_c + log_bump, ints
+        # Rows: the bump between the kinks, then the tails below and above.
         inf = np.full(k, np.inf)
-        log_t, tails = _gaussian_piece(np.concatenate([-inf, hi]),
-                                       np.concatenate([lo, inf]), 0.0, 1.0)
-        logs = np.vstack([log_c, (log_t + self.log_g_kink).reshape(2, k)])
+        precision = np.ones(3 * k)
+        precision[:k] = big_a
+        logs, parts = _gaussian_piece(
+            np.concatenate([lo, -inf, hi]), np.concatenate([hi, lo, inf]),
+            np.concatenate([bump, np.zeros(2 * k)]), precision)
+        logs = logs.reshape(3, k)
+        logs[0] += log_bump
+        logs[1:] += self.log_g_kink
         c = logs.max(axis=0)
-        parts = np.concatenate([ints[None], tails.reshape(2, k, 3)])
-        return c, np.einsum("pk,pkj->kj", np.exp(logs - c), parts)
+        return c, np.einsum("pk,pkj->kj", np.exp(logs - c),
+                            parts.reshape(3, k, 3))
 
     def inner(self, nu, log_weights, log_peaks, budget):
         """Integrals of e^{-x^2/2} g(m + s x) x^j dx, j = 0, 1, 2, at each nu.
 
         Returns their log scale c (k,), then the (k, 3) integrals and their
-        (k, 3) error estimates, both over e^c.  They are closed forms under
-        the flat prior, and wherever g is the normal density or a constant
-        (see `closed_pieces`): on the whole line under the normal family, on
-        the kinks' both sides under CTN, and between the kinks under LPTN,
-        with no error.  What is left, LPTN's tails and Student's whole line,
-        takes one adaptive K15/G7 pass over every node, over x in [-13, 13].
+        (k, 3) error estimates, both over e^c, for a prior whose g is neither
+        the normal density nor a constant everywhere.  Between LPTN's kinks
+        they are closed forms (see `closed_pieces`), with no error.  What is
+        left, LPTN's tails and Student's whole line, takes one adaptive
+        K15/G7 pass over every node, over x in [-13, 13].
         Its first cuts are x = 0, +/-3, the kinks and t = 0, +/-3 * 4^j: the
         prior's bump is 1/s wide in x, and no interval next to either bump
         is longer than its distance from it.
@@ -303,13 +329,8 @@ class _Factors:
         are scaled by its largest value instead, as the next shift will be.
         """
         k = len(nu)
-        if self.prior is None:
-            ints = np.tile([_SQRT_2PI, 0.0, _SQRT_2PI], (k, 1))
-            return np.zeros(k), ints, np.zeros((k, 3))
         m, s = self.m(nu), self.s
         c_closed, closed = self.closed_pieces(m)
-        if self.all_closed:
-            return c_closed, closed, np.zeros((k, 3))
         kinks = [] if self.kink is None else [-self.kink, self.kink]
         steps = _T_CUTS[:np.searchsorted(
             _T_CUTS, np.max(np.abs(m)) + _X_CUTS[-1] * s) + 1]
@@ -383,9 +404,24 @@ class _Factors:
     def nu_values(self, nu, shift, budget=np.inf):
         """The five nu integrands at each node as a log scale (k, 5) times a
         factor (k, 5), and the factor's inner error estimates (k, 5).  The
-        inner budget is in units of e^shift."""
+        inner budget is in units of e^shift.
+
+        The inner integrals are closed forms, with no error estimate (None),
+        under the flat prior and wherever g is the normal density or a
+        constant (see `closed_pieces`): on the whole line under the normal
+        family and on the kinks' both sides under CTN.  So they skip the
+        weights and peaks that only `inner`'s adaptive pass reads.
+        """
         log_cols = (self.log_nu_factor(nu)[:, None] + _NU_POWERS * nu[:, None]
-                    - _A_POWERS * self.log_sqrt_a)
+                    - self.log_a_cols)
+        if not self.adaptive:
+            if self.prior is None:
+                c = np.zeros(len(nu))
+                ints = np.tile([_SQRT_2PI, 0.0, _SQRT_2PI], (len(nu), 1))
+            else:
+                c, ints = self.closed_pieces(self.m(nu))
+            log_cols += c[:, None]
+            return log_cols, ints[:, _COLS], None
         # The inner integral of x^0 feeds integrals 0, 3 and 4.
         log_weights = log_cols[:, :3] - shift
         log_weights[:, 0] = np.logaddexp.reduce(log_cols[:, [0, 3, 4]],
@@ -417,8 +453,8 @@ class _Factors:
         alpha = (1.0 + self.sigma_prior.power - self.n + _NU_POWERS
                  + (self.prior is None))
         b = 0.5 * self.rss + self.sigma_prior.scale
-        diverges = (alpha >= 0.0) | (b <= 0.0)
-        if diverges.any():
+        if not alpha.max() < 0.0 < b:
+            diverges = (alpha >= 0.0) | (b <= 0.0)
             raise NumericalError(
                 f"the integral of {_INTEGRALS[np.argmax(diverges)]} carries "
                 f"infinite mass as sigma -> {'0' if b <= 0 else 'inf'}: the "
@@ -429,18 +465,18 @@ class _Factors:
         log_cols, ints, _ = self.nu_values(nodes, 0.0)
         with np.errstate(divide="ignore"):
             log_f = log_cols[:, 0] + np.log(ints[:, 0])
-        drop = (self.log_nu_factor(peaks) + np.log(_SQRT_2PI) + self.log_g0
+        drop = (self.log_nu_factor(peaks) + _LOG_SQRT_2PI + self.log_g0
                 + _NU_POWERS * peaks + _LOG_DROP
-                - np.max(log_f[:, None] + _NU_POWERS * nodes[:, None], axis=0))
+                - (log_f[:, None] + _NU_POWERS * nodes[:, None]).max(axis=0))
         c = 1.0 - 2.0 * drop / alpha
-        if not np.max(c) <= 2e6:
+        if not c.max() <= 2e6:
             raise NumericalError(
                 f"the integral of {_INTEGRALS[np.argmax(c)]} carries mass "
                 f"more than 1e6 from its peak in nu: it barely converges")
-        lo, hi = np.min(peaks - 0.5 * np.log(2.0 * c)), np.max(peaks + 0.5 * c)
+        lo, hi = (peaks - 0.5 * np.log(2.0 * c)).min(), (peaks + 0.5 * c).max()
         count = min(np.ceil((hi - lo) / (2 * width)), _FIRST_PANELS)
         return (np.linspace(lo, hi, int(count) + 1),
-                np.max(self.log_peak(nodes, log_cols[:, 0])))
+                self.log_peak(nodes, log_cols[:, 0]).max())
 
 
 def quadrature_moments(target, tol=1e-10, max_panels=60000):
@@ -460,8 +496,10 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     may spend a tenth of it.  Raises `NumericalError` naming the first
     integral that diverges, or the one reaching past 1e6 in nu (see
     `_Factors.nu_panels`), or, if ``max_panels`` panels or inner integrals
-    refined as far as they go cannot meet ``tol``, the one with most error;
-    and `ValueError` if ``tol`` is not positive and finite.
+    refined as far as they go cannot meet ``tol``, the one with most error,
+    or if the variance of beta or of sigma^2 comes out at or below zero,
+    its second moment cancelling against its squared mean; and `ValueError`
+    if ``tol`` is not positive and finite.
     """
     if target.dim != 2:
         raise ValueError("quadrature_moments handles 2-D reduced targets only")
@@ -479,11 +517,11 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
         nu = ((0.5 * (new_lo + new_hi))[:, None]
               + half[:, None] * _K15_NODES).ravel()
         log_cols, ints, node_err = factors.nu_values(nu, shift, budget)
-        peak = np.max(factors.log_peak(nu, log_cols[:, 0]))
+        peak = factors.log_peak(nu, log_cols[:, 0]).max()
         if peak > shift:
             # The shift is f's largest value at a node so far.
-            est, err, inner_err = (v * np.exp(shift - peak)
-                                   for v in (est, err, inner_err))
+            rescale = np.exp(shift - peak)
+            est, err, inner_err = (v * rescale for v in (est, err, inner_err))
             shift = peak
         scale = np.exp(log_cols - shift)
         rules = np.einsum("knj,nr->kjr", (scale * ints).reshape(-1, 15, 5),
@@ -491,8 +529,10 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         est = np.concatenate([est, rules[..., 0]])
         err = np.concatenate([err, np.abs(rules[..., 1])])
-        inner_err = np.concatenate([inner_err, half[:, None] * np.einsum(
-            "knj,n->kj", (scale * node_err).reshape(-1, 15, 5), _K15_WEIGHTS)])
+        panel_inner = np.zeros((len(half), 5)) if node_err is None else (
+            half[:, None] * np.einsum("knj,n->kj", (scale * node_err).reshape(
+                -1, 15, 5), _K15_WEIGHTS))
+        inner_err = np.concatenate([inner_err, panel_inner])
         evaluated += len(new_lo)
         inner_total = float(inner_err.sum())
         total_err = float(err.sum()) + inner_total
@@ -519,9 +559,14 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
         raise NumericalError("quadrature mass is not positive; bad target?")
     mean = m1 / mass            # about beta_hat
     s2_mean = s2 / mass
+    var, s2_var = m2 / mass - mean ** 2, s4 / mass - s2_mean ** 2
+    for name, v in (("beta", var), ("sigma^2", s2_var)):
+        if not v > 0.0:
+            raise NumericalError(
+                f"quadrature leaves the variance of {name} at {v:g}: its "
+                f"second moment cancels against its squared mean")
     return QuadratureResult(
-        mean=float(factors.beta_hat + mean),
-        sd=float(np.sqrt(max(m2 / mass - mean ** 2, 0.0))),
+        mean=float(factors.beta_hat + mean), sd=float(np.sqrt(var)),
         log_norm=float(np.log(mass) + shift), sigma_sq_mean=float(s2_mean),
-        sigma_sq_sd=float(np.sqrt(max(s4 / mass - s2_mean ** 2, 0.0))),
-        n_panels=len(lo), error=total_err, panels_evaluated=evaluated)
+        sigma_sq_sd=float(np.sqrt(s2_var)), n_panels=len(lo),
+        error=total_err, panels_evaluated=evaluated)

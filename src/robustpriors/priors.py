@@ -30,9 +30,10 @@ kernels shared by both modes.  The LPTN and CTN central branches evaluate
 the *same* standard-normal expression as ``Normal``, so matching on the
 central interval is exact by construction; when every argument is
 central, their kernels return that branch without evaluating the tail,
-with the same bits.  At the tail kinks the gradient returns the interior
-branch value; the kink set has null measure, which is all gradient-based
-samplers need.
+and LPTN's return its tail branch alone when every argument lies beyond
+tau, with the same bits.  At the tail kinks the gradient returns the
+interior branch value; the kink set has null measure, which is all
+gradient-based samplers need.
 
 The families are frozen dataclasses: immutable, equal and hashed by their
 parameter, and safe for concurrent use.  Derived constants such as ``tau``
@@ -63,6 +64,11 @@ def _all_within(az, bound):
     # Whether every entry of ``az = |z|`` is at most `bound`: one reduction
     # instead of a mask and ``all``.  True for an empty array; a NaN fails.
     return np.maximum.reduce(az, axis=None, initial=0.0) <= bound
+
+
+def _all_beyond(az, bound):
+    # Whether every entry of ``az = |z|`` is above `bound`; a NaN fails.
+    return np.minimum.reduce(az, axis=None, initial=np.inf) > bound
 
 
 def _derive(family, **values):
@@ -176,21 +182,28 @@ class LPTN:
         az = np.abs(z)
         if _all_within(az, self.tau):
             return _std_normal_log_pdf(z)
+        if _all_beyond(az, self.tau):
+            return self._log_tail_branch(az)
         interior = az <= self.tau
         # Mask the tail argument so log(log|z|) never sees |z| <= 1.
-        az_safe = np.where(interior, self.tau + 1.0, az)
-        tail = (self._log_tail - np.log(az_safe)
-                - self.theta * np.log(np.log(az_safe)))
+        tail = self._log_tail_branch(np.where(interior, self.tau + 1.0, az))
         return np.where(interior, _std_normal_log_pdf(z), tail)
+
+    def _log_tail_branch(self, az):
+        return self._log_tail - np.log(az) - self.theta * np.log(np.log(az))
 
     def _grad(self, z):
         az = np.abs(z)
         if _all_within(az, self.tau):
             return -z
+        if _all_beyond(az, self.tau):
+            return self._grad_tail_branch(z)
         interior = az <= self.tau
-        z_safe = np.where(interior, self.tau + 1.0, z)
-        tail = -1.0 / z_safe - self.theta / (z_safe * np.log(np.abs(z_safe)))
+        tail = self._grad_tail_branch(np.where(interior, self.tau + 1.0, z))
         return np.where(interior, -z, tail)
+
+    def _grad_tail_branch(self, z):
+        return -1.0 / z - self.theta / (z * np.log(np.abs(z)))
 
 
 @_family

@@ -948,3 +948,22 @@ class TestAsciiLocale:
                              "--out", "x.csv"], tmp_path)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert len(read_csv(tmp_path / "x.csv")[2]) == 1
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["sweep", "--config", "nöpe.cfg", "--axis", "mu2",
+          "--out", "x.csv"], EXIT_CONFIG, b"error: cannot read config file"),
+        (["fit", "--data", "dönnée.csv", "--prior", "jeffreys",
+          "--out", "o.csv"], EXIT_DATA, b"data error: cannot read data file"),
+        (["check", "--fast", "--out", "nödir/x.csv"], EXIT_CONFIG,
+         b"error: cannot write output")],
+        ids=["config", "data", "output"])
+    def test_os_error_names_the_file_by_its_bytes(self, tmp_path, argv, code,
+                                                  message):
+        # The missing name arrives as surrogate escapes; stderr quotes it as
+        # its own UTF-8 bytes, not as backslash escapes.
+        name = next(a for a in argv if not a.isascii()).encode("utf-8")
+        proc = self.run_cli([os.fsdecode(a.encode("utf-8")) for a in argv],
+                            tmp_path)
+        assert proc.returncode == code
+        assert proc.stderr == (message + b": [Errno 2] No such file or "
+                               b"directory: '" + name + b"'\n")

@@ -336,6 +336,15 @@ class TestQuadrature:
         assert abs(res.sd - sd) < 1e-9
         assert abs(res.log_norm - log_norm) < 1e-9
 
+    def test_variance_that_cancels_raises(self):
+        # Under this scaling conflict the posterior collapses onto mu2 with
+        # sd about 1.6e-8, far below rounding in the moments about
+        # beta_hat = 0: m2 / mass - mean^2 comes out at or below 0.  It
+        # used to be clipped to sd 0.0.
+        with pytest.raises(NumericalError, match=re.escape(
+                "quadrature leaves the variance of beta at")):
+            quadrature_moments(reduced_target(N, 0.5, 1e7, Student(4.0)))
+
     @pytest.mark.parametrize("family, mu2, lam2", [
         (Student(4), 1.0, 1.0), (LPTN(0.95), 0.5, 1.5)])
     def test_reports_error_and_evaluations(self, family, mu2, lam2):
@@ -378,6 +387,30 @@ class TestGaussianPiece:
                 assert ints[i, j] == pytest.approx(ref, rel=1e-13, abs=0)
 
 
+    @pytest.mark.parametrize("scalar", [True, False],
+                             ids=["scalar", "per-row"])
+    def test_rows_alone_match_the_batch(self, scalar):
+        # Each row alone, with its mean and precision as scalars, gives the
+        # bits it gets in one batch, with them scalar or one per row.  The
+        # windows add bounds so far out that |z| is clipped at _Z_MAX, on
+        # both sides of the mean and in both orders of the window.
+        big = 1e200
+        rows = _PIECES + [(-np.inf, -big, 0.0, 1.0), (big, np.inf, 0.5, 2.0),
+                          (-big, big, 0.0, 1.0), (-big, 0.1, 0.0, 3.0),
+                          (-0.2, big, 0.4, 0.5), (-np.inf, 0.3, 0.3, 2.0)]
+        if scalar:
+            rows = [(lo, hi, 0.3, 2.0) for lo, hi, _, _ in rows]
+        lo, hi, mean, a = (np.array(col) for col in zip(*rows))
+        batch = (oracle._gaussian_piece(lo, hi, 0.3, 2.0) if scalar else
+                 oracle._gaussian_piece(lo, hi, mean, a))
+        assert np.all(np.isfinite(batch[1]))
+        for i in range(len(rows)):
+            alone = oracle._gaussian_piece(lo[i:i + 1], hi[i:i + 1],
+                                           float(mean[i]), float(a[i]))
+            for got, want in zip(alone, batch):
+                assert got.tobytes() == want[i:i + 1].tobytes(), rows[i]
+
+
 def _factor_targets():
     base = reduced_target(N, 0.5, 1.0, Student(4))
     cases = [reduced_target(N, 0.5, 1.0, family)
@@ -410,6 +443,43 @@ class TestFactorization:
         mine = fac.log_nu_factor(nu) - nu + fac.log_sqrt_a + inner
         ref = target.logpdf(np.column_stack([beta, nu]))
         np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
+
+
+class TestClosedPieces:
+    @pytest.mark.parametrize("lam2", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("m", [0.7, -1.9, 3.5, -40.0, 1e3],
+                             ids=["inside", "inside-", "outside", "far-",
+                                  "far"])
+    def test_ctn_matches_quad(self, lam2, m):
+        # The bump and both constant tails, from one batch of 3k rows,
+        # against scipy.integrate.quad of e^{-x^2/2} g(m + s x) x^j over
+        # the returned scale (of order 1 here), cut at the kinks and at
+        # x = 0, +/-20.  The
+        # prior argument at x = 0 is m: inside the kinks, outside them, and
+        # so far beyond them that the bump's share underflows.
+        from scipy.integrate import quad
+        fac = oracle._Factors(reduced_target(N, 0.5, lam2, CTN(0.98)))
+        family, s = fac.prior.family, fac.s
+        log_c, ints = fac.closed_pieces(np.array([m, -m]))
+        cuts = np.unique([(-family.kappa - m) / s, (family.kappa - m) / s,
+                          -20.0, 0.0, 20.0])
+        ends = np.concatenate([[-np.inf], cuts, [np.inf]])
+
+        def f(x, j):
+            return x ** j * np.exp(-0.5 * x * x - log_c[0]
+                                   + family.log_density(m + s * x))
+
+        for j in range(3):
+            ref = sum(quad(f, a, b, args=(j,), epsabs=1e-16, epsrel=1e-13,
+                           limit=200)[0] for a, b in zip(ends[:-1], ends[1:]))
+            # The first moment is relative to the mass: it is 0 at m = 0.
+            assert ints[0, j] == pytest.approx(
+                ref, rel=1e-12, abs=1e-12 * ints[0, 0] if j == 1 else 0.0)
+        # At -m the integrals mirror: the same mass and second moment, and
+        # the first moment negated.
+        assert log_c[1] == log_c[0]
+        np.testing.assert_allclose(ints[1], ints[0] * [1.0, -1.0, 1.0],
+                                   rtol=1e-13, atol=1e-13 * ints[0, 0])
 
 
 class TestPriorKinks:

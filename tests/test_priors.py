@@ -108,6 +108,19 @@ class TestLogDensity:
             mixed = method(np.append(z, 2.0 * thr), check=False)
             assert method(z, check=False).tobytes() == mixed[:-1].tobytes()
 
+    @pytest.mark.parametrize("rho", [0.7, 0.95, 0.999])
+    def test_lptn_all_tail_batch_matches_mixed_batch(self, rho):
+        # An all-tail batch skips the central branch; its values are the
+        # bits the same arguments get beside a central argument, on both
+        # sides, from just past tau to far out.
+        family = LPTN(rho)
+        far = family.tau * np.array([np.nextafter(1.0, 2.0), 1.5, 7.0, 1e3,
+                                     1e150])
+        for z in (far, -far, np.concatenate([far, -far])):
+            for method in (family.log_density, family.grad_log_density):
+                mixed = method(np.append(z, 0.5), check=False)
+                assert method(z, check=False).tobytes() == mixed[:-1].tobytes()
+
     def test_lptn_center(self):
         assert LPTN(0.95).log_density(0.0) == pytest.approx(LOG_PHI_0, abs=1e-7)
 
