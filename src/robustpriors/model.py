@@ -13,8 +13,11 @@ and sigma-space densities are only ever produced by transforming draws.
 
 `PosteriorTarget` holds the posterior's formula, and its packed-row methods
 `logpdf`, `grad_logpdf` and `logpdf_and_grad` are the one way to evaluate
-it.  The quadrature oracle reuses the family and sigma-prior kernels in a
-factorized form, and its tests check that form against `logpdf`.
+it.  The data enter only through the Gram record that each
+`RegressionData` computes once (``gram``), which the target, `ols_fit` and
+the quadrature oracle read.  The oracle reuses the family and sigma-prior
+kernels in a factorized form, and its tests check that form against
+`logpdf`.
 The two-parameter simulation target (orthogonal standardized covariates,
 zero least-squares estimate) is built through `reduced_target` as an
 intercept-only instance of exactly the same code path.
@@ -27,11 +30,14 @@ with no such factor.
 """
 
 import csv
+import functools
 import io
 import math
+import operator
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,41 +54,67 @@ class DataError(ValueError):
     """Raised for malformed or degenerate input data."""
 
 
-@dataclass
+def _read_only(a):
+    # A float copy, in the layout given, that rejects writes.
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+class _Gram(NamedTuple):
+    """The Gram statistics of a data set: all that the likelihood reads."""
+
+    XtX: np.ndarray
+    Xty: np.ndarray
+    yty: float
+    full_rank: bool
+
+
+@dataclass(frozen=True)
 class RegressionData:
     """Response vector and design matrix with a leading intercept column.
 
-    ``standardized`` asserts that every non-intercept column has mean 0 and
-    mean square 1 and that ``y`` does too (checked to 1e-8).
+    ``standardized`` asserts that every non-intercept column and ``y`` have
+    mean 0 and mean square 1 (checked to 1e-8).  ``y`` and ``X`` are
+    read-only copies of the arrays given, and the fields cannot be
+    reassigned, so ``gram``, computed once at construction, always
+    describes them: ``XtX`` (X^T X), ``Xty`` (X^T y), ``yty`` (y^T y) and
+    ``full_rank``, whether X^T X has rank p.
     """
 
     y: np.ndarray
     X: np.ndarray
     standardized: bool = False
+    gram: _Gram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.X = np.asarray(self.X, dtype=float)
-        if self.y.ndim != 1 or self.X.ndim != 2:
+        y, X = _read_only(self.y), _read_only(self.X)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
+        if y.ndim != 1 or X.ndim != 2:
             raise DataError("y must be a vector and X a matrix")
-        n, p = self.X.shape
-        if len(self.y) != n:
-            raise DataError(f"y has length {len(self.y)} but X has {n} rows")
+        n, p = X.shape
+        if len(y) != n:
+            raise DataError(f"y has length {len(y)} but X has {n} rows")
         if not (n >= p >= 1):
             raise DataError(f"need n >= p >= 1, got n={n}, p={p}")
-        if not np.all(self.X[:, 0] == 1.0):
+        if not np.all(X[:, 0] == 1.0):
             raise DataError("first column of X must be the all-ones intercept")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise DataError("data must be finite")
         if self.standardized:
             tol = 1e-8
-            ok = abs(self.y.mean()) <= tol and abs((self.y ** 2).mean() - 1) <= tol
+            ok = abs(y.mean()) <= tol and abs((y ** 2).mean() - 1) <= tol
             for j in range(1, p):
-                col = self.X[:, j]
+                col = X[:, j]
                 ok = ok and abs(col.mean()) <= tol
                 ok = ok and abs((col ** 2).mean() - 1) <= tol
             if not ok:
                 raise DataError("standardized flag set but moments are off")
+        XtX, Xty = X.T @ X, X.T @ y
+        XtX.flags.writeable = Xty.flags.writeable = False
+        object.__setattr__(self, "gram", _Gram(
+            XtX, Xty, float(y @ y), bool(np.linalg.matrix_rank(XtX) == p)))
 
     @property
     def n(self):
@@ -134,16 +166,14 @@ def standardize(data):
 
 
 def ols_fit(data):
-    """Least-squares coefficients via the normal equations.
+    """Least-squares coefficients via the normal equations, from ``data.gram``.
 
     With orthogonal standardized covariates this reduces to
     ``beta_hat_j = (1/n) sum_i x_ij y_i`` componentwise.
     """
-    XtX = data.X.T @ data.X
-    Xty = data.X.T @ data.y
-    if np.linalg.matrix_rank(XtX) < data.p:
+    if not data.gram.full_rank:
         raise DataError("design matrix is rank deficient")
-    return np.linalg.solve(XtX, Xty)
+    return np.linalg.solve(data.gram.XtX, data.gram.Xty)
 
 
 def load_csv(path):
@@ -303,14 +333,15 @@ class PosteriorTarget:
     entry per design column: a `CoefficientPrior`, or ``None`` for the
     improper flat prior (the benchmark choice).  The errors are standard
     normal, so the likelihood depends on the data only through the Gram
-    statistics ``X^T X``, ``X^T y`` and ``y^T y``: a batch of m rows costs
-    one (m, p) by (p, p) product, whatever n is.  Coefficient families are
-    called with ``check=False`` (see `robustpriors.priors`), and only on
-    rows already found finite.  The columns of the located priors are
-    chosen once, at construction: by a slice when they are consecutive, so
-    a batch's prior arguments start from a view of it and the prior scores
-    are added into one block of the gradient, and by an index array
-    otherwise.
+    statistics ``X^T X``, ``X^T y`` and ``y^T y``, read from ``data.gram``
+    and not recomputed: a batch of m rows costs one (m, p) by (p, p)
+    product, whatever n is, and targets may share one `RegressionData`.
+    Coefficient families are called with ``check=False`` (see
+    `robustpriors.priors`), and only on rows already found finite.  The
+    columns of the located priors are chosen once, at construction: by a
+    slice when they are consecutive, so a batch's prior arguments start
+    from a view of it and the prior scores are added into one block of the
+    gradient, and by an index array otherwise.
 
     Instances are immutable after construction and evaluation has no side
     effects, so a single target can serve many chains concurrently.  With
@@ -334,14 +365,11 @@ class PosteriorTarget:
         if not isinstance(self.sigma_prior, SigmaPrior):
             raise TypeError(f"bad sigma prior {sigma_prior!r}")
 
-        self._XtX = data.X.T @ data.X
-        self._Xty = data.X.T @ data.y
-        self._yty = float(data.y @ data.y)
+        self._XtX, self._Xty, self._yty, self._full_rank = data.gram
         self.n, self.p, self.dim = data.n, data.p, data.p + 1
         # Along a null direction of the flat-prior columns the likelihood is
         # constant and nothing else bounds the density.  Such a direction
         # needs a rank-deficient design.
-        self._full_rank = np.linalg.matrix_rank(self._XtX) == self.p
         flat = [j for j, pr in enumerate(self.priors) if pr is None]
         if (not self._full_rank
                 and np.linalg.matrix_rank(self._XtX[np.ix_(flat, flat)]) < len(flat)):
@@ -630,6 +658,14 @@ def _standardized_pattern(n):
     return y * np.sqrt(n) / norm
 
 
+@functools.lru_cache(maxsize=8)
+def _reduced_data(n):
+    # The reduced design at one n, validated and with its Gram record, built
+    # once and shared by every target at that n: its arrays reject writes.
+    return RegressionData(y=_standardized_pattern(n), X=np.ones((n, 1)),
+                          standardized=True)
+
+
 def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):
     """The two-parameter simulation target as an intercept-only model.
 
@@ -638,19 +674,22 @@ def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):
     ``-(n+1) nu - n (1 + beta^2) / (2 e^{2 nu}) + log g(...)`` used in the
     sweeps, so no second formula path exists.
 
-    ``family=None`` selects the improper flat benchmark prior on the
+    ``n`` is an integer of at least 4.  The design and response depend on n
+    alone, so targets at one n share one read-only `RegressionData`, built
+    at the first of them; a sweep validates it and computes its Gram record
+    once.  ``family=None`` selects the improper flat benchmark prior on the
     coefficient.  The prior inverse-scale is ``lambda2 * sqrt(n)``
     (simulation-study convention).  ``sigma_power`` multiplies the Jeffreys
     prior by ``sigma^sigma_power``: the scale prior is
     ``SigmaPrior(sigma_power - 1)``.
     """
+    # Before the cache: 100.0 would otherwise find the design built at 100.
+    n = operator.index(n)
     if n < 4:
         raise ValueError("reduced target needs n >= 4 for a proper benchmark")
-    y = _standardized_pattern(n)
-    X = np.ones((n, 1))
-    data = RegressionData(y=y, X=X, standardized=True)
     if family is None:
         priors = [None]
     else:
         priors = [CoefficientPrior(mu=mu2, lam=lambda2 * np.sqrt(n), family=family)]
-    return PosteriorTarget(data, priors, sigma_prior=SigmaPrior(sigma_power - 1))
+    return PosteriorTarget(_reduced_data(n), priors,
+                           sigma_prior=SigmaPrior(sigma_power - 1))

@@ -212,7 +212,8 @@ def _gaussian_piece(lo, hi, mean, a):
 class _Factors:
     """The reduced target as a factor in nu times an integral over x.
 
-    With a = X^T X, beta_hat = X^T y / a and RSS = y^T y - a beta_hat^2, the
+    With a = X^T X, beta_hat = X^T y / a and RSS = y^T y - a beta_hat^2,
+    from the Gram record of the target's data (``data.gram``), the
     likelihood's standardized variable x = sqrt(a) (beta - beta_hat) e^{-nu}
     makes the prior argument t = m + s x, with m = lam e^{-nu}
     (beta_hat - mu) and s = lam / sqrt(a), and
@@ -225,10 +226,10 @@ class _Factors:
     """
 
     def __init__(self, target):
-        x, y = target.data.X[:, 0], target.data.y
-        self.a = float(x @ x)
-        self.beta_hat = float(x @ y) / self.a
-        self.rss = max(float(y @ y) - self.a * self.beta_hat ** 2, 0.0)
+        gram = target.data.gram
+        self.a = float(gram.XtX[0, 0])
+        self.beta_hat = float(gram.Xty[0]) / self.a
+        self.rss = max(gram.yty - self.a * self.beta_hat ** 2, 0.0)
         self.log_sqrt_a = 0.5 * np.log(self.a)
         self.log_a_cols = _A_POWERS * self.log_sqrt_a
         self.n, self.sigma_prior = target.n, target.sigma_prior

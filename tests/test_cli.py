@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import robustpriors
-from robustpriors import cli
+from robustpriors import cli, model
 from robustpriors.asymptotics import RatioSeries
 from robustpriors.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                               default_lambda2_grid, default_mu2_grid, main,
@@ -552,6 +552,16 @@ class TestSweep:
         cor = {float(r[3]): float(r[4]) for r in rows if r[0] == "ctn_corrected"}
         for lam2 in (0.5, 2.0):
             assert abs(ctn[lam2] - cor[lam2]) < 0.01
+
+    def test_repeated_in_one_process(self, tmp_path):
+        # The same sweep twice in one process, the first from a cold design
+        # cache, writes the same bytes.
+        model._reduced_data.cache_clear()
+        outs = [tmp_path / f"sweep_{i}.csv" for i in (1, 2)]
+        for out in outs:
+            assert main(["sweep", "--axis", "lambda2", "--grid",
+                         "0.1,0.5,1.0,2.0", "--out", str(out)]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_repeatable_hyper_flags(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,8 +1,11 @@
 """Regression data handling and the joint (beta, nu) log-posterior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from robustpriors import model
 from robustpriors.model import (DataError, PosteriorTarget, RegressionData,
                                 SigmaPrior, load_csv, ols_fit, reduced_target,
                                 standardize)
@@ -35,6 +38,34 @@ class TestRegressionData:
         X = np.column_stack([np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
         with pytest.raises(DataError, match="moments"):
             RegressionData(y=np.zeros(4), X=X, standardized=True)
+
+    def test_gram_record(self):
+        data = random_data()
+        XtX, Xty, yty, full_rank = data.gram
+        np.testing.assert_array_equal(XtX, data.X.T @ data.X)
+        np.testing.assert_array_equal(Xty, data.X.T @ data.y)
+        assert yty == float(data.y @ data.y) and full_rank is True
+        dup = RegressionData(y=data.y, X=np.column_stack([data.X, data.X[:, 1]]))
+        assert dup.gram.full_rank is False
+
+    def test_arrays_are_read_only_copies(self):
+        # The Gram record cannot go stale: the caller's arrays are copied,
+        # and neither the copies nor the fields can be changed.
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(6), rng.normal(size=6)])
+        y = rng.normal(size=6)
+        data = RegressionData(y=y, X=X)
+        record = [a.copy() for a in data.gram[:2]] + [data.gram.yty]
+        y[0] += 1.0
+        X[0, 1] += 1.0
+        for a in (data.y, data.X, data.gram.XtX, data.gram.Xty):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.y = y
+        np.testing.assert_array_equal(data.X.T @ data.X, record[0])
+        np.testing.assert_array_equal(data.X.T @ data.y, record[1])
+        assert float(data.y @ data.y) == record[2]
 
 
 class TestStandardize:
@@ -305,6 +336,40 @@ class TestReducedTarget:
     def test_needs_minimum_n(self):
         with pytest.raises(ValueError):
             reduced_target(3, family=None)
+
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_n_must_be_an_integer(self, built_first):
+        # Checked before the design cache is read, so a float n fails
+        # whether or not the design at that integer was built already.
+        model._reduced_data.cache_clear()
+        if built_first:
+            reduced_target(100)
+        with pytest.raises(TypeError):
+            reduced_target(100.0)
+        with pytest.raises(TypeError):
+            reduced_target(100.0, 0.5, 1.0, CTN(0.98))
+        assert reduced_target(np.int64(100)).data is reduced_target(100).data
+
+    def test_targets_at_one_n_share_a_read_only_design(self):
+        a = reduced_target(N, 0.5, 1.0, CTN(0.98))
+        b = reduced_target(N, family=None, sigma_power=1)
+        assert a.data is b.data
+        assert reduced_target(N + 1).data is not a.data
+        for arr in (a.data.y, a.data.X):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_design_checked_once_per_n(self, monkeypatch):
+        # Ten targets at one n: one rank decomposition of its Gram matrix,
+        # taken when the shared design is built.
+        calls = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *a, **k: calls.append(1) or rank(*a, **k))
+        model._reduced_data.cache_clear()
+        for lam2 in np.linspace(0.1, 2.0, 10):
+            reduced_target(N, 0.5, lam2, CTN(0.98))
+        assert len(calls) == 1
 
     def test_odd_n_standardization(self):
         t = reduced_target(101, family=None)

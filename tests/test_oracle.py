@@ -1,5 +1,6 @@
 """Closed forms, the quoted limit laws, and the nested adaptive quadrature."""
 
+import dataclasses
 import itertools
 import re
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import invgamma
 
-from robustpriors import oracle
+from robustpriors import model, oracle
 from robustpriors.asymptotics import (ConflictPath, _limit_target,
                                       _limiting_sigma_posterior)
 from robustpriors.model import PosteriorTarget, SigmaPrior, reduced_target
@@ -443,6 +444,32 @@ class TestFactorization:
         mine = fac.log_nu_factor(nu) - nu + fac.log_sqrt_a + inner
         ref = target.logpdf(np.column_stack([beta, nu]))
         np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
+
+
+class TestGramRecord:
+    def test_factors_match_the_design_bit_for_bit(self):
+        # a, beta_hat and RSS come from the data's Gram record, with the
+        # bits of the dot products over the design's only column.
+        for n in range(4, 401):
+            t = reduced_target(n, 0.5, 1.0, CTN(0.98))
+            x, y = t.data.X[:, 0], t.data.y
+            a = float(x @ x)
+            beta_hat = float(x @ y) / a
+            rss = max(float(y @ y) - a * beta_hat ** 2, 0.0)
+            fac = oracle._Factors(t)
+            assert (np.array([fac.a, fac.beta_hat, fac.rss]).tobytes()
+                    == np.array([a, beta_hat, rss]).tobytes()), n
+
+    @pytest.mark.parametrize("family, sigma_power", [
+        (Student(4.0), 0), (LPTN(0.95), 0), (CTN(0.98), 0), (None, 0),
+        (CTN(0.98), 1)], ids=["student", "lptn", "ctn", "flat", "sigma^+1"])
+    def test_cold_and_warm_design_cache_agree(self, family, sigma_power):
+        def moments():
+            t = reduced_target(N, 0.5, 1.0, family, sigma_power=sigma_power)
+            return repr(dataclasses.astuple(quadrature_moments(t)))
+        model._reduced_data.cache_clear()
+        cold = moments()
+        assert moments() == cold
 
 
 class TestClosedPieces:
