@@ -1,7 +1,7 @@
 """Numerical verification of the conflict-resolution limit claims.
 
 Each routine traces a limit statement along a finite grid and returns a
-`RatioSeries` with target 1.  One rule, `_conflict_limit`, gives every
+`RatioSeries` whose limit is 1.  One rule, `_conflict_limit`, gives every
 far-conflict law along a `ConflictPath`: a rejected prior's factor
 ``(lam/sigma) g((lam/sigma)(beta - mu))`` tends to ``g(ref) (lam/sigma)^-k``
 and the posterior to the flat-prior one times sigma^k.  In a location
@@ -83,11 +83,10 @@ class ConflictPath:
 
 @dataclass
 class RatioSeries:
-    """Ratio values along an increasing grid, with their target limit."""
+    """Ratio values along an increasing grid, whose limit is 1."""
 
     omega: np.ndarray
     ratio: np.ndarray
-    target: float
     family: str
     label: str = ""
 
@@ -101,10 +100,10 @@ class RatioSeries:
 
     @property
     def abs_err(self):
-        return np.abs(self.ratio - self.target)
+        return np.abs(self.ratio - 1.0)
 
     def tail_nonincreasing(self, k=3):
-        """Whether |ratio - target| is nonincreasing over the last k points."""
+        """Whether |ratio - 1| is nonincreasing over the last k points."""
         err = self.abs_err[-k:]
         return bool(np.all(np.diff(err) <= 1e-15))
 
@@ -139,8 +138,7 @@ def prior_ratio(path, family, beta, sigma=1.0, omega_grid=None):
     log_ratio = ((1 + k) * np.log(s)
                  + family.log_density(s * (beta - path.mu(omega)))
                  - family.log_density(ref(omega)))
-    return RatioSeries(omega, np.exp(log_ratio), target=1.0,
-                       family=family.name,
+    return RatioSeries(omega, np.exp(log_ratio), family=family.name,
                        label=f"prior ratio at beta={beta} sigma={sigma}: "
                              f"{family!r} along {path!r}")
 
@@ -179,7 +177,7 @@ def lptn_scaling_trace(beta, mu, sigma, rho, lam_grid=None):
     log_asymptote = (fam.log_density(fam.tau) + np.log(fam.tau / delta)
                      + fam.theta * (np.log(np.log(fam.tau)) - np.log(np.log(lam))))
     companion = RatioSeries(lam, np.exp(log_density - log_asymptote),
-                            target=1.0, family="lptn",
+                            family="lptn",
                             label=f"lptn scaling trace rho={rho} delta={delta}")
     return ScalingTrace(lam=lam, density=np.exp(log_density),
                         asymptote=np.exp(log_asymptote), companion=companion)
@@ -253,14 +251,14 @@ def _limiting_sigma_posterior(path, family, n):
 
 def _walk(path, family, n, omega_grid, quad_tol, what, ratio):
     # The series ratio(omega, result, limit's result) of the reduced
-    # target's QuadratureResults along the path, with target 1.
+    # target's QuadratureResults along the path, whose limit is 1.
     omega = _grid(omega_grid, DEFAULT_QUAD_GRID)
     limit = quadrature_moments(_limit_target(path, family, n), tol=quad_tol)
     _check_limit_condition(n, 1, int(path.conflicts_location))
     ratios = [ratio(w, quadrature_moments(reduced_target(
         n, mu2=float(path.mu(w)), lambda2=float(path.lam(w)), family=family),
         tol=quad_tol), limit) for w in omega]
-    return RatioSeries(omega, ratios, target=1.0, family=family.name,
+    return RatioSeries(omega, ratios, family=family.name,
                        label=f"{what}: {family!r} along {path!r}")
 
 
@@ -295,7 +293,7 @@ def posterior_limit_convergence(path, family, n=100, omega_grid=None,
     tails, sigma^gamma under Student tails, sigma^{-1} under constant
     tails.  The trace moves sigma^2, which the limit's
     coefficient mean (zero) cannot show, so the series is the ratio of
-    sigma^2 means, with target 1.
+    sigma^2 means, which tends to 1.
     """
     return _walk(path, family, n, omega_grid, quad_tol,
                  "posterior sigma^2 mean over its limit",

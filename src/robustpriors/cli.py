@@ -458,16 +458,15 @@ def cmd_check(args):
 
 
 def _write_series_csv(series_list, path, comments=()):
-    # Ratio series as omega,ratio,target,abs_err rows, each introduced by a
+    # Ratio series as omega,ratio,abs_err rows, each introduced by a
     # "# series = <label>" line, so several share one file.
     with _open_csv(path) as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         writer = csv.writer(fh)
-        writer.writerow(["omega", "ratio", "target", "abs_err"])
+        writer.writerow(["omega", "ratio", "abs_err"])
         for series in series_list:
             fh.write(f"# series = {series.label or series.family}\n")
-            writer.writerows([repr(float(w)), repr(float(r)),
-                              repr(float(series.target)), repr(float(e))]
+            writer.writerows([repr(float(w)), repr(float(r)), repr(float(e))]
                              for w, r, e in zip(series.omega, series.ratio,
                                                 series.abs_err))
 

@@ -4,9 +4,9 @@ Two oracle routes live here:
 
 * closed forms: the conjugate normal-prior posterior and the flat-prior
   benchmark;
-* `quadrature_moments`, a deterministic nested adaptive Gauss-Kronrod
-  integrator over (beta, nu) used to cross-check everything else, an order
-  of magnitude tighter than Monte-Carlo error.
+* `quadrature_moments`, deterministic nested adaptive quadrature over (beta,
+  nu) with one G10/K21 Gauss-Kronrod rule at both levels, used to cross-check
+  everything else, an order of magnitude tighter than Monte-Carlo error.
 
 Integration happens in nu = log(sigma), so there is no boundary at zero.
 With one coefficient the likelihood is Gaussian in beta at each nu, so the
@@ -99,22 +99,24 @@ def jeffreys_benchmark(n):
 # Nested 1-D quadrature
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 7-15 pair on [-1, 1], from the centre out: the Kronrod
-# nodes and weights, and the weights of the Gauss nodes among them.
-_K = np.array([0.0, 0.2077849550078985, 0.4058451513773972,
-               0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
-               0.9491079123427585, 0.9914553711208126])
-_KW = np.array([0.2094821410847278, 0.2044329400752989, 0.1903505780647854,
-                0.1690047266392679, 0.1406532597155259, 0.1047900103222502,
-                0.06309209262997855, 0.02293532201052922])
-_GW = np.array([0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
-                0.1294849661688697])
-_K15_NODES = np.concatenate([-_K[:0:-1], _K])
-_K15_WEIGHTS = np.concatenate([_KW[:0:-1], _KW])
-# Columns: the K15 weights, and K15 minus G7 (at every other Kronrod
+# QUADPACK's Gauss-Kronrod 10-21 pair on [-1, 1], from the centre out: the
+# Kronrod nodes and weights, and the weights of the Gauss nodes _K[1::2].
+_K = np.array([0.0, 0.14887433898163122, 0.2943928627014602,
+               0.4333953941292472, 0.5627571346686047, 0.6794095682990244,
+               0.7808177265864169, 0.8650633666889845, 0.9301574913557082,
+               0.9739065285171717, 0.9956571630258081])
+_KW = np.array([0.1494455540029169, 0.14773910490133849, 0.14277593857706009,
+                0.13470921731147334, 0.12349197626206584, 0.10938715880229764,
+                0.0931254545836976, 0.07503967481091996, 0.054755896574351995,
+                0.032558162307964725, 0.011694638867371874])
+_GW = np.array([0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+                0.1494513491505806, 0.06667134430868814])
+_NODES = np.concatenate([-_K[:0:-1], _K])
+_WEIGHTS = np.concatenate([_KW[:0:-1], _KW])
+# Columns: the K21 weights, and K21 minus G10 (at every other Kronrod
 # node), so one product gives a rule's estimate and its error estimate.
-_RULES = np.column_stack([_K15_WEIGHTS, _K15_WEIGHTS])
-_RULES[1::2, 1] -= np.concatenate([_GW[:0:-1], _GW])
+_RULES = np.column_stack([_WEIGHTS, _WEIGHTS])
+_RULES[1::2, 1] -= np.concatenate([_GW[::-1], _GW])
 
 _LOG_DROP = np.log(1e12)
 _INTEGRALS = ("f", "beta f", "beta^2 f", "e^{2nu} f (sigma^2)",
@@ -133,7 +135,7 @@ _X_CUTS = np.array([-13.0, -3.0, 0.0, 3.0, 13.0])
 _T_CUTS = 3.0 * 4.0 ** np.arange(40)    # with 0 and their negatives
 _ROUNDOFF = 50 * 2.0 ** -52    # relative error at rounding level
 _INNER_INTERVALS = 256  # intervals at a nu node past which none is split
-_FIRST_PANELS = 200     # at most, each 2 widths wide if the range allows
+_FIRST_PANELS = 200     # at most, each 4 widths wide if the range allows
 _FLOOR_NODES = np.r_[-3.0 ** np.arange(5), 0, 3.0 ** np.arange(5)]  # widths
 
 
@@ -142,7 +144,7 @@ class QuadratureResult:
     """Posterior moments of the reduced target from deterministic quadrature.
 
     ``error`` is the summed error estimate of the five integrals over the
-    final nu panels, the Kronrod-Gauss one of the outer rule plus the inner
+    final nu panels, the K21-G10 one of the outer rule plus the inner
     integrals' own, in units of the largest value of the density f(beta,
     nu) found at a node; ``panels_evaluated`` counts every nu panel
     evaluated, including those later split (``n_panels`` counts only the
@@ -317,7 +319,7 @@ class _Factors:
         the normal density nor a constant everywhere.  Between LPTN's kinks
         they are closed forms (see `closed_pieces`), with no error.  What is
         left, LPTN's tails and Student's whole line, takes one adaptive
-        K15/G7 pass over every node, over x in [-13, 13].
+        G10/K21 pass over every node, over x in [-13, 13].
         Its first cuts are x = 0, +/-3, the kinks and t = 0, +/-3 * 4^j: the
         prior's bump is 1/s wide in x, and no interval next to either bump
         is longer than its distance from it.
@@ -356,7 +358,7 @@ class _Factors:
         c = weights = None
         while True:
             half = 0.5 * (new_hi - new_lo)
-            x = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _K15_NODES
+            x = (0.5 * (new_lo + new_hi))[:, None] + half[:, None] * _NODES
             h = self.log_inner(x, m[new_ids, None] + s * x)
             if c is None:
                 # Each node's scale is its largest first value, or the
@@ -449,7 +451,7 @@ class _Factors:
         nodes 0, 1, 3, ..., 81 widths from f's peak, over 1e12; an end more
         than 1e6 out raises too.  Given beta, nu's posterior has f's curvature
         near its mode wherever it lies (a prior adds a few units to 2n): the
-        first panels split the range evenly, 2 widths wide.
+        first panels split the range evenly, 4 widths wide (21 nodes each).
         """
         alpha = (1.0 + self.sigma_prior.power - self.n + _NU_POWERS
                  + (self.prior is None))
@@ -475,7 +477,7 @@ class _Factors:
                 f"the integral of {_INTEGRALS[np.argmax(c)]} carries mass "
                 f"more than 1e6 from its peak in nu: it barely converges")
         lo, hi = (peaks - 0.5 * np.log(2.0 * c)).min(), (peaks + 0.5 * c).max()
-        count = min(np.ceil((hi - lo) / (2 * width)), _FIRST_PANELS)
+        count = min(np.ceil((hi - lo) / (4 * width)), _FIRST_PANELS)
         return (np.linspace(lo, hi, int(count) + 1),
                 self.log_peak(nodes, log_cols[:, 0]).max())
 
@@ -488,8 +490,9 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     nu node, beta inside, in the likelihood's standardized variable (see
     `_Factors`), so no mode or box is searched for.  The inner integrals
     are closed forms where the prior is normal or constant, and cut at its
-    kinks elsewhere (see `_Factors.inner`).  The outer rule is adaptive
-    K15/G7 on nu panels: each round evaluates its new panels' nodes in one
+    kinks elsewhere (see `_Factors.inner`).  The outer rule, G10/K21 as the
+    inner one, is adaptive on nu panels 4 widths wide at first (see
+    `_Factors.nu_panels`): each round evaluates its new panels' nodes in one
     inner pass and bisects every panel whose outer error is above its share
     of what the inner integrals leave of ``tol``.  ``tol`` bounds the
     summed error estimate of the five integrals, divided by the largest
@@ -516,7 +519,7 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
     while True:
         half = 0.5 * (new_hi - new_lo)
         nu = ((0.5 * (new_lo + new_hi))[:, None]
-              + half[:, None] * _K15_NODES).ravel()
+              + half[:, None] * _NODES).ravel()
         log_cols, ints, node_err = factors.nu_values(nu, shift, budget)
         peak = factors.log_peak(nu, log_cols[:, 0]).max()
         if peak > shift:
@@ -525,14 +528,14 @@ def quadrature_moments(target, tol=1e-10, max_panels=60000):
             est, err, inner_err = (v * rescale for v in (est, err, inner_err))
             shift = peak
         scale = np.exp(log_cols - shift)
-        rules = np.einsum("knj,nr->kjr", (scale * ints).reshape(-1, 15, 5),
-                          _RULES) * half[:, None, None]
+        rules = np.einsum("knj,nr->kjr", (scale * ints).reshape(
+            len(half), -1, 5), _RULES) * half[:, None, None]
         lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
         est = np.concatenate([est, rules[..., 0]])
         err = np.concatenate([err, np.abs(rules[..., 1])])
         panel_inner = np.zeros((len(half), 5)) if node_err is None else (
             half[:, None] * np.einsum("knj,n->kj", (scale * node_err).reshape(
-                -1, 15, 5), _K15_WEIGHTS))
+                len(half), -1, 5), _WEIGHTS))
         inner_err = np.concatenate([inner_err, panel_inner])
         evaluated += len(new_lo)
         inner_total = float(inner_err.sum())

@@ -57,14 +57,17 @@ class TestConflictPath:
 class TestRatioSeries:
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            RatioSeries(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 1.0, "x")
+            RatioSeries(np.array([1.0, 1.0]), np.array([1.0, 1.0]), "x")
         with pytest.raises(ValueError, match="positive"):
-            RatioSeries(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 1.0, "x")
+            RatioSeries(np.array([1.0, 2.0]), np.array([1.0, -1.0]), "x")
 
     def test_tail_monotonicity_helper(self):
         s = RatioSeries(np.array([1.0, 2.0, 3.0, 4.0]),
-                        np.array([2.0, 1.5, 1.2, 1.1]), 1.0, "x")
+                        np.array([2.0, 1.5, 1.2, 1.1]), "x")
         assert s.tail_nonincreasing()
+        # Every series tends to 1: its error is the distance from 1.
+        np.testing.assert_array_equal(
+            RatioSeries([1.0, 2.0], [0.75, 1.5], "x").abs_err, [0.25, 0.5])
 
 
 class TestPriorRatio:
@@ -87,11 +90,10 @@ class TestPriorRatio:
 
 
 class TestStudentRatio:
-    # The ratio over (sigma/lam)^gamma, so its target is 1.
+    # The ratio over (sigma/lam)^gamma, so its limit is 1.
     def test_limit_value(self):
         s = prior_ratio(ConflictPath(b=1.0, c=2.0), Student(4.0), 0.0)
-        assert s.target == 1.0
-        assert abs(s.ratio[-1] - 1.0) < 0.01
+        assert s.abs_err[-1] == abs(s.ratio[-1] - 1.0) < 0.01
         plain = scaled_over_unscaled(Student(4.0), 2.0, 1.0, 0.0, s.omega)
         np.testing.assert_allclose(s.ratio, plain / 0.0625, rtol=1e-13)
 
@@ -99,7 +101,6 @@ class TestStudentRatio:
         for gamma in (1.0, 4.0, 10.0):
             s = prior_ratio(ConflictPath(b=1.0, c=1.3), Student(gamma), 0.5,
                             sigma=1.3)
-            assert s.target == 1.0
             assert s.ratio[-1] == pytest.approx(1.0, rel=1e-6)
 
     def test_cauchy_case(self):
@@ -302,7 +303,7 @@ class TestPosteriorLimit:
         student = posterior_limit_convergence(path, Student(4.0),
                                               omega_grid=grid)
         for s in (lptn, student):
-            assert s.target == 1.0 and s.tail_nonincreasing()
+            assert s.tail_nonincreasing()
         # Student tails shed their conflict polynomially, log-Pareto tails
         # log-slowly; each against its own limit.
         assert student.abs_err[-1] < 1e-8 < lptn.abs_err[-1] < 0.01
@@ -388,7 +389,7 @@ class TestSeriesCsv:
         _write_series_csv([s], path, comments=["cfg"])
         lines = path.read_text().splitlines()
         assert lines[0] == "# cfg"
-        assert lines[1] == "omega,ratio,target,abs_err"
+        assert lines[1] == "omega,ratio,abs_err"
         assert lines[2] == ("# series = prior ratio at beta=0.0 sigma=1.0: "
                             "Student(gamma=4.0) along "
                             "ConflictPath(a=0.0, b=1.0, c=2.0, d=0.0)")

@@ -757,22 +757,27 @@ class TestCheck:
         for row, (err, threshold) in zip(rows, recorded):
             assert float(row[1]) == pytest.approx(err, rel=1e-9)
             assert float(row[2]) == threshold
-        blocks = []
+        # Each series tends to 1, so its rows carry no target column and
+        # abs_err is |ratio - 1| to the bit.
+        header, blocks = None, []
         for line in (tmp_path / "check_series.csv").read_text().splitlines():
             if line.startswith("# series = "):
                 blocks.append([])
             elif blocks:
-                blocks[-1].append(line.split(","))
+                blocks[-1].append([float(v) for v in line.split(",")])
+            elif not line.startswith("#"):
+                header = line
+        assert header == "omega,ratio,abs_err"
         assert len(blocks) == 9
         for block in blocks:
-            assert block and {r[2] for r in block} == {"1.0"}
+            assert block and all(e == abs(r - 1.0) for _, r, e in block)
 
     def test_marginal_monotone_claim_reads_its_threshold(self, monkeypatch):
         # |ratio - 1| falls 3, 2, 1.5: monotone, but above the threshold 1.
         monkeypatch.setattr(cli, "marginal_ratio_convergence",
                             lambda *args, **kwargs: RatioSeries(
                                 [10.0, 100.0, 1000.0], [4.0, 3.0, 2.5],
-                                target=1.0, family="lptn"))
+                                family="lptn"))
         args = argparse.Namespace(fast=False, quad_tol=1e-10)
         row = next(row for row in cli._check_claims(args)
                    if row[0] == "lptn_marginal_ratio_monotone")

@@ -12,6 +12,7 @@ from scipy.stats import invgamma
 from robustpriors import model, oracle
 from robustpriors.asymptotics import (ConflictPath, _limit_target,
                                       _limiting_sigma_posterior)
+from robustpriors.cli import default_lambda2_grid, default_mu2_grid
 from robustpriors.model import PosteriorTarget, SigmaPrior, reduced_target
 from robustpriors.oracle import (NumericalError, conjugate_posterior,
                                  jeffreys_benchmark, quadrature_moments)
@@ -93,6 +94,19 @@ class TestLimitingSigma:
             invgamma(shape, scale=scale).mean(), rel=0.015)
         assert res.sigma_sq_sd == pytest.approx(
             invgamma(shape + 0.5, scale=scale).std(), rel=1e-6)
+
+
+def _assert_closed_form(res, mean, sd, law, where):
+    # A quadrature result against a closed form: beta's mean and sd, and the
+    # sigma^2 law.  The bounds sit two to four times above the largest
+    # deviations measured over the default sweep grids and the flat prior's
+    # powers of sigma: 1.3e-14, 1.0e-12, 6.0e-15 and 3.8e-13.
+    assert abs(res.mean - mean) <= 5e-14, where
+    assert res.sd == pytest.approx(sd, rel=2e-12, abs=0), where
+    assert res.sigma_sq_mean == pytest.approx(law.mean(), rel=2e-14,
+                                              abs=0), where
+    assert res.sigma_sq_sd == pytest.approx(law.std(), rel=1e-12,
+                                            abs=0), where
 
 
 class TestQuadrature:
@@ -180,10 +194,10 @@ class TestQuadrature:
         # sigma^100 against the Jeffreys base leaves the nu marginal flat,
         # so the posterior is improper; sigma^97 leaves sigma^2's variance
         # infinite.  The range's closed form names the integral that
-        # diverges, at once.  A finite target stopped early by the budget
-        # names the one with most error left: this one starts from 11 nu
-        # panels, and at 5 panels f carries 4.3e-12, sigma^2 3.6e-12.
-        t = reduced_target(N, mu2, lam2, LPTN(0.95), sigma_power=sigma_power)
+        # diverges, at once, whatever the family.  A finite target stopped
+        # early by the budget names the one with most error left: this one
+        # starts from 6 nu panels, where f carries 4.3e-13, sigma^4 1.7e-13.
+        t = reduced_target(N, mu2, lam2, CTN(0.98), sigma_power=sigma_power)
         with pytest.raises(NumericalError) as exc:
             quadrature_moments(t, tol=1e-13, max_panels=5)
         assert f"the integral of {integral} carries" in str(exc.value)
@@ -220,17 +234,17 @@ class TestQuadrature:
             quadrature_moments(
                 reduced_target(N, family=None, sigma_power=95 - 1e-5))
 
-    @pytest.mark.parametrize("k", [-1, 2.5, 4, 94.5])
+    @pytest.mark.parametrize("k", [-1, 0, 0.5, 1, 2.5, 4, 20, 60, 94.5])
     def test_flat_prior_sigma_power_law(self, k):
         # Next to the rule's edge, too: at k = 94.5 sigma^4's nu integrand
         # falls off only as e^{-nu/2}.  sigma^2 is exactly inverse-gamma
-        # ((n - k - 1) / 2, RSS / 2).
+        # ((n - k - 1) / 2, RSS / 2), and beta given sigma^2 is normal about
+        # beta_hat with variance sigma^2 / a.
         t = reduced_target(N, family=None, sigma_power=k)
-        y = t.data.y
-        law = invgamma((N - k - 1) / 2, scale=(y @ y - N * y.mean() ** 2) / 2)
-        res = quadrature_moments(t)
-        assert res.sigma_sq_mean == pytest.approx(law.mean(), rel=1e-9)
-        assert res.sigma_sq_sd == pytest.approx(law.std(), rel=1e-9)
+        fac = oracle._Factors(t)
+        law = invgamma((N - k - 1) / 2, scale=fac.rss / 2)
+        _assert_closed_form(quadrature_moments(t), fac.beta_hat,
+                            np.sqrt(law.mean() / fac.a), law, k)
 
     @pytest.mark.parametrize("family", [
         Normal(), Student(4), LPTN(0.95), CTN(0.98), None],
@@ -261,13 +275,13 @@ class TestQuadrature:
     def test_panel_budget(self):
         # The budget check runs after every round and reports the summed
         # error of the live panels.  At tol 1e-12 this target starts from
-        # 53 nu panels, then holds 60, and needs 69, so one refinement round
+        # 27 nu panels, then holds 32, and needs 39, so one refinement round
         # runs first.
         tol = 1e-12
-        t = reduced_target(5, 3.0, 2.0, Student(1.0))
-        assert len(oracle._Factors(t).nu_panels()[0]) - 1 <= 56
-        with pytest.raises(NumericalError, match="more than 56 panels") as exc:
-            quadrature_moments(t, tol=tol, max_panels=56)
+        t = reduced_target(5, 3.0, 5.0, Student(1.0))
+        assert len(oracle._Factors(t).nu_panels()[0]) - 1 <= 30
+        with pytest.raises(NumericalError, match="more than 30 panels") as exc:
+            quadrature_moments(t, tol=tol, max_panels=30)
         err = float(str(exc.value).rsplit("error ", 1)[1].rstrip(")"))
         assert err > tol
 
@@ -275,8 +289,9 @@ class TestQuadrature:
         # Inner integrals refined as far as they go end in the budget's
         # error, naming the integral with most error left.  At tol 1e-13
         # this diffuse target needs them below the noise of rounding (f
-        # carries 7.8e-10, sigma^4 5.0e-10); with at most 8 intervals at a
-        # nu node, the default tol is out of reach.
+        # carries 1.0e-8, beta^2 f 6.2e-9, over its 26 first panels); with at
+        # most 8 intervals at a nu node, the default tol is out of reach here
+        # (sigma^4 carries 5.0e-10, sigma^2 4.4e-10).
         with pytest.raises(NumericalError, match=(
                 r"cannot refine its inner integrals over beta enough to reach"
                 r" tol=1e-13; the integral of f carries")):
@@ -286,7 +301,7 @@ class TestQuadrature:
         with pytest.raises(NumericalError, match=(
                 r"inner integrals over beta enough to reach tol=1e-10; the "
                 r"integral of e\^\{4nu\} f \(sigma\^4\) carries")):
-            quadrature_moments(reduced_target(N, 0.5, 1.0, Student(4)))
+            quadrature_moments(reduced_target(N, 1.0, 1.0, Student(4)))
 
     @pytest.mark.parametrize("n, mu2, lam2", [
         (1000, 10.0, 1.0), (1000, 10.0, 3.0), (1000, 10.0, 10.0),
@@ -353,6 +368,79 @@ class TestQuadrature:
         res = quadrature_moments(reduced_target(N, mu2, lam2, family), tol=tol)
         assert 0 < res.error <= tol
         assert res.panels_evaluated >= res.n_panels
+
+
+def _rule():
+    # The nodes, and the K21 and G10 weights: the first column of the rules,
+    # and that less the second, zero off the Gauss nodes.
+    rules = oracle._RULES
+    return oracle._NODES, rules[:, 0], rules[:, 0] - rules[:, 1]
+
+
+class TestRule:
+    # QUADPACK's G10/K21 pair, the rule of both levels.
+
+    def test_exact_degrees(self):
+        # Exact for x^k on [-1, 1] up to degree 3 * 10 + 1 = 31 (K21) and
+        # 2 * 10 - 1 = 19 (G10), and no further.
+        nodes, kronrod, gauss = _rule()
+        for k in range(33):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            for weights, degree in ((kronrod, 31), (gauss, 19)):
+                error = abs(weights @ nodes ** k - exact)
+                if k <= degree:
+                    assert error <= 1e-15, (k, degree)
+                elif k == degree + 1:
+                    assert error > 1e-13, (k, degree)
+
+    def test_symmetric_weights_summing_to_two(self):
+        nodes, kronrod, gauss = _rule()
+        assert len(nodes) == 21
+        assert np.all(np.diff(nodes) > 0)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        for weights in (kronrod, gauss):
+            np.testing.assert_array_equal(weights, weights[::-1])
+            assert abs(weights.sum() - 2.0) <= 1e-15
+
+    def test_gauss_nodes_at_odd_positions(self):
+        nodes, _, gauss = _rule()
+        np.testing.assert_array_equal(np.flatnonzero(gauss),
+                                      np.arange(1, 21, 2))
+        legendre = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(nodes[1::2], legendre[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss[1::2], legendre[1], rtol=0, atol=1e-15)
+
+
+def _default_grid(mu2_axis):
+    # (mu2, lambda2) of every point of one default sweep.
+    if mu2_axis:
+        return [(mu2, 1.0) for mu2 in default_mu2_grid()]
+    return [(0.5, lam2) for lam2 in default_lambda2_grid()]
+
+
+class TestDefaultGrid:
+    # Every point of both default sweeps.
+
+    @pytest.mark.parametrize("mu2_axis", [True, False], ids=["mu2", "lambda2"])
+    def test_normal_matches_conjugate(self, mu2_axis):
+        for mu2, lam2 in _default_grid(mu2_axis):
+            res = quadrature_moments(reduced_target(N, mu2, lam2, Normal()))
+            ref = conjugate_posterior(N, mu2, lam2)
+            law = invgamma(ref.sigma_sq_shape, scale=ref.sigma_sq_scale)
+            _assert_closed_form(res, ref.beta_mean,
+                                np.sqrt(ref.beta_variance), law, (mu2, lam2))
+
+    @pytest.mark.parametrize("family, sigma_power", [
+        (Student(4.0), 0), (LPTN(0.95), 0), (CTN(0.98), 0), (CTN(0.98), 1)],
+        ids=["student", "lptn", "ctn", "ctn_corrected"])
+    def test_first_panels_need_no_split(self, family, sigma_power):
+        # The first nu panels, 4 likelihood widths wide, meet the default
+        # tol at every default sweep point: none is split.
+        for mu2_axis in (True, False):
+            for mu2, lam2 in _default_grid(mu2_axis):
+                res = quadrature_moments(reduced_target(
+                    N, mu2, lam2, family, sigma_power=sigma_power))
+                assert res.panels_evaluated == res.n_panels, (mu2, lam2)
 
 
 # (lo, hi, mean, a): whole-line and semi-infinite windows, narrow ones 0.01
@@ -521,7 +609,7 @@ class TestPriorKinks:
         (CTN(0.98), 0.5, 0.3, 1), (CTN(0.98), 0.5, 101.0, 0)])
     def test_no_panel_straddles_a_kink(self, family, mu2, lam2,
                                        sigma_power, monkeypatch):
-        # LPTN evaluates its density at 15 Kronrod nodes of each inner
+        # LPTN evaluates its density at 21 Kronrod nodes of each inner
         # interval, all in the tails and on one side of each kink; CTN
         # evaluates it at none.  At lam2 = 101 the prior's bump is about
         # 1/101 wide in x.
@@ -540,7 +628,7 @@ class TestPriorKinks:
             assert blocks == []
             return
         nodes = np.concatenate(blocks)
-        assert nodes.shape[1] == 15
+        assert nodes.shape[1] == 21
         side = np.sign(nodes) * (np.abs(nodes) > family.tau)
         assert np.all(side != 0)
         assert np.all(side == side[:, :1])
