@@ -22,13 +22,12 @@ or config-file key that a command does not take is an error.
 
 Exit codes: 0 success, 2 configuration error (an output file that cannot
 be written among them), 3 data error, 4 numerical failure.  All output
-CSVs are UTF-8, comma-delimited, with ``#``-prefixed comment lines
-recording the fully resolved configuration, so identical configurations
-and seeds produce byte-identical files.
+CSVs are written by `write_commented_csv`: UTF-8, comma-delimited, LF
+line ends, ``#`` comment lines recording the fully resolved configuration,
+so identical configurations and seeds produce byte-identical files.
 """
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -40,8 +39,8 @@ from . import __version__
 from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           marginal_ratio_convergence,
                           posterior_limit_convergence, prior_ratio)
-from .model import (DataError, PosteriorTarget, SigmaPrior, _open_csv,
-                    _os_error_text, load_csv, reduced_target, standardize,
+from .model import (DataError, PosteriorTarget, SigmaPrior, _os_error_text,
+                    load_csv, reduced_target, standardize,
                     write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
@@ -365,10 +364,8 @@ def cmd_sweep(args):
                 lam2 = g if args.axis == "lambda2" else args.lambda2
                 mean, sd = _sweep_point(family_tag, family, mu2, lam2,
                                         args.n, args.quad_tol)
-                rows.append([family_tag,
-                             "" if hyper is None else repr(float(hyper)),
-                             repr(float(mu2)), repr(float(lam2)),
-                             repr(float(mean)), repr(float(sd))])
+                rows.append([family_tag, "" if hyper is None else float(hyper),
+                             float(mu2), float(lam2), float(mean), float(sd)])
     write_commented_csv(args.out, ["family", "hyper", "mu2", "lambda2", "mean",
                                    "sd"], rows, comments)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -407,8 +404,6 @@ def _check_claims(args):
     yield ("ctn_exact_attainment", max(float(s.abs_err[-1]) for s in ctn),
            0.0, exact, ctn[0])
 
-    if args.fast:
-        return
     grid = [1.0, 10.0, 100.0, 1000.0, 10000.0]
     mr = marginal_ratio_convergence(scaling, CTN(0.98), omega_grid=grid,
                                     quad_tol=args.quad_tol)
@@ -437,49 +432,37 @@ def _check_claims(args):
 
 
 def cmd_check(args):
+    """Write the claim report and, beside it, every claim's ratio series.
+
+    ``<out>_series.csv`` is one ``claim,omega,ratio,abs_err`` table in the
+    report's claim order, with a ``# <claim>: <label>`` line per claim.
+    """
     _check_quad_tol(args)
-    rows = []
-    series = []
+    rows, series_rows, labels = [], [], []
     any_fail = False
     for claim, err, threshold, ok, s in _check_claims(args):
         verdict = "PASS" if ok else "FAIL"
         any_fail |= not ok
-        rows.append([claim, repr(float(err)), repr(float(threshold)), verdict])
-        series.append(s)
+        rows.append([claim, float(err), float(threshold), verdict])
+        labels.append(f"{claim}: {s.label or s.family}")
+        series_rows += ([claim, float(w), float(r), float(e)]
+                        for w, r, e in zip(s.omega, s.ratio, s.abs_err))
         print(f"{claim}: {verdict} (terminal error {err:.3e}, "
               f"threshold {threshold:g})")
     comments = _config_comments(args)
     write_commented_csv(args.out, ["claim", "terminal_error", "threshold",
                                    "verdict"], rows, comments)
     series_path = _derive_path(args.out, "_series")
-    _write_series_csv(series, series_path, comments=comments)
+    write_commented_csv(series_path, ["claim", "omega", "ratio", "abs_err"],
+                        series_rows, comments + labels)
     print(f"wrote {args.out} and {series_path}")
     return EXIT_NUMERICAL if any_fail else EXIT_OK
-
-
-def _write_series_csv(series_list, path, comments=()):
-    # Ratio series as omega,ratio,abs_err rows, each introduced by a
-    # "# series = <label>" line, so several share one file.
-    with _open_csv(path) as fh:
-        fh.writelines(f"# {line}\n" for line in comments)
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "ratio", "abs_err"])
-        for series in series_list:
-            fh.write(f"# series = {series.label or series.family}\n")
-            writer.writerows([repr(float(w)), repr(float(r)), repr(float(e))]
-                             for w, r, e in zip(series.omega, series.ratio,
-                                                series.abs_err))
 
 
 # Options every run of a command needs.  `_parse_args` checks them after the
 # config file is applied, not argparse, because the file may supply them.
 _REQUIRED = {"fit": ("out", "data"), "sweep": ("out", "axis"),
              "check": ("out",)}
-
-
-# Values a boolean config key may take.
-_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
-             "on": True, "off": False, "1": True, "0": False}
 
 
 def build_parser():
@@ -547,9 +530,6 @@ def _build_parsers():
 
     p_check = sub.add_parser("check", help="run asymptotic-limit diagnostics")
     add_options(p_check, quadrature=True)
-    p_check.add_argument("--fast", action="store_true",
-                         help="pointwise ratio checks only (skip quadrature "
-                              "marginal ratios)")
     p_check.set_defaults(func=cmd_check)
     return parser, {"fit": p_fit, "sweep": p_sweep, "check": p_check}
 
@@ -583,20 +563,14 @@ def _config_defaults(sub, first, path):
         where = f"{path}:{lineno}: {key}"
         if key not in known:
             raise ConfigError(f"{where}: unknown config key for {first.command}")
-        if isinstance(sub.get_default(key), bool):      # a store_true switch
-            if raw.lower() not in _BOOLEANS:
-                raise ConfigError(f"{where}: expected one of "
-                                  f"{'/'.join(_BOOLEANS)}, got {raw!r}")
-            value = _BOOLEANS[raw.lower()]
-        else:
-            flag = "--" + key.replace("_", "-")
-            sub.exit_on_error = False   # raise, not print usage and exit
-            try:
-                value = getattr(sub.parse_args([f"{flag}={raw}"]), key)
-            except argparse.ArgumentError as exc:
-                raise ConfigError(f"{where}: {exc.message}") from None
-            finally:
-                sub.exit_on_error = True
+        flag = "--" + key.replace("_", "-")
+        sub.exit_on_error = False   # raise, not print usage and exit
+        try:
+            value = getattr(sub.parse_args([f"{flag}={raw}"]), key)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"{where}: {exc.message}") from None
+        finally:
+            sub.exit_on_error = True
         # A repeatable flag given on the command line replaces the file's list.
         if not isinstance(getattr(first, key), list):
             defaults[key] = value

@@ -74,17 +74,14 @@ class _Gram(NamedTuple):
 class RegressionData:
     """Response vector and design matrix with a leading intercept column.
 
-    ``standardized`` asserts that every non-intercept column and ``y`` have
-    mean 0 and mean square 1 (checked to 1e-8).  ``y`` and ``X`` are
-    read-only copies of the arrays given, and the fields cannot be
-    reassigned, so ``gram``, computed once at construction, always
-    describes them: ``XtX`` (X^T X), ``Xty`` (X^T y), ``yty`` (y^T y) and
-    ``full_rank``, whether X^T X has rank p.
+    ``y`` and ``X`` are read-only copies of the arrays given, and the
+    fields cannot be reassigned, so ``gram``, computed once at
+    construction, always describes them: ``XtX`` (X^T X), ``Xty`` (X^T y),
+    ``yty`` (y^T y) and ``full_rank``, whether X^T X has rank p.
     """
 
     y: np.ndarray
     X: np.ndarray
-    standardized: bool = False
     gram: _Gram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,15 +99,6 @@ class RegressionData:
             raise DataError("first column of X must be the all-ones intercept")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise DataError("data must be finite")
-        if self.standardized:
-            tol = 1e-8
-            ok = abs(y.mean()) <= tol and abs((y ** 2).mean() - 1) <= tol
-            for j in range(1, p):
-                col = X[:, j]
-                ok = ok and abs(col.mean()) <= tol
-                ok = ok and abs((col ** 2).mean() - 1) <= tol
-            if not ok:
-                raise DataError("standardized flag set but moments are off")
         XtX, Xty = X.T @ X, X.T @ y
         XtX.flags.writeable = Xty.flags.writeable = False
         object.__setattr__(self, "gram", _Gram(
@@ -161,7 +149,7 @@ def standardize(data):
     if ys == 0.0:
         raise DataError("response is constant; cannot standardize")
     y = (data.y - ym) / ys
-    out = RegressionData(y=y, X=X, standardized=True)
+    out = RegressionData(y=y, X=X)
     return out, StandardizeTransform(ym, ys, col_means, col_scales)
 
 
@@ -239,24 +227,23 @@ def _os_error_text(exc):
     return f"[Errno {exc.errno}] {exc.strerror}: '{os.fsdecode(exc.filename)}'"
 
 
-def _open_csv(path, mode="w"):
-    # UTF-8 whatever the locale; a surrogate-escaped argument (a non-ASCII
-    # path under an ASCII locale) is written back as its own bytes.
-    return open(path, mode, newline="", encoding="utf-8",
-                errors="surrogateescape")
-
-
 def write_commented_csv(path, header, rows, comments=()):
-    """Write ``#``-prefixed comment lines, then a header row and the rows.
+    r"""Write ``#`` comment lines, then a header row and the rows, as UTF-8.
 
-    Every output file starts here; longer ones append through `_open_csv`.
+    The one writer of every result file; each line ends in "\n", and a
+    carriage return or line feed inside a comment is written as the escape
+    ``\r`` or ``\n``, so the comment stays on one line.  A cell is written
+    as ``str(cell)``, for a float its shortest round-trip text; cells are
+    numbers or fixed identifiers, so none is quoted.  A surrogate-escaped
+    path (a non-ASCII name under an ASCII locale) keeps its own bytes.
     """
-    with _open_csv(path) as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with open(path, "w", newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        fh.writelines("# " + line.replace("\r", "\\r").replace("\n", "\\n")
+                      + "\n" for line in comments)
+        fh.write(",".join(header) + "\n")
+        row_format = ",".join(["%s"] * len(header)) + "\n"
+        fh.writelines(row_format % tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +649,7 @@ def _standardized_pattern(n):
 def _reduced_data(n):
     # The reduced design at one n, validated and with its Gram record, built
     # once and shared by every target at that n: its arrays reject writes.
-    return RegressionData(y=_standardized_pattern(n), X=np.ones((n, 1)),
-                          standardized=True)
+    return RegressionData(y=_standardized_pattern(n), X=np.ones((n, 1)))
 
 
 def reduced_target(n, mu2=0.0, lambda2=1.0, family=None, sigma_power=0):

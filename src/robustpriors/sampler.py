@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _open_csv, write_commented_csv
+from .model import write_commented_csv
 
 __all__ = ["HmcConfig", "Chain", "PosteriorSummary", "DivergenceError",
            "leapfrog", "sample", "summarize", "ess_imse", "save_chains"]
@@ -488,9 +488,9 @@ class PosteriorSummary:
                 "ess": self.ess[i], "mcse": self.mcse[i]}
 
     def write_csv(self, path, comments=()):
-        table = np.column_stack([self.mean, self.sd, self.ess, self.mcse])
-        rows = ([name, *map(repr, values)]
-                for name, values in zip(self.params, table.tolist()))
+        """Write ``param,mean,sd,ess,mcse`` rows through `write_commented_csv`."""
+        columns = (self.mean, self.sd, self.ess, self.mcse)
+        rows = zip(self.params, *(c.tolist() for c in columns))
         write_commented_csv(path, ["param", "mean", "sd", "ess", "mcse"], rows,
                             comments)
 
@@ -525,16 +525,14 @@ def summarize(chains):
 
 
 def save_chains(chains, path, comments=()):
-    """Dump chains as CSV rows ``chain,iter,beta_1..beta_p,nu`` in fixed order."""
+    """Dump chains as CSV rows ``chain,iter,beta_1..beta_p,nu`` in fixed order.
+
+    Written by `write_commented_csv`, from the Python floats of ``tolist``.
+    """
     if not chains:
         raise ValueError("no chains to save")
     dim = chains[0].draws.shape[1]
     header = ["chain", "iter"] + [f"beta_{j + 1}" for j in range(dim - 1)] + ["nu"]
-    write_commented_csv(path, header, (), comments)
-    # Each chain's rows are formatted as one string, with the "\r\n" line
-    # ends `csv.writer` uses; no float repr needs quoting.  ``tolist``
-    # yields Python floats, whose repr is the shortest round trip.
-    with _open_csv(path, "a") as fh:
-        for c in chains:
-            fh.write("".join(f"{c.index},{it},{','.join(map(repr, row))}\r\n"
-                             for it, row in enumerate(c.draws.tolist())))
+    rows = ([c.index, it, *row]
+            for c in chains for it, row in enumerate(c.draws.tolist()))
+    write_commented_csv(path, header, rows, comments)

@@ -10,7 +10,7 @@ from robustpriors.asymptotics import (ConflictPath, RatioSeries,
                                       marginal_ratio_convergence,
                                       posterior_limit_convergence,
                                       prior_ratio)
-from robustpriors.cli import _write_series_csv
+from robustpriors import cli
 from robustpriors.model import SigmaPrior, reduced_target
 from robustpriors.oracle import quadrature_moments
 from robustpriors.priors import CTN, LPTN, Normal, Student
@@ -382,16 +382,24 @@ class TestSummaryComparison:
 
 
 class TestSeriesCsv:
-    def test_format(self, tmp_path):
+    def test_format(self, tmp_path, monkeypatch):
+        # `check` writes its series as one claim,omega,ratio,abs_err table
+        # in claim order, with one "# <claim>: <label>" line per claim.
         s = prior_ratio(ConflictPath(b=1.0, c=2.0), Student(4.0), 0.0,
                         omega_grid=[10.0, 100.0])
-        path = tmp_path / "series.csv"
-        _write_series_csv([s], path, comments=["cfg"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# cfg"
-        assert lines[1] == "omega,ratio,abs_err"
-        assert lines[2] == ("# series = prior ratio at beta=0.0 sigma=1.0: "
-                            "Student(gamma=4.0) along "
-                            "ConflictPath(a=0.0, b=1.0, c=2.0, d=0.0)")
-        assert len(lines) == 5
-        assert lines[3].startswith("10.0,")
+        t = RatioSeries([1.0, 10.0, 100.0], [1.5, 1.25, 1.0], family="ctn")
+        monkeypatch.setattr(cli, "_check_claims", lambda args: iter(
+            [("b_claim", 0.0, 1.0, True, s), ("a_claim", 0.0, 1.0, True, t)]))
+        out = tmp_path / "check.csv"
+        assert cli.main(["check", "--out", str(out)]) == cli.EXIT_OK
+        lines = (tmp_path / "check_series.csv").read_text().splitlines()
+        assert lines[-8:-6] == [
+            "# b_claim: prior ratio at beta=0.0 sigma=1.0: Student(gamma=4.0) "
+            "along ConflictPath(a=0.0, b=1.0, c=2.0, d=0.0)",
+            "# a_claim: ctn"]
+        assert lines[-6] == "claim,omega,ratio,abs_err"
+        assert [line.split(",")[:2] for line in lines[-5:]] == [
+            ["b_claim", "10.0"], ["b_claim", "100.0"], ["a_claim", "1.0"],
+            ["a_claim", "10.0"], ["a_claim", "100.0"]]
+        assert lines[-3:] == ["a_claim,1.0,1.5,0.5", "a_claim,10.0,1.25,0.25",
+                              "a_claim,100.0,1.0,0.0"]

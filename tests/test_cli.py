@@ -711,9 +711,9 @@ class TestSweep:
 
 
 class TestCheck:
-    def test_fast_report(self, tmp_path):
+    def test_report(self, tmp_path):
         out = tmp_path / "check.csv"
-        code = main(["check", "--fast", "--out", str(out)])
+        code = main(["check", "--out", str(out)])
         assert code == EXIT_OK
         comments, header, rows = read_csv(out)
         assert header == ["claim", "terminal_error", "threshold", "verdict"]
@@ -726,12 +726,12 @@ class TestCheck:
     def test_derived_series_path_keeps_the_directory(self, tmp_path):
         (tmp_path / "res.v2").mkdir()
         out = tmp_path / "res.v2" / "report"
-        assert main(["check", "--fast", "--out", str(out)]) == EXIT_OK
+        assert main(["check", "--out", str(out)]) == EXIT_OK
         assert out.exists() and (tmp_path / "res.v2" / "report_series").exists()
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.csv"
-        assert main(["check", "--fast", "--out", str(out)]) == EXIT_CONFIG
+        assert main(["check", "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output:")
         assert err.count("\n") == 1 and "nodir" in err
@@ -757,20 +757,20 @@ class TestCheck:
         for row, (err, threshold) in zip(rows, recorded):
             assert float(row[1]) == pytest.approx(err, rel=1e-9)
             assert float(row[2]) == threshold
-        # Each series tends to 1, so its rows carry no target column and
-        # abs_err is |ratio - 1| to the bit.
-        header, blocks = None, []
-        for line in (tmp_path / "check_series.csv").read_text().splitlines():
-            if line.startswith("# series = "):
-                blocks.append([])
-            elif blocks:
-                blocks[-1].append([float(v) for v in line.split(",")])
-            elif not line.startswith("#"):
-                header = line
-        assert header == "omega,ratio,abs_err"
-        assert len(blocks) == 9
-        for block in blocks:
-            assert block and all(e == abs(r - 1.0) for _, r, e in block)
+        # One series table: each claim's rows in report order, one label
+        # line per claim.  Each series tends to 1, so its rows carry no
+        # target column and abs_err is |ratio - 1| to the bit.
+        claims = [r[0] for r in rows]
+        comments, header, series = read_csv(tmp_path / "check_series.csv")
+        assert header == ["claim", "omega", "ratio", "abs_err"]
+        labels = [c.partition(": ")[0] for c in comments
+                  if c.partition(": ")[0][2:] in claims]
+        assert labels == [f"# {c}" for c in claims]
+        assert {r[0] for r in series} == set(claims)
+        assert [r[0] for r in series] == sorted((r[0] for r in series),
+                                                key=claims.index)
+        for _, _, ratio, err in series:
+            assert float(err) == abs(float(ratio) - 1.0)
 
     def test_marginal_monotone_claim_reads_its_threshold(self, monkeypatch):
         # |ratio - 1| falls 3, 2, 1.5: monotone, but above the threshold 1.
@@ -778,16 +778,15 @@ class TestCheck:
                             lambda *args, **kwargs: RatioSeries(
                                 [10.0, 100.0, 1000.0], [4.0, 3.0, 2.5],
                                 family="lptn"))
-        args = argparse.Namespace(fast=False, quad_tol=1e-10)
+        args = argparse.Namespace(quad_tol=1e-10)
         row = next(row for row in cli._check_claims(args)
                    if row[0] == "lptn_marginal_ratio_monotone")
         assert row[1:4] == (1.5, 1.0, False)
 
     @pytest.mark.parametrize("tol", ["-1e-10", "nan"])
     def test_bad_quad_tol(self, tmp_path, capsys, tol):
-        # --fast reads no tolerance; the value is still checked.
         out = tmp_path / "check.csv"
-        assert main(["check", "--fast", f"--quad-tol={tol}",
+        assert main(["check", f"--quad-tol={tol}",
                      "--out", str(out)]) == EXIT_CONFIG
         assert "--quad-tol must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
@@ -812,11 +811,11 @@ class TestOptionGroups:
 
     def test_config_key_a_command_does_not_read(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fast = yes\nhmc_samples = 5\n")
+        cfg.write_text("hmc_samples = 5\n")
         assert main(["check", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"{cfg}:2: hmc_samples: unknown config key for check" in err
+        assert f"{cfg}:1: hmc_samples: unknown config key for check" in err
         cfg.write_text("axis = mu2\nmethod = hmc\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
@@ -874,19 +873,6 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert f"{cfg}:3: axis: invalid choice: 'foo'" in capsys.readouterr().err
 
-    def test_boolean_values(self, tmp_path, capsys):
-        from robustpriors.cli import _parse_args
-        cfg = tmp_path / "run.cfg"
-        for raw, expected in (("yes", True), ("On", True), ("1", True),
-                              ("false", False), ("off", False), ("0", False)):
-            cfg.write_text(f"fast = {raw}\n")
-            args = _parse_args(["check", "--config", str(cfg), "--out", "o.csv"])
-            assert args.fast is expected
-        # An unknown word is an error, not false.
-        cfg.write_text("out = o.csv\nfast = maybe\n")
-        assert main(["check", "--config", str(cfg)]) == EXIT_CONFIG
-        assert f"{cfg}:2: fast: expected one of" in capsys.readouterr().err
-
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes("# café\nfamilies = normal\n".encode("latin-1"))
@@ -922,12 +908,81 @@ class TestConfigFile:
         assert commands["sweep"].exit_on_error
 
     def test_key_of_another_command(self, tmp_path):
-        # "fast" belongs to check; sweep must not drop it silently.
+        # "quad_tol" belongs to sweep and check; fit must not drop it
+        # silently.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fast = yes\n")
-        code = main(["sweep", "--config", str(cfg), "--axis", "mu2",
-                     "--families", "normal", "--out", str(tmp_path / "o.csv")])
+        cfg.write_text("quad_tol = 1e-8\n")
+        code = main(["fit", "--config", str(cfg), "--data", str(data_path),
+                     "--prior", "jeffreys", "--prior", "jeffreys",
+                     "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestOutputFiles:
+    """Every file that `fit`, `sweep` and `check` write: "\n" line ends, a
+    block of whole ``# `` comment lines, then the header and rows."""
+
+    HEADERS = {"fit.csv": "param,mean,sd,ess,mcse",
+               "fit_chains.csv": "chain,iter,beta_1,beta_2,beta_3,nu",
+               "sweep.csv": "family,hyper,mu2,lambda2,mean,sd",
+               "check.csv": "claim,terminal_error,threshold,verdict",
+               "check_series.csv": "claim,omega,ratio,abs_err"}
+
+    def test_line_ends_comments_and_table(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        for argv in (["fit", "--data", str(data_path), "--prior", "normal",
+                      "--prior", "jeffreys", "--hmc-samples", "100",
+                      "--hmc-warmup", "20", "--hmc-chains", "2",
+                      "--out", str(tmp_path / "fit.csv")],
+                     ["sweep", "--axis", "mu2", "--families",
+                      "jeffreys,student", "--grid", "0.0,1.0",
+                      "--out", str(tmp_path / "sweep.csv")],
+                     ["check", "--out", str(tmp_path / "check.csv")]):
+            assert main(argv) == EXIT_OK
+        for name, header in self.HEADERS.items():
+            text = (tmp_path / name).read_bytes().decode("utf-8")
+            assert "\r" not in text
+            lines = text.split("\n")
+            assert lines.pop() == ""            # every line ends in "\n"
+            k = lines.index(header)
+            assert k > 0 and all(line.startswith("# ") for line in lines[:k])
+            table = list(csv.reader(lines[k:]))
+            assert len(table) > 1
+            assert all(len(row) == len(table[0]) for row in table)
+
+    def test_line_break_in_a_comment_is_escaped(self, tmp_path):
+        # A quoted header name may hold a line break, and a spec that still
+        # parses after stripping may end in one; each comment stays on one
+        # line, so a reader that skips "#" lines finds the header.
+        data_path = tmp_path / "d.csv"
+        write_dataset(data_path)
+        rows = data_path.read_text().split("\n", 1)[1]
+        data_path.write_text('y,"dose\r\n(mg)",x2\n' + rows, newline="")
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--data", str(data_path), "--prior", "jeffreys",
+                     "--prior", "jeffreys", "--sigma-prior", "jeffreys\n",
+                     "--hmc-samples", "100", "--hmc-warmup", "20",
+                     "--hmc-chains", "1", "--out", str(out)]) == EXIT_OK
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "mu2", "--families", "normal\n",
+                     "--grid", "0.0", "--out", str(sweep)]) == EXIT_OK
+        for path, line in (
+                (out, "# columns: intercept=beta_1, dose\\r\\n(mg)=beta_2, "
+                      "x2=beta_3"),
+                (out, "# sigma_prior = jeffreys\\n"),
+                (tmp_path / "fit_chains.csv", "# sigma_prior = jeffreys\\n"),
+                (sweep, "# families = normal\\n")):
+            lines = path.read_text().split("\n")
+            assert line in lines and "" not in lines[:-1]
+        with open(out) as fh:
+            reader = csv.DictReader(line for line in fh
+                                    if not line.startswith("#"))
+            assert reader.fieldnames == ["param", "mean", "sd", "ess", "mcse"]
+            assert [r["param"] for r in reader][:2] == ["beta_1", "beta_2"]
 
 
 class TestAsciiLocale:
@@ -969,7 +1024,7 @@ class TestAsciiLocale:
           "--out", "x.csv"], EXIT_CONFIG, b"error: cannot read config file"),
         (["fit", "--data", "dönnée.csv", "--prior", "jeffreys",
           "--out", "o.csv"], EXIT_DATA, b"data error: cannot read data file"),
-        (["check", "--fast", "--out", "nödir/x.csv"], EXIT_CONFIG,
+        (["check", "--out", "nödir/x.csv"], EXIT_CONFIG,
          b"error: cannot write output")],
         ids=["config", "data", "output"])
     def test_os_error_names_the_file_by_its_bytes(self, tmp_path, argv, code,

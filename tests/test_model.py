@@ -34,11 +34,6 @@ class TestRegressionData:
         with pytest.raises(DataError, match="intercept"):
             RegressionData(y=np.zeros(5), X=X)
 
-    def test_standardized_flag_checked(self):
-        X = np.column_stack([np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
-        with pytest.raises(DataError, match="moments"):
-            RegressionData(y=np.zeros(4), X=X, standardized=True)
-
     def test_gram_record(self):
         data = random_data()
         XtX, Xty, yty, full_rank = data.gram

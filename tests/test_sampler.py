@@ -696,7 +696,7 @@ class TestSaveChains:
         save_chains(chains, path, comments=["a = 1", "b"])
         expected = io.StringIO(newline="")
         expected.write("# a = 1\n# b\n")
-        writer = csv.writer(expected)
+        writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["chain", "iter", "beta_1", "nu"])
         writer.writerows([c.index, it, *row]
                          for c in chains for it, row in enumerate(c.draws.tolist()))
