@@ -40,8 +40,7 @@ from .asymptotics import (ConflictPath, lptn_scaling_trace,
                           marginal_ratio_convergence,
                           posterior_limit_convergence, prior_ratio)
 from .model import (DataError, PosteriorTarget, SigmaPrior, _os_error_text,
-                    load_csv, reduced_target, standardize,
-                    write_commented_csv)
+                    load_csv, reduced_target, standardize, write_commented_csv)
 from .oracle import (NumericalError, conjugate_posterior, jeffreys_benchmark,
                      quadrature_moments)
 from .priors import CTN, LPTN, CoefficientPrior, Normal, Student

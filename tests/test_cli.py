@@ -909,16 +909,12 @@ class TestConfigFile:
 
     def test_key_of_another_command(self, tmp_path):
         # "quad_tol" belongs to sweep and check; fit must not drop it
-        # silently.
-        data_path = tmp_path / "d.csv"
-        write_dataset(data_path)
+        # silently.  The key is refused before the data file is read.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("quad_tol = 1e-8\n")
-        code = main(["fit", "--config", str(cfg), "--data", str(data_path),
-                     "--prior", "jeffreys", "--prior", "jeffreys",
-                     "--out", str(tmp_path / "o.csv")])
+        code = main(["fit", "--config", str(cfg), "--data", "missing.csv",
+                     "--prior", "jeffreys", "--out", str(tmp_path / "o.csv")])
         assert code == EXIT_CONFIG
-        assert not (tmp_path / "o.csv").exists()
 
 
 class TestOutputFiles:
